@@ -13,12 +13,12 @@ from .clustering import (ClusteringParams, ServingStructure,
 from .errors import (CfMimoError, ConfigurationError, DegenerateLinkError,
                      NumericalError)
 from .pilots import (PilotAssignment, PowerConfig, assign_pilots,
-                     error_covariance, estimate_covariance, mmse_estimate,
-                     psi_matrix, simulate_pilot_phase)
+                     estimate_covariance, mmse_coefficients, mmse_estimate,
+                     psi_stack, simulate_pilot_phase)
 from .scenario import (Deployment, ScenarioConfig, generate_deployment,
                        wrap_distance)
 from .spectral_efficiency import (FrameConfig, OracleResult, RateResult,
                                   SETerms, compute_terms, mc_oracle,
-                                  mr_precoder, sinr_mixed, user_rates)
+                                  mr_scale, sinr_mixed, user_rates)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,12 +17,11 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .clustering import ClusteringParams
 from .errors import CfMimoError, ConfigurationError
 from .harness import (ExperimentConfig, OracleConfig, emit_results,
-                      load_config, run_experiment, run_oracle_check)
+                      load_config, run_experiment, run_oracle_check,
+                      validation_config)
 from .scenario import ScenarioConfig
 
 
@@ -94,20 +93,10 @@ def _cmd_validate(args) -> int:
     if args.config:
         configs = [load_config(args.config)]
     else:
-        configs = []
-        for m, k, q, tau_p in ((8, 3, 2, 2), (12, 4, 4, 4)):
-            cfg = ExperimentConfig(
-                scenario=ScenarioConfig(
-                    num_aps=m, num_users=k, num_antennas=2,
-                    cpu_positions=tuple((250.0 * np.cos(2 * np.pi * i / q),
-                                         250.0 * np.sin(2 * np.pi * i / q))
-                                        for i in range(q))),
-                clustering=ClusteringParams(algorithm="fixed_aps", n_cpu=q,
-                                            n_ap=max(2, m // 2)),
-                oracle=OracleConfig(enabled=True, num_samples=args.samples),
-            )
-            cfg = replace(cfg, frame=replace(cfg.frame, tau_p=tau_p))
-            configs.append(_apply_overrides(cfg, args))
+        configs = [_apply_overrides(replace(
+            validation_config(m, k, q, tau_p),
+            oracle=OracleConfig(num_samples=args.samples)), args)
+            for m, k, q, tau_p in ((8, 3, 2, 2), (12, 4, 4, 4))]
 
     worst = 0.0
     ok = True

@@ -2,9 +2,10 @@
 
 Three multi-CPU-aware algorithms (threshold on large-scale fading, fixed
 AP count, received-power fraction) restrict the candidate APs to the
-n_cpu best CPUs before selecting; setting n_cpu = Q recovers the
-corresponding single-pool legacy scheme. All ties break toward the lowest
-index so results are reproducible.
+n_cpu best CPUs before selecting (CPUs that control no AP are never
+candidates); setting n_cpu = Q recovers the corresponding single-pool
+legacy scheme. All ties break toward the lowest index so results are
+reproducible.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ class ServingStructure:
     served_users: tuple[tuple[int, ...], ...]
 
     @property
-    def num_users(self) -> int:
-        return len(self.clusters)
-
-    @property
     def num_aps(self) -> int:
         return len(self.served_users)
 
@@ -69,16 +66,16 @@ def _descending_order(values: np.ndarray) -> np.ndarray:
 
 
 def order_cpus(beta_column: np.ndarray, cpu_map) -> np.ndarray:
-    """CPU indices sorted by the best per-CPU LSF toward this user, descending."""
-    best = np.empty(len(cpu_map))
-    for q, aps in enumerate(cpu_map):
-        if len(aps) == 0:
-            raise ConfigurationError(f"CPU {q} controls no APs")
-        best[q] = np.max(beta_column[list(aps)])
-    return _descending_order(best)
+    """Indices of the CPUs that control APs, sorted by their best LSF toward
+    this user, descending. A CPU without APs (possible in a random
+    deployment) is left out."""
+    pools = np.array([q for q, aps in enumerate(cpu_map) if len(aps)], dtype=int)
+    best = np.array([np.max(beta_column[list(cpu_map[q])]) for q in pools])
+    return pools[_descending_order(best)]
 
 
 def _candidate_aps(beta_column: np.ndarray, cpu_map, n_cpu: int) -> np.ndarray:
+    """APs of the best min(n_cpu, non-empty pools) CPUs, ascending."""
     if n_cpu > len(cpu_map):
         raise ConfigurationError("n_cpu exceeds the number of CPUs")
     chosen = order_cpus(beta_column, cpu_map)[:n_cpu]

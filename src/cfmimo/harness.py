@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -33,7 +35,6 @@ TRANSMISSION_MODES = ("coherent", "non_coherent", "mixed")
 
 @dataclass(frozen=True)
 class OracleConfig:
-    enabled: bool = False
     num_samples: int = 100_000
 
     def __post_init__(self):
@@ -63,6 +64,22 @@ class ExperimentConfig:
             raise ConfigurationError("num_drops must be >= 1")
 
 
+def validation_config(num_aps: int, num_users: int, num_cpus: int,
+                      tau_p: int) -> ExperimentConfig:
+    """A small closed-form-vs-oracle instance: N = 2, the CPUs evenly on a
+    250 m ring, fixed_aps clusters of max(2, M // 2) APs over every CPU."""
+    angles = 2.0 * np.pi * np.arange(num_cpus) / num_cpus
+    return ExperimentConfig(
+        scenario=ScenarioConfig(
+            num_aps=num_aps, num_users=num_users, num_antennas=2,
+            cpu_positions=tuple((250.0 * np.cos(a), 250.0 * np.sin(a))
+                                for a in angles)),
+        clustering=ClusteringParams(algorithm="fixed_aps", n_cpu=num_cpus,
+                                    n_ap=max(2, num_aps // 2)),
+        frame=FrameConfig(tau_c=200, tau_p=tau_p),
+    )
+
+
 @dataclass(frozen=True)
 class DropResult:
     drop_index: int
@@ -81,66 +98,75 @@ class ExperimentResult:
     mean_sum_rate: float
     percentiles: dict[str, float]    # keys p5/p25/p50/p75/p95
     config: dict                     # full config echo
-    version: str = __version__
 
 
 # ---------------------------------------------------------------------------
 # Config (de)serialization: strict JSON <-> dataclasses
 # ---------------------------------------------------------------------------
 
+def _is_float(value) -> bool:
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or (isinstance(value, float) and math.isfinite(value)))
+
+
+_POSITIONS = "tuple[tuple[float, float], ...]"
+# Parse-time checks by declared field type. Annotations are postponed, so a
+# field's type is its annotation string; fields of other types pass as given.
+_TYPE_CHECKS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_float,
+    "float | None": lambda v: v is None or _is_float(v),
+    "str": lambda v: isinstance(v, str),
+    _POSITIONS: lambda v: isinstance(v, (list, tuple)) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_float, p))
+        for p in v),
+}
+_SECTIONS = {cls.__name__: cls for cls in (
+    ScenarioConfig, LargeScaleModelConfig, PathLossParams, PowerConfig,
+    ClusteringParams, FrameConfig, OracleConfig)}
+
+
+def _check_type(kind: str, value, where: str) -> None:
+    check = _TYPE_CHECKS.get(kind)
+    if check is not None and not check(value):
+        raise ConfigurationError(f"{where}: expected {kind}, got {value!r}")
+
+
 def _from_mapping(cls, data: dict, context: str):
-    """Build dataclass cls from a mapping, rejecting unknown keys."""
+    """Build dataclass cls from a mapping, rejecting unknown keys and values
+    that do not fit their field's type; nested sections are built in turn."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"{context}: expected an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(kinds)
     if unknown:
         raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
-    return cls(**data)
+    kwargs = {}
+    for name, value in data.items():
+        kind, where = kinds[name], f"{context}.{name}"
+        if kind in _SECTIONS:
+            value = _from_mapping(_SECTIONS[kind], value, where)
+        else:
+            _check_type(kind, value, where)
+            if kind == _POSITIONS:
+                value = tuple(tuple(p) for p in value)
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Parse a config document (e.g. loaded from JSON); unknown keys reject."""
+    """Parse a config document (e.g. loaded from JSON); unknown keys and
+    values of the wrong type reject."""
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be an object")
-    known = {"scenario", "large_scale", "powers", "clustering", "frame",
-             "transmission_mode", "num_drops", "oracle", "sweep", "base_seed",
-             "sic_order"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError(f"config: unknown keys {sorted(unknown)}")
-
-    kwargs = {}
-    if "scenario" in data:
-        sc = dict(data["scenario"])
-        if "cpu_positions" in sc:
-            sc["cpu_positions"] = tuple(tuple(p) for p in sc["cpu_positions"])
-        kwargs["scenario"] = _from_mapping(ScenarioConfig, sc, "scenario")
-    if "large_scale" in data:
-        ls = dict(data["large_scale"])
-        if "path_loss" in ls:
-            ls["path_loss"] = _from_mapping(PathLossParams, ls["path_loss"],
-                                            "large_scale.path_loss")
-        kwargs["large_scale"] = _from_mapping(LargeScaleModelConfig, ls, "large_scale")
-    if "powers" in data:
-        kwargs["powers"] = _from_mapping(PowerConfig, data["powers"], "powers")
-    if "clustering" in data:
-        kwargs["clustering"] = _from_mapping(ClusteringParams, data["clustering"],
-                                             "clustering")
-    if "frame" in data:
-        kwargs["frame"] = _from_mapping(FrameConfig, data["frame"], "frame")
-    if "oracle" in data:
-        kwargs["oracle"] = _from_mapping(OracleConfig, data["oracle"], "oracle")
-    if "sweep" in data and data["sweep"] is not None:
-        sweep = data["sweep"]
+    data = dict(data)
+    sweep = data.get("sweep")
+    if sweep is not None:
         if not isinstance(sweep, dict) or not all(
                 isinstance(v, (list, tuple)) for v in sweep.values()):
             raise ConfigurationError("sweep must map parameter names to value lists")
-        kwargs["sweep"] = {k: tuple(v) for k, v in sweep.items()}
-    for key in ("transmission_mode", "num_drops", "base_seed", "sic_order"):
-        if key in data:
-            kwargs[key] = data[key]
-    return ExperimentConfig(**kwargs)
+        data["sweep"] = {k: tuple(v) for k, v in sweep.items()}
+    return _from_mapping(ExperimentConfig, data, "config")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -168,19 +194,17 @@ def apply_sweep_point(config: ExperimentConfig, point: dict) -> ExperimentConfig
     out = config
     for path, value in point.items():
         parts = path.split(".")
-        if len(parts) == 1:
-            if parts[0] not in {f.name for f in dataclasses.fields(ExperimentConfig)}:
-                raise ConfigurationError(f"unknown sweep parameter: {path}")
-            out = replace(out, **{parts[0]: value})
-        elif len(parts) == 2:
-            section = getattr(out, parts[0], None)
-            if section is None or not dataclasses.is_dataclass(section):
-                raise ConfigurationError(f"unknown sweep section: {parts[0]}")
-            if parts[1] not in {f.name for f in dataclasses.fields(section)}:
-                raise ConfigurationError(f"unknown sweep parameter: {path}")
-            out = replace(out, **{parts[0]: replace(section, **{parts[1]: value})})
-        else:
+        if len(parts) > 2:
             raise ConfigurationError(f"sweep paths have at most two components: {path}")
+        section = out if len(parts) == 1 else getattr(out, parts[0], None)
+        if not dataclasses.is_dataclass(section):
+            raise ConfigurationError(f"unknown sweep section: {parts[0]}")
+        kinds = {f.name: f.type for f in dataclasses.fields(section)}
+        if parts[-1] not in kinds:
+            raise ConfigurationError(f"unknown sweep parameter: {path}")
+        _check_type(kinds[parts[-1]], value, f"sweep {path}")
+        section = replace(section, **{parts[-1]: value})
+        out = section if len(parts) == 1 else replace(out, **{parts[0]: section})
     return replace(out, sweep=None)
 
 
@@ -195,22 +219,38 @@ def _drop_streams(base_seed: int, drop_index: int):
     return dep_seed, np.random.default_rng(shadow), np.random.default_rng(pilot)
 
 
-def run_drop(config: ExperimentConfig, drop_index: int) -> DropResult:
-    """Execute one deployment drop; pure function of (config, drop_index)."""
-    dep_seed, shadow_rng, pilot_rng = _drop_streams(config.base_seed, drop_index)
+@contextmanager
+def _naming_drop(drop_index: int):
+    """Prefix the message of any CfMimoError raised inside with the drop."""
     try:
-        scenario = replace(config.scenario, seed=dep_seed)
-        deployment = generate_deployment(scenario)
-        stats = channel_stats(deployment, config.large_scale, shadow_rng)
-        assignment = assign_pilots(scenario.num_users, config.frame.tau_p, pilot_rng)
-        serving = build_serving_structure(stats.beta, deployment.cpu_map,
-                                          config.clustering, stats.noise_power,
-                                          mode=config.transmission_mode)
-        terms = compute_terms(serving, stats, assignment, config.powers,
-                              sic_order=config.sic_order)
-        rates = user_rates(terms, serving, config.frame, stats.noise_power)
+        yield
     except CfMimoError as exc:
         raise type(exc)(f"drop {drop_index}: {exc}") from exc
+
+
+def _drop_stages(config: ExperimentConfig, drop_index: int):
+    """Deployment through closed-form terms for one drop.
+
+    Returns (dep_seed, stats, assignment, serving, terms).
+    """
+    dep_seed, shadow_rng, pilot_rng = _drop_streams(config.base_seed, drop_index)
+    scenario = replace(config.scenario, seed=dep_seed)
+    deployment = generate_deployment(scenario)
+    stats = channel_stats(deployment, config.large_scale, shadow_rng)
+    assignment = assign_pilots(scenario.num_users, config.frame.tau_p, pilot_rng)
+    serving = build_serving_structure(stats.beta, deployment.cpu_map,
+                                      config.clustering, stats.noise_power,
+                                      mode=config.transmission_mode)
+    terms = compute_terms(serving, stats, assignment, config.powers,
+                          sic_order=config.sic_order)
+    return dep_seed, stats, assignment, serving, terms
+
+
+def run_drop(config: ExperimentConfig, drop_index: int) -> DropResult:
+    """Execute one deployment drop; pure function of (config, drop_index)."""
+    with _naming_drop(drop_index):
+        dep_seed, stats, _, serving, terms = _drop_stages(config, drop_index)
+        rates = user_rates(terms, serving, config.frame, stats.noise_power)
     return DropResult(
         drop_index=drop_index,
         seed=dep_seed,
@@ -269,20 +309,12 @@ def run_experiment(config: ExperimentConfig,
 
 def run_oracle_check(config: ExperimentConfig, drop_index: int = 0):
     """Closed form vs Monte Carlo oracle on one drop; returns both results."""
-    dep_seed, shadow_rng, pilot_rng = _drop_streams(config.base_seed, drop_index)
-    scenario = replace(config.scenario, seed=dep_seed)
-    deployment = generate_deployment(scenario)
-    stats = channel_stats(deployment, config.large_scale, shadow_rng)
-    assignment = assign_pilots(scenario.num_users, config.frame.tau_p, pilot_rng)
-    serving = build_serving_structure(stats.beta, deployment.cpu_map,
-                                      config.clustering, stats.noise_power,
-                                      mode=config.transmission_mode)
-    terms = compute_terms(serving, stats, assignment, config.powers,
-                          sic_order=config.sic_order)
-    oracle_rng = np.random.default_rng(
-        np.random.SeedSequence(config.base_seed, spawn_key=(drop_index, 1)))
-    oracle = mc_oracle(serving, stats, assignment, config.powers, config.frame,
-                       config.oracle.num_samples, oracle_rng, terms=terms)
+    with _naming_drop(drop_index):
+        _, stats, assignment, serving, terms = _drop_stages(config, drop_index)
+        oracle_rng = np.random.default_rng(
+            np.random.SeedSequence(config.base_seed, spawn_key=(drop_index, 1)))
+        oracle = mc_oracle(serving, stats, assignment, config.powers, config.frame,
+                           config.oracle.num_samples, oracle_rng, terms=terms)
     return terms, oracle, stats.noise_power
 
 

@@ -4,6 +4,8 @@ Pilots are mutually orthogonal with squared norm tau_p, so they are
 represented purely by their index: all pilot inner products reduce to the
 indicator 1{t_i == t_k}. The pilot-phase observation kept per (AP, pilot)
 is the projection of the received pilot matrix onto the normalized pilot.
+The estimation chain is batched over all links and over any leading sample
+axes of the channel draws.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ class PilotAssignment:
         if t.ndim != 1 or np.any(t < 0) or np.any(t >= self.tau_p):
             raise ConfigurationError("pilot indices must lie in {0..tau_p-1}")
         object.__setattr__(self, "t", t)
-
-    @property
-    def num_users(self) -> int:
-        return self.t.shape[0]
 
     def copilot_set(self, k: int) -> np.ndarray:
         """Users sharing user k's pilot, including k itself."""
@@ -67,23 +65,13 @@ def assign_pilots(num_users: int, tau_p: int, rng: np.random.Generator) -> Pilot
     return PilotAssignment(tau_p=tau_p, t=rng.integers(0, tau_p, size=num_users))
 
 
-def psi_matrix(m: int, pilot: int, stats: ChannelStatistics,
-               assignment: PilotAssignment, powers: PowerConfig) -> np.ndarray:
-    """Correlation matrix of the projected pilot observation at AP m.
-
-    Psi = sum over users on the pilot of tau_p * p^p * R[m, i] + sigma^2 I;
-    positive definite whenever sigma^2 > 0.
-    """
-    n = stats.num_antennas
-    psi = stats.noise_power * np.eye(n, dtype=complex)
-    for i in assignment.users_on_pilot(pilot):
-        psi = psi + assignment.tau_p * powers.pilot_power * stats.R[m, i]
-    return psi
-
-
 def psi_stack(stats: ChannelStatistics, assignment: PilotAssignment,
               powers: PowerConfig) -> np.ndarray:
-    """(tau_p, M, N, N) stack of Psi matrices for all pilots and APs."""
+    """(tau_p, M, N, N) stack of Psi matrices for all pilots and APs.
+
+    Psi[t, m] = sum over users i on pilot t of tau_p p^p R[m, i] + sigma^2 I;
+    positive definite whenever sigma^2 > 0.
+    """
     n = stats.num_antennas
     out = np.broadcast_to(stats.noise_power * np.eye(n, dtype=complex),
                           (assignment.tau_p, stats.num_aps, n, n)).copy()
@@ -98,46 +86,54 @@ def psi_stack(stats: ChannelStatistics, assignment: PilotAssignment,
 def simulate_pilot_phase(realization: np.ndarray, assignment: PilotAssignment,
                          powers: PowerConfig, noise_power: float,
                          rng: np.random.Generator) -> np.ndarray:
-    """Projected pilot observations y_check[pilot, m] for one channel realization.
+    """Projected pilot observations y_check[..., pilot, m] for channel draws.
 
     Pilot orthogonality makes the projection exact, so the tau_p-column pilot
     matrix never needs to be materialized:
     y_check[t, m] = sum over users i on pilot t of sqrt(p^p tau_p) H[m, i] + CN(0, sigma^2 I).
 
-    realization: (M, K, N); returns (tau_p, M, N).
+    realization: (..., M, K, N); returns (..., tau_p, M, N). The noise is
+    drawn as one real and then one imaginary standard-normal block.
     """
-    m, _, n = realization.shape
+    *lead, m, _, n = realization.shape
+    shape = (*lead, assignment.tau_p, m, n)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y *= np.sqrt(noise_power / 2.0)
     amp = np.sqrt(powers.pilot_power * assignment.tau_p)
-    noise = (rng.standard_normal((assignment.tau_p, m, n))
-             + 1j * rng.standard_normal((assignment.tau_p, m, n)))
-    y = np.sqrt(noise_power / 2.0) * noise
     for pilot in range(assignment.tau_p):
         users = assignment.users_on_pilot(pilot)
         if users.size:
-            y[pilot] += amp * realization[:, users].sum(axis=1)
+            y[..., pilot, :, :] += amp * realization[..., users, :].sum(axis=-2)
     return y
 
 
-def mmse_estimate(y_check: np.ndarray, m: int, k: int, stats: ChannelStatistics,
-                  assignment: PilotAssignment, powers: PowerConfig) -> np.ndarray:
-    """MMSE estimate of H[m, k] from the projected observation on user k's pilot.
+def mmse_coefficients(stats: ChannelStatistics, assignment: PilotAssignment,
+                      powers: PowerConfig, psi_inv: np.ndarray) -> np.ndarray:
+    """(M, K, N, N) estimation matrices sqrt(p^p tau_p) R[m, k] Psi[m, t_k]^-1.
 
-    H_hat = sqrt(p^p tau_p) R[m, k] Psi^-1 y_check[t_k, m].
+    psi_inv is the inverse of the psi_stack of the same inputs.
     """
-    psi = psi_matrix(m, assignment.t[k], stats, assignment, powers)
-    coef = np.sqrt(powers.pilot_power * assignment.tau_p) * stats.R[m, k]
-    return coef @ np.linalg.solve(psi, y_check[assignment.t[k], m])
+    return np.sqrt(powers.pilot_power * assignment.tau_p) * np.einsum(
+        "mkab,kmbc->mkac", stats.R, psi_inv[assignment.t], optimize=True)
 
 
-def estimate_covariance(m: int, k: int, stats: ChannelStatistics,
-                        assignment: PilotAssignment, powers: PowerConfig) -> np.ndarray:
-    """Covariance of the MMSE estimate: p^p tau_p R Psi^-1 R."""
-    psi = psi_matrix(m, assignment.t[k], stats, assignment, powers)
-    r = stats.R[m, k]
-    return powers.pilot_power * assignment.tau_p * (r @ np.linalg.solve(psi, r))
+def mmse_estimate(y_check: np.ndarray, coef: np.ndarray,
+                  assignment: PilotAssignment) -> np.ndarray:
+    """MMSE estimates H_hat[..., m, k] = coef[m, k] y_check[..., t_k, m].
+
+    y_check: (..., tau_p, M, N) from simulate_pilot_phase; coef from
+    mmse_coefficients. Returns (..., M, K, N).
+    """
+    return np.einsum("mkac,...kmc->...mka", coef, y_check[..., assignment.t, :, :],
+                     optimize=True)
 
 
-def error_covariance(m: int, k: int, stats: ChannelStatistics,
-                     assignment: PilotAssignment, powers: PowerConfig) -> np.ndarray:
-    """Covariance of the estimation error: R - p^p tau_p R Psi^-1 R."""
-    return stats.R[m, k] - estimate_covariance(m, k, stats, assignment, powers)
+def estimate_covariance(stats: ChannelStatistics, assignment: PilotAssignment,
+                        powers: PowerConfig, psi_inv: np.ndarray) -> np.ndarray:
+    """(M, K, N, N) covariances of the MMSE estimates, p^p tau_p R Psi^-1 R.
+
+    The estimation error has covariance R minus this matrix.
+    """
+    return powers.pilot_power * assignment.tau_p * np.einsum(
+        "mkab,kmbc,mkcd->mkad", stats.R, psi_inv[assignment.t], stats.R,
+        optimize=True)

@@ -17,14 +17,15 @@ independent check of the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelStatistics, correlation_sqrt, sample_channel
 from .clustering import ServingStructure
 from .errors import ConfigurationError, DegenerateLinkError, NumericalError
-from .pilots import PilotAssignment, PowerConfig, psi_stack
+from .pilots import (PilotAssignment, PowerConfig, mmse_coefficients,
+                     mmse_estimate, psi_stack, simulate_pilot_phase)
 
 SIC_ORDERS = ("desired_desc", "cpu_index")
 
@@ -66,13 +67,21 @@ class RateResult:
     prelog: float
 
 
-def mr_precoder(h_hat: np.ndarray, rho: float, est_trace: float) -> np.ndarray:
-    """Maximum-ratio precoder W = sqrt(rho) H_hat / sqrt(E{||H_hat||^2})."""
-    if rho == 0.0:
-        return np.zeros_like(h_hat)
-    if est_trace <= 0.0:
-        raise DegenerateLinkError("zero estimated-channel power on an active link")
-    return np.sqrt(rho / est_trace) * h_hat
+def mr_scale(rho: np.ndarray, est_trace: np.ndarray) -> np.ndarray:
+    """(M, K) maximum-ratio scales sqrt(rho / E{||H_hat||^2}); W = scale * H_hat.
+
+    Links with rho = 0 get scale 0. An active link (rho > 0) whose
+    est_trace is not positive raises DegenerateLinkError naming it.
+    """
+    active = rho > 0.0
+    degenerate = np.argwhere(active & (est_trace <= 0.0))
+    if degenerate.size:
+        m, k = degenerate[0]
+        raise DegenerateLinkError(
+            f"serving link (AP {m}, user {k}) has zero estimate power")
+    scale = np.zeros_like(rho)
+    scale[active] = np.sqrt(rho[active] / est_trace[active])
+    return scale
 
 
 def effective_data_powers(serving: ServingStructure, powers: PowerConfig) -> np.ndarray:
@@ -98,8 +107,8 @@ def effective_data_powers(serving: ServingStructure, powers: PowerConfig) -> np.
     return rho
 
 
-def _link_traces(serving: ServingStructure, stats: ChannelStatistics,
-                 assignment: PilotAssignment, powers: PowerConfig):
+def _link_traces(stats: ChannelStatistics, assignment: PilotAssignment,
+                 powers: PowerConfig):
     """Per-link quantities shared by D, E and F.
 
     Returns (psi_inv, tr_gii, est_trace) where tr_gii[m, i] =
@@ -130,13 +139,10 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     K = len(serving.clusters)
     tau_p, pp = assignment.tau_p, powers.pilot_power
     rho = effective_data_powers(serving, powers)
-    psi_inv, tr_gii, _ = _link_traces(serving, stats, assignment, powers)
-
-    for i in range(K):
-        for m in serving.clusters[i]:
-            if rho[m, i] > 0.0 and tr_gii[m, i] <= 0.0:
-                raise DegenerateLinkError(
-                    f"serving link (AP {m}, user {i}) has zero estimate power")
+    psi_inv, tr_gii, _ = _link_traces(stats, assignment, powers)
+    # tr_gii lacks the p^p tau_p factor of E{||H_hat||^2}: zero pilot power
+    # leaves the closed form at its D = F = 0 limit instead of raising.
+    mr_scale(rho, tr_gii)
 
     E = np.zeros(K)
     F = np.zeros(K)
@@ -166,10 +172,8 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
                     F[k] += abs(amp) ** 2
         for _, aps in serving.groups[k]:
             idx = list(aps)
-            tr_gkk = np.einsum("mab,mbc,mca->m", stats.R[idx, k], psi_inv_k[idx],
-                               stats.R[idx, k], optimize=True).real
-            D_raw[k].append(float(np.sum(
-                np.sqrt(rho[idx, k] * pp * tau_p * np.clip(tr_gkk, 0.0, None))) ** 2))
+            D_raw[k].append(float(np.sum(np.sqrt(
+                rho[idx, k] * pp * tau_p * np.clip(tr_gii[idx, k], 0.0, None))) ** 2))
 
     D: list[np.ndarray] = []
     group_cpus: list[tuple[int, ...]] = []
@@ -263,16 +267,10 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     if terms is None:
         terms = compute_terms(serving, stats, assignment, powers)
     K = len(serving.clusters)
-    tau_p = assignment.tau_p
-    rho = effective_data_powers(serving, powers)
-    psis = psi_stack(stats, assignment, powers)
-    _, tr_gii, est_trace = _link_traces(serving, stats, assignment, powers)
-    del tr_gii
+    psi_inv, _, est_trace = _link_traces(stats, assignment, powers)
+    w_scale = mr_scale(effective_data_powers(serving, powers), est_trace)
+    coef = mmse_coefficients(stats, assignment, powers, psi_inv)
     sqrt_R = correlation_sqrt(stats.R)
-    # Estimation coefficient sqrt(p^p tau_p) R[m,k] Psi[m,t_k]^-1 per link.
-    est_coef = np.sqrt(powers.pilot_power * tau_p) * np.einsum(
-        "mkab,kmbc->mkac", stats.R,
-        np.linalg.inv(psis)[assignment.t], optimize=True)
 
     # Flatten (i, b) group pairs once; groups follow serving.groups order.
     flat_groups = [(i, b, list(aps))
@@ -282,13 +280,6 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     copilot_mask = np.zeros((G, K), dtype=bool)   # does group g contaminate user k
     for g, (i, _, _) in enumerate(flat_groups):
         copilot_mask[g] = assignment.t == assignment.t[i]
-
-    # Precoder scale per link: sqrt(rho / E{||H_hat||^2}), zero when inactive.
-    w_scale = np.zeros_like(rho)
-    active = rho > 0.0
-    if np.any(active & (est_trace <= 0.0)):
-        raise DegenerateLinkError("zero estimate power on an active link")
-    w_scale[active] = np.sqrt(rho[active] / est_trace[active])
 
     # Streaming moments of a (complex) and |a|^2 per (group, observing user).
     sum_a = np.zeros((G, K), dtype=complex)
@@ -302,20 +293,9 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     while done < num_samples:
         b = min(batch_size, num_samples - done)
         H = sample_channel(stats, rng, num_samples=b, sqrt_R=sqrt_R)  # (b,M,K,N)
-        # Projected pilot observations per (pilot, AP): coherent co-pilot sum + noise.
-        y = (rng.standard_normal((b, tau_p, stats.num_aps, stats.num_antennas))
-             + 1j * rng.standard_normal((b, tau_p, stats.num_aps,
-                                         stats.num_antennas)))
-        y *= np.sqrt(noise / 2.0)
-        amp = np.sqrt(powers.pilot_power * tau_p)
-        for pilot in range(tau_p):
-            users = assignment.users_on_pilot(pilot)
-            if users.size:
-                y[:, pilot] += amp * H[:, :, users].sum(axis=2)
-        # MMSE estimates and precoders for all links (inactive ones scale to 0).
-        y_own = y[:, assignment.t]                      # (b, K, M, N)
-        h_hat = np.einsum("mkac,skmc->smka", est_coef, y_own, optimize=True)
-        W = w_scale[None, :, :, None] * h_hat           # (b, M, K, N)
+        y = simulate_pilot_phase(H, assignment, powers, noise, rng)
+        # MR precoders for all links (inactive ones scale to 0).
+        W = w_scale[None, :, :, None] * mmse_estimate(y, coef, assignment)
 
         inner = np.einsum("smka,smia->smki", np.conj(H), W, optimize=True)
         for g, (i, _, aps) in enumerate(flat_groups):
@@ -368,10 +348,10 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
         for c in range(d.size):
             denom = total[k] - np.sum(d[: c + 1]) + noise
             g[c] = d[c] / denom
-            rel = np.sqrt((d_se[c] / max(d[c], np.finfo(float).tiny)) ** 2
-                          + (total_se2[k] + np.sum(d_se[: c + 1] ** 2))
-                          / denom ** 2)
-            g_se[c] = abs(g[c]) * rel
+            # Absolute form: stays finite when a clipped d is 0.
+            g_se[c] = np.sqrt((d_se[c] / denom) ** 2 + g[c] ** 2
+                              * (total_se2[k] + np.sum(d_se[: c + 1] ** 2))
+                              / denom ** 2)
         sinr.append(g)
         sinr_se.append(g_se)
 

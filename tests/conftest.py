@@ -9,10 +9,10 @@ import pytest
 
 from cfmimo.channel import ChannelStatistics, spatial_correlation
 from cfmimo.clustering import ClusteringParams, build_serving_structure
-from cfmimo.harness import ExperimentConfig, OracleConfig
-from cfmimo.pilots import PilotAssignment, PowerConfig, assign_pilots
-from cfmimo.scenario import ScenarioConfig, generate_deployment
-from cfmimo.spectral_efficiency import FrameConfig, compute_terms
+from cfmimo.harness import validation_config
+from cfmimo.pilots import assign_pilots
+from cfmimo.scenario import generate_deployment
+from cfmimo.spectral_efficiency import compute_terms
 from cfmimo import channel_stats
 
 
@@ -47,28 +47,16 @@ def small_instance(num_aps: int, num_users: int, num_antennas: int,
                    num_cpus: int, tau_p: int, seed: int,
                    mode: str = "mixed",
                    clustering: ClusteringParams | None = None):
-    """Full geometric pipeline on a small deployment.
+    """Full geometric pipeline on a validation_config deployment.
 
     Returns (stats, assignment, serving, terms, powers, frame).
     """
-    angles = 2.0 * np.pi * np.arange(num_cpus) / num_cpus
-    scenario = ScenarioConfig(
-        num_aps=num_aps, num_users=num_users, num_antennas=num_antennas,
-        cpu_positions=tuple((250.0 * np.cos(a), 250.0 * np.sin(a))
-                            for a in angles),
-        seed=seed,
-    )
-    config = ExperimentConfig(
-        scenario=scenario,
-        clustering=clustering or ClusteringParams(
-            algorithm="fixed_aps", n_cpu=num_cpus, n_ap=max(2, num_aps // 2)),
-        frame=FrameConfig(tau_c=200, tau_p=tau_p),
-        transmission_mode=mode,
-        oracle=OracleConfig(enabled=True),
-        base_seed=seed,
-    )
+    config = validation_config(num_aps, num_users, num_cpus, tau_p)
+    if clustering is not None:
+        config = replace(config, clustering=clustering)
     rng = np.random.default_rng(seed)
-    deployment = generate_deployment(scenario)
+    deployment = generate_deployment(replace(
+        config.scenario, num_antennas=num_antennas, seed=seed))
     stats = channel_stats(deployment, config.large_scale, rng)
     assignment = assign_pilots(num_users, tau_p, rng)
     serving = build_serving_structure(stats.beta, deployment.cpu_map,
@@ -76,38 +64,6 @@ def small_instance(num_aps: int, num_users: int, num_antennas: int,
                                       mode=mode)
     terms = compute_terms(serving, stats, assignment, config.powers)
     return stats, assignment, serving, terms, config.powers, config.frame
-
-
-def sample_estimates(stats: ChannelStatistics, assignment: PilotAssignment,
-                     powers: PowerConfig, rng: np.random.Generator,
-                     num_samples: int):
-    """Draw (H, H_hat) pairs for all links, vectorized over samples.
-
-    Returns arrays of shape (num_samples, M, K, N). Serves as an
-    independent sampling path for checking estimator statistics.
-    """
-    from cfmimo.channel import sample_channel
-    from cfmimo.pilots import psi_matrix
-
-    M, K, N = stats.num_aps, stats.num_users, stats.num_antennas
-    tau_p = assignment.tau_p
-    H = sample_channel(stats, rng, num_samples=num_samples)
-    noise = (rng.standard_normal((num_samples, tau_p, M, N))
-             + 1j * rng.standard_normal((num_samples, tau_p, M, N)))
-    y = np.sqrt(stats.noise_power / 2.0) * noise
-    amp = np.sqrt(powers.pilot_power * tau_p)
-    for pilot in range(tau_p):
-        users = assignment.users_on_pilot(pilot)
-        if users.size:
-            y[:, pilot] += amp * H[:, :, users].sum(axis=2)
-    coef = np.empty((M, K, N, N), dtype=complex)
-    for m in range(M):
-        for k in range(K):
-            psi = psi_matrix(m, assignment.t[k], stats, assignment, powers)
-            coef[m, k] = amp * (stats.R[m, k] @ np.linalg.inv(psi))
-    h_hat = np.einsum("mkac,skmc->smka", coef, y[:, assignment.t],
-                      optimize=True)
-    return H, h_hat
 
 
 @pytest.fixture

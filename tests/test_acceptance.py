@@ -13,17 +13,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_cpu_map, random_stats, sample_estimates
+from conftest import random_cpu_map, random_stats
 
-from cfmimo.channel import LargeScaleModelConfig
+from cfmimo.channel import sample_channel
 from cfmimo.clustering import (ClusteringParams, build_serving_structure,
                                cluster_fixed, cluster_legacy_largest_lsf,
                                cluster_lsf_threshold, cluster_power,
                                coherent_groups, form_cluster)
 from cfmimo.harness import (ExperimentConfig, OracleConfig, emit_results,
-                            run_experiment, run_oracle_check, run_single)
+                            run_experiment, run_oracle_check, run_single,
+                            validation_config)
 from cfmimo.pilots import (PilotAssignment, PowerConfig, assign_pilots,
-                           error_covariance, estimate_covariance)
+                           estimate_covariance, mmse_coefficients,
+                           mmse_estimate, psi_stack, simulate_pilot_phase)
 from cfmimo.scenario import ScenarioConfig
 from cfmimo.spectral_efficiency import (FrameConfig, compute_terms,
                                         sinr_mixed, user_rates)
@@ -62,21 +64,6 @@ def _desk_config(**kwargs) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
-def _oracle_instance(m, k, q, tau_p, seed) -> ExperimentConfig:
-    angles = 2.0 * np.pi * np.arange(q) / q
-    return ExperimentConfig(
-        scenario=ScenarioConfig(
-            num_aps=m, num_users=k, num_antennas=2,
-            cpu_positions=tuple((250.0 * np.cos(a), 250.0 * np.sin(a))
-                                for a in angles)),
-        clustering=ClusteringParams(algorithm="fixed_aps", n_cpu=q,
-                                    n_ap=max(2, m // 2)),
-        frame=FrameConfig(tau_c=200, tau_p=tau_p),
-        oracle=OracleConfig(enabled=True, num_samples=100_000),
-        base_seed=seed,
-    )
-
-
 def test_criterion_1_closed_form_matches_oracle():
     """Every D, E, F and SINR agrees with the sampling oracle."""
     instances = ([(8, 3, 2, 2, s) for s in (0, 1)]
@@ -85,8 +72,9 @@ def test_criterion_1_closed_form_matches_oracle():
                  + [(12, 4, 4, 4, s) for s in (0, 1, 2)])
     ok = True
     for m, k, q, tau_p, seed in instances:
-        terms, oracle, noise = run_oracle_check(_oracle_instance(m, k, q,
-                                                                 tau_p, seed))
+        terms, oracle, noise = run_oracle_check(replace(
+            validation_config(m, k, q, tau_p), base_seed=seed,
+            oracle=OracleConfig(num_samples=100_000)))
         for u in range(k):
             pairs = [(terms.E[u], oracle.E[u], oracle.E_se[u]),
                      (terms.F[u], oracle.F[u], oracle.F_se[u])]
@@ -184,24 +172,27 @@ def test_criterion_4_mmse_estimator_statistics():
     stats = random_stats(2, 4, 2, gen, noise_power=0.5)
     assignment = PilotAssignment(tau_p=2, t=np.array([0, 0, 1, 1]))
     powers = PowerConfig()
-    H, h_hat = sample_estimates(stats, assignment, powers,
-                                np.random.default_rng(12), 100_000)
-    err = H - h_hat
-    ok = True
+    sample_rng = np.random.default_rng(12)
+    H = sample_channel(stats, sample_rng, num_samples=100_000)
+    y = simulate_pilot_phase(H, assignment, powers, stats.noise_power,
+                             sample_rng)
+    psi = psi_stack(stats, assignment, powers)
+    psi_inv = np.linalg.inv(psi)
+    coef = mmse_coefficients(stats, assignment, powers, psi_inv)
+    h_hat = mmse_estimate(y, coef, assignment)
+    target = estimate_covariance(stats, assignment, powers, psi_inv)
     n = H.shape[0]
-    for m in range(2):
-        for k in range(4):
-            target = estimate_covariance(m, k, stats, assignment, powers)
-            emp = np.einsum("sa,sb->ab", h_hat[:, m, k],
-                            np.conj(h_hat[:, m, k])) / n
-            ok &= (np.linalg.norm(emp - target)
-                   <= 0.02 * np.linalg.norm(target))
-            cross = np.einsum("sa,sb->ab", h_hat[:, m, k],
-                              np.conj(err[:, m, k])) / n
-            ok &= (np.linalg.norm(cross)
-                   <= 0.02 * np.linalg.norm(stats.R[m, k]))
-            total = target + error_covariance(m, k, stats, assignment, powers)
-            ok &= np.allclose(total, stats.R[m, k], rtol=1e-9, atol=1e-15)
+    emp = np.einsum("smka,smkb->mkab", h_hat, np.conj(h_hat)) / n
+    cross = np.einsum("smka,smkb->mkab", h_hat, np.conj(H - h_hat)) / n
+    fro = {"axis": (-2, -1)}    # Frobenius norm per link
+    ok = bool(np.all(np.linalg.norm(emp - target, **fro)
+                     <= 0.02 * np.linalg.norm(target, **fro)))
+    ok &= bool(np.all(np.linalg.norm(cross, **fro)
+                      <= 0.02 * np.linalg.norm(stats.R, **fro)))
+    # R = error + estimate covariance, with the estimate covariance formed
+    # as A Psi A^H from the estimator's coefficients A.
+    a_psi_a = coef @ psi[assignment.t].swapaxes(0, 1) @ np.conj(coef).swapaxes(-2, -1)
+    ok &= np.allclose(stats.R - target + a_psi_a, stats.R, rtol=1e-9, atol=1e-15)
     _report(4, "MMSE estimator statistics", ok)
 
 

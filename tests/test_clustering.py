@@ -32,9 +32,10 @@ class TestOrderCpus:
         beta = np.array([5.0, 5.0])
         assert order_cpus(beta, ((0,), (1,))).tolist() == [0, 1]
 
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ConfigurationError):
-            order_cpus(np.array([1.0]), ((0,), ()))
+    def test_empty_pool_skipped(self):
+        # A CPU without APs is never a candidate, wherever it sits.
+        beta = np.array([1.0, 3.0])
+        assert order_cpus(beta, ((0,), (), (1,))).tolist() == [2, 0]
 
 
 class TestLegacyLargestLsf:
@@ -77,8 +78,11 @@ class TestLsfThreshold:
             beta = rng.lognormal(size=10)
             cpu_map = random_cpu_map(10, 3, rng)
             delta = float(np.median(beta))
-            out = cluster_lsf_threshold(beta, cpu_map, 3, delta)
-            assert set(out) == set(np.flatnonzero(beta >= delta).tolist())
+            expected = set(np.flatnonzero(beta >= delta).tolist())
+            assert set(cluster_lsf_threshold(beta, cpu_map, 3, delta)) == expected
+            # A fourth CPU without APs changes nothing at n_cpu = Q.
+            assert set(cluster_lsf_threshold(beta, cpu_map + ((),), 4,
+                                             delta)) == expected
 
 
 class TestFixedAps:
@@ -95,9 +99,11 @@ class TestFixedAps:
     def test_full_pool_reduces_to_legacy(self, rng):
         for _ in range(20):
             beta = rng.lognormal(size=12)
-            cpu_map = random_cpu_map(12, 4, rng)
-            assert cluster_fixed(beta, cpu_map, 4, 5) == \
-                cluster_legacy_largest_lsf(beta, 5)
+            # The second map's fourth CPU controls no AP.
+            for cpu_map in (random_cpu_map(12, 4, rng),
+                            random_cpu_map(12, 3, rng) + ((),)):
+                assert cluster_fixed(beta, cpu_map, 4, 5) == \
+                    cluster_legacy_largest_lsf(beta, 5)
 
 
 class TestPowerFraction:

@@ -11,7 +11,7 @@ from cfmimo.errors import ConfigurationError
 from cfmimo.harness import (ExperimentConfig, apply_sweep_point,
                             config_from_dict, config_to_dict, emit_results,
                             load_config, run_drop, run_experiment, run_single)
-from cfmimo.scenario import ScenarioConfig
+from cfmimo.scenario import ScenarioConfig, generate_deployment
 from cfmimo.spectral_efficiency import FrameConfig
 
 
@@ -120,6 +120,17 @@ class TestRunDrop:
         assert len(drop.cluster_sizes) == 4
         assert drop.sum_rate == pytest.approx(sum(drop.user_rate))
 
+    def test_cpu_without_aps_is_skipped(self):
+        # Six APs among four CPUs: some drops leave a CPU without APs.
+        config = _tiny_config(
+            scenario=ScenarioConfig(num_aps=6, num_users=4, num_antennas=2),
+            clustering=ClusteringParams(algorithm="fixed_aps", n_cpu=4, n_ap=3),
+            num_drops=6)
+        drops = run_single(config).drops
+        assert not all(all(generate_deployment(
+            replace(config.scenario, seed=d.seed)).cpu_map) for d in drops)
+        assert all(d.sum_rate >= 0 for d in drops)
+
 
 class TestRunSingle:
     def test_single_drop_cdf_is_step(self):
@@ -195,6 +206,19 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"num_dropz": 2}))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", [
+        {"scenario": {"num_aps": 40.0}},
+        {"clustering": {"n_cpu": "2"}},
+        {"powers": {"data_power": float("nan")}},
+        {"sweep": {"clustering.n_cpu": ["2"]}},
+    ])
+    def test_mistyped_value_exit_code(self, tmp_path, capsys, section):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"num_drops": 2, **section}))
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path)]) == 1
         assert "configuration error" in capsys.readouterr().err

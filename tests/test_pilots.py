@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_stats, sample_estimates
+from conftest import random_stats
 
-from cfmimo.channel import ChannelStatistics
+from cfmimo.channel import ChannelStatistics, sample_channel
 from cfmimo.errors import ConfigurationError
 from cfmimo.pilots import (PilotAssignment, PowerConfig, assign_pilots,
-                           error_covariance, estimate_covariance,
-                           mmse_estimate, psi_matrix, psi_stack,
-                           simulate_pilot_phase)
+                           estimate_covariance, mmse_coefficients,
+                           mmse_estimate, psi_stack, simulate_pilot_phase)
 
 
 class TestAssignPilots:
@@ -55,43 +54,48 @@ def _identity_stats(num_aps, num_users, beta=2.0, noise_power=0.5,
                              noise_power=noise_power)
 
 
+def _psi_inv(stats, a, powers):
+    return np.linalg.inv(psi_stack(stats, a, powers))
+
+
 class TestPsi:
     def test_empty_pilot_is_noise_only(self):
         stats = _identity_stats(1, 2)
         a = PilotAssignment(tau_p=3, t=np.array([0, 0]))
-        powers = PowerConfig()
-        psi = psi_matrix(0, 2, stats, a, powers)
+        psi = psi_stack(stats, a, PowerConfig())[2, 0]
         assert np.allclose(psi, stats.noise_power * np.eye(2))
 
     def test_single_user_identity_correlation(self):
         stats = _identity_stats(1, 1, beta=2.0, noise_power=0.5)
         a = PilotAssignment(tau_p=4, t=np.array([0]))
-        powers = PowerConfig(pilot_power=0.2)
-        psi = psi_matrix(0, 0, stats, a, powers)
+        psi = psi_stack(stats, a, PowerConfig(pilot_power=0.2))[0, 0]
         assert np.allclose(psi, (4 * 0.2 * 2.0 + 0.5) * np.eye(2))
 
     def test_matches_direct_summation(self, rng):
         stats = random_stats(3, 5, 2, rng)
         a = assign_pilots(5, 2, rng)
         powers = PowerConfig()
+        stack = psi_stack(stats, a, powers)
         for m in range(3):
             for pilot in range(2):
                 direct = stats.noise_power * np.eye(2, dtype=complex)
                 for i in np.flatnonzero(a.t == pilot):
                     direct = direct + a.tau_p * powers.pilot_power * stats.R[m, i]
-                assert np.allclose(psi_matrix(m, pilot, stats, a, powers),
-                                   direct)
+                assert np.allclose(stack[pilot, m], direct)
 
     def test_stack_matches_per_entry(self, rng):
+        # Each entry against a one-hot pilot-membership weighting of R[m].
         stats = random_stats(4, 6, 3, rng)
         a = assign_pilots(6, 3, rng)
         powers = PowerConfig()
         stack = psi_stack(stats, a, powers)
         assert stack.shape == (3, 4, 3, 3)
         for pilot in range(3):
+            weights = a.tau_p * powers.pilot_power * (a.t == pilot)
             for m in range(4):
-                assert np.allclose(stack[pilot, m],
-                                   psi_matrix(m, pilot, stats, a, powers))
+                entry = (np.einsum("k,kab->ab", weights, stats.R[m])
+                         + stats.noise_power * np.eye(3))
+                assert np.allclose(stack[pilot, m], entry)
 
     def test_eigenvalues_at_least_noise(self, rng):
         stats = random_stats(3, 4, 2, rng)
@@ -119,19 +123,17 @@ class TestPilotPhase:
         assert np.allclose(y[0, 0], 2.0 * np.sqrt(0.5))
 
     def test_observation_covariance_matches_psi(self, rng):
-        # One AP, two co-pilot users; 10^5 vectorized draws of y_check.
+        # One AP, two co-pilot users; 10^5 batched draws of y_check.
         stats = random_stats(1, 2, 2, rng, noise_power=0.4)
         a = PilotAssignment(tau_p=2, t=np.array([0, 0]))
         powers = PowerConfig()
         gen = np.random.default_rng(21)
         n = 100_000
-        from cfmimo.channel import sample_channel
         h = sample_channel(stats, gen, num_samples=n)
-        amp = np.sqrt(powers.pilot_power * a.tau_p)
-        noise = (gen.standard_normal((n, 2)) + 1j * gen.standard_normal((n, 2)))
-        y = amp * h[:, 0].sum(axis=1) + np.sqrt(stats.noise_power / 2.0) * noise
-        emp = np.einsum("sa,sb->ab", y, np.conj(y)) / n
-        psi = psi_matrix(0, 0, stats, a, powers)
+        y = simulate_pilot_phase(h, a, powers, stats.noise_power, gen)
+        assert y.shape == (n, 2, 1, 2)
+        emp = np.einsum("sa,sb->ab", y[:, 0, 0], np.conj(y[:, 0, 0])) / n
+        psi = psi_stack(stats, a, powers)[0, 0]
         assert np.linalg.norm(emp - psi) <= 0.02 * np.linalg.norm(psi)
 
 
@@ -143,76 +145,89 @@ class TestMmseEstimate:
         powers = PowerConfig(pilot_power=0.2)
         h = (rng.standard_normal((1, 1, 2)) + 1j * rng.standard_normal((1, 1, 2)))
         y = simulate_pilot_phase(h, a, powers, noise_power=0.0, rng=rng)
-        h_hat = mmse_estimate(y, 0, 0, stats, a, powers)
-        assert np.allclose(h_hat, h[0, 0], atol=1e-10)
+        coef = mmse_coefficients(stats, a, powers, _psi_inv(stats, a, powers))
+        assert np.allclose(mmse_estimate(y, coef, a), h, atol=1e-10)
 
     def test_zero_statistics_zero_estimate(self, rng):
         stats = ChannelStatistics(R=np.zeros((1, 1, 2, 2), dtype=complex),
                                   beta=np.zeros((1, 1)), noise_power=0.5)
         a = PilotAssignment(tau_p=1, t=np.array([0]))
+        powers = PowerConfig()
+        coef = mmse_coefficients(stats, a, powers, _psi_inv(stats, a, powers))
         y = np.ones((1, 1, 2), dtype=complex)
-        assert np.allclose(mmse_estimate(y, 0, 0, stats, a, PowerConfig()), 0.0)
+        assert np.allclose(mmse_estimate(y, coef, a), 0.0)
 
     def test_estimate_covariance_monte_carlo(self, rng):
         stats = random_stats(2, 3, 2, rng)
         a = PilotAssignment(tau_p=2, t=np.array([0, 0, 1]))
         powers = PowerConfig()
-        _, h_hat = sample_estimates(stats, a, powers,
-                                    np.random.default_rng(31), 100_000)
-        for m in range(2):
-            for k in range(3):
-                emp = np.einsum("sa,sb->ab", h_hat[:, m, k],
-                                np.conj(h_hat[:, m, k])) / h_hat.shape[0]
-                target = estimate_covariance(m, k, stats, a, powers)
-                assert (np.linalg.norm(emp - target)
-                        <= 0.02 * np.linalg.norm(target))
+        gen = np.random.default_rng(31)
+        y = simulate_pilot_phase(sample_channel(stats, gen, num_samples=100_000),
+                                 a, powers, stats.noise_power, gen)
+        psi_inv = _psi_inv(stats, a, powers)
+        h_hat = mmse_estimate(y, mmse_coefficients(stats, a, powers, psi_inv), a)
+        target = estimate_covariance(stats, a, powers, psi_inv)
+        emp = np.einsum("smka,smkb->mkab", h_hat, np.conj(h_hat)) / h_hat.shape[0]
+        assert np.all(np.linalg.norm(emp - target, axis=(-2, -1))
+                      <= 0.02 * np.linalg.norm(target, axis=(-2, -1)))
 
     def test_batch_sampler_matches_per_link_estimator(self, rng):
-        stats = random_stats(2, 2, 2, rng)
-        a = PilotAssignment(tau_p=2, t=np.array([0, 1]))
+        # Batched estimates of three draws (users 0 and 2 share a pilot)
+        # against sqrt(p tau) R Psi^-1 y solved link by link.
+        stats = random_stats(2, 3, 2, rng)
+        a = PilotAssignment(tau_p=2, t=np.array([0, 1, 0]))
         powers = PowerConfig()
         gen = np.random.default_rng(41)
-        H, h_hat = sample_estimates(stats, a, powers, gen, 3)
-        # Rebuild the observations the sampler used, then compare paths.
-        gen2 = np.random.default_rng(41)
-        from cfmimo.channel import sample_channel
-        h2 = sample_channel(stats, gen2, num_samples=3)
-        assert np.allclose(H, h2)
+        y = simulate_pilot_phase(sample_channel(stats, gen, num_samples=3),
+                                 a, powers, stats.noise_power, gen)
+        psi = psi_stack(stats, a, powers)
+        h_hat = mmse_estimate(
+            y, mmse_coefficients(stats, a, powers, np.linalg.inv(psi)), a)
+        amp = np.sqrt(powers.pilot_power * a.tau_p)
+        for s, m, k in np.ndindex(3, 2, 3):
+            per_link = amp * stats.R[m, k] @ np.linalg.solve(psi[a.t[k], m],
+                                                            y[s, a.t[k], m])
+            assert np.allclose(h_hat[s, m, k], per_link, rtol=1e-10, atol=1e-14)
 
 
 class TestErrorCovariance:
+    """The error covariance R - estimate_covariance of the MMSE estimator."""
+
     def test_complement_identity(self, rng):
+        # Error plus the estimate's covariance formed as coef Psi coef^H
+        # from the estimator itself gives R back.
         stats = random_stats(3, 4, 2, rng)
         a = assign_pilots(4, 2, rng)
         powers = PowerConfig()
-        for m in range(3):
-            for k in range(4):
-                total = (error_covariance(m, k, stats, a, powers)
-                         + estimate_covariance(m, k, stats, a, powers))
-                assert np.allclose(total, stats.R[m, k], rtol=1e-9, atol=1e-12)
+        psi = psi_stack(stats, a, powers)
+        psi_inv = np.linalg.inv(psi)
+        coef = mmse_coefficients(stats, a, powers, psi_inv)
+        error = stats.R - estimate_covariance(stats, a, powers, psi_inv)
+        a_psi_a = coef @ psi[a.t].swapaxes(0, 1) @ np.conj(coef).swapaxes(-2, -1)
+        assert np.allclose(error + a_psi_a, stats.R, rtol=1e-9, atol=1e-12)
 
     def test_no_pilot_energy_gives_full_error(self, rng):
         stats = random_stats(1, 1, 2, rng)
         a = PilotAssignment(tau_p=1, t=np.array([0]))
         powers = PowerConfig(pilot_power=0.0)
-        assert np.allclose(error_covariance(0, 0, stats, a, powers),
-                           stats.R[0, 0])
+        est = estimate_covariance(stats, a, powers, _psi_inv(stats, a, powers))
+        assert np.allclose(stats.R - est, stats.R)
 
     def test_perfect_limit_gives_zero_error(self, rng):
         stats = random_stats(1, 1, 2, rng, noise_power=0.0)
         a = PilotAssignment(tau_p=1, t=np.array([0]))
-        c = error_covariance(0, 0, stats, a, PowerConfig())
-        assert np.allclose(c, 0.0, atol=1e-10)
+        powers = PowerConfig()
+        est = estimate_covariance(stats, a, powers, _psi_inv(stats, a, powers))
+        assert np.allclose(stats.R - est, 0.0, atol=1e-10)
 
     def test_error_covariance_psd(self, rng):
         stats = random_stats(3, 3, 2, rng)
         a = assign_pilots(3, 2, rng)
         powers = PowerConfig()
-        for m in range(3):
-            for k in range(3):
-                c = error_covariance(m, k, stats, a, powers)
-                trace = np.trace(stats.R[m, k]).real
-                assert np.linalg.eigvalsh(c).min() >= -1e-12 * trace
+        error = stats.R - estimate_covariance(stats, a, powers,
+                                              _psi_inv(stats, a, powers))
+        trace = np.trace(stats.R, axis1=-2, axis2=-1).real
+        assert np.all(np.linalg.eigvalsh(error).min(axis=-1) >= -1e-12 * trace)
 
 
 class TestPowerConfigValidation:

@@ -1,17 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import random_cpu_map, random_stats, sample_estimates, small_instance
+from conftest import random_stats, small_instance
 
+from cfmimo.channel import sample_channel
 from cfmimo.clustering import ServingStructure, build_serving_structure, \
     ClusteringParams
-from cfmimo.errors import (ConfigurationError, DegenerateLinkError,
-                           NumericalError)
+from cfmimo.errors import ConfigurationError, DegenerateLinkError
+from cfmimo.harness import OracleConfig, run_oracle_check, validation_config
 from cfmimo.pilots import (PilotAssignment, PowerConfig, estimate_covariance,
-                           psi_matrix)
+                           mmse_coefficients, mmse_estimate, psi_stack,
+                           simulate_pilot_phase)
 from cfmimo.spectral_efficiency import (FrameConfig, compute_terms,
                                         effective_data_powers, mc_oracle,
-                                        mr_precoder, sinr_mixed, user_rates)
+                                        mr_scale, sinr_mixed, user_rates)
 
 
 def _single_link_setup(rng, num_antennas=2, noise_power=0.5):
@@ -23,30 +27,39 @@ def _single_link_setup(rng, num_antennas=2, noise_power=0.5):
 
 
 class TestMrPrecoder:
+    """W = mr_scale * H_hat, the MR precoder normalised by E{||H_hat||^2}."""
+
     def test_zero_power_zero_precoder(self):
-        h = np.ones(3, dtype=complex)
-        assert np.all(mr_precoder(h, 0.0, 2.0) == 0.0)
+        # An inactive link gets scale 0 even with no estimate power.
+        scale = mr_scale(np.array([[0.0, 0.1]]), np.array([[0.0, 2.0]]))
+        assert scale[0, 0] == 0.0
 
     def test_scalar_scaling(self):
-        w = mr_precoder(np.array([2.0 + 0j]), rho=0.1, est_trace=4.0)
-        assert w[0] == pytest.approx(np.sqrt(0.1) * 2.0 / 2.0)
+        scale = mr_scale(np.array([[0.1]]), np.array([[4.0]]))
+        assert scale[0, 0] == pytest.approx(np.sqrt(0.1 / 4.0))
 
     def test_degenerate_normalization_rejected(self):
-        with pytest.raises(DegenerateLinkError):
-            mr_precoder(np.ones(2, dtype=complex), 0.1, 0.0)
+        rho = np.full((2, 3), 0.1)
+        est_trace = np.ones((2, 3))
+        est_trace[1, 2] = 0.0
+        with pytest.raises(DegenerateLinkError, match=r"AP 1, user 2"):
+            mr_scale(rho, est_trace)
 
     def test_mean_power_matches_rho(self, rng):
         # E{||W||^2} = rho by construction of the normalization.
         stats = random_stats(1, 1, 2, rng)
         assignment = PilotAssignment(tau_p=2, t=np.array([0]))
         powers = PowerConfig()
-        _, h_hat = sample_estimates(stats, assignment, powers,
-                                    np.random.default_rng(3), 100_000)
-        est = estimate_covariance(0, 0, stats, assignment, powers)
-        trace = np.trace(est).real
-        w = np.array([mr_precoder(h, powers.data_power, trace)
-                      for h in h_hat[:, 0, 0]])
-        mean_power = (np.abs(w) ** 2).sum(axis=1).mean()
+        gen = np.random.default_rng(3)
+        y = simulate_pilot_phase(sample_channel(stats, gen, num_samples=100_000),
+                                 assignment, powers, stats.noise_power, gen)
+        psi_inv = np.linalg.inv(psi_stack(stats, assignment, powers))
+        h_hat = mmse_estimate(
+            y, mmse_coefficients(stats, assignment, powers, psi_inv), assignment)
+        est = estimate_covariance(stats, assignment, powers, psi_inv)
+        trace = np.trace(est, axis1=-2, axis2=-1).real
+        w = mr_scale(np.full((1, 1), powers.data_power), trace)[..., None] * h_hat
+        mean_power = (np.abs(w[:, 0, 0]) ** 2).sum(axis=1).mean()
         assert mean_power == pytest.approx(powers.data_power, rel=0.02)
 
 
@@ -84,12 +97,9 @@ class TestComputeTerms:
     def test_single_link_closed_forms(self, rng):
         # One AP, one user, N = 1: every term reduces to scalar algebra.
         beta, noise = 2.0, 0.5
-        stats = random_stats(1, 1, 1, rng, noise_power=noise)
+        stats, assignment, serving = _single_link_setup(rng, 1, noise)
         stats.R[0, 0, 0, 0] = beta
         stats.beta[0, 0] = beta
-        assignment = PilotAssignment(tau_p=2, t=np.array([0]))
-        serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),),
-                                   served_users=((0,),))
         powers = PowerConfig(pilot_power=0.2, data_power=0.1)
         terms = compute_terms(serving, stats, assignment, powers)
 
@@ -104,7 +114,7 @@ class TestComputeTerms:
         stats, assignment, serving = _single_link_setup(rng)
         powers = PowerConfig()
         terms = compute_terms(serving, stats, assignment, powers)
-        psi = psi_matrix(0, 0, stats, assignment, powers)
+        psi = psi_stack(stats, assignment, powers)[0, 0]
         g = stats.R[0, 0] @ np.linalg.inv(psi) @ stats.R[0, 0]
         expected = (powers.data_power * powers.pilot_power * assignment.tau_p
                     * np.trace(g).real)
@@ -238,12 +248,9 @@ class TestOracle:
         # N = 1, one AP, one user: closed forms are hand-computable and the
         # oracle must land on them within a few standard errors.
         beta, noise = 2.0, 0.5
-        stats = random_stats(1, 1, 1, rng, noise_power=noise)
+        stats, assignment, serving = _single_link_setup(rng, 1, noise)
         stats.R[0, 0, 0, 0] = beta
         stats.beta[0, 0] = beta
-        assignment = PilotAssignment(tau_p=2, t=np.array([0]))
-        serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),),
-                                   served_users=((0,),))
         powers = PowerConfig(pilot_power=0.2, data_power=0.1)
         frame = FrameConfig(200, 2)
         oracle = mc_oracle(serving, stats, assignment, powers, frame,
@@ -286,6 +293,21 @@ class TestOracle:
         assert oracle.num_samples == 2_000
         assert np.all(oracle.E_se > 0)
         assert all(np.all(se > 0) for se in oracle.D_se)
+
+    def test_clipped_desired_power_keeps_finite_sinr_error(self):
+        # On this drop the oracle clips user 2's fourth-group D estimate to
+        # 0; its SINR error must stay finite so that every SINR can be held
+        # to max(2 %, 3 SE) of the closed form.
+        config = replace(validation_config(12, 4, 4, 2), base_seed=41,
+                         oracle=OracleConfig(num_samples=100_000))
+        terms, oracle, noise = run_oracle_check(config, 4)
+        assert oracle.D[2][3] == 0.0
+        for k in range(4):
+            assert np.all(np.isfinite(oracle.sinr_se[k]))
+            for c in range(terms.D[k].size):
+                closed = sinr_mixed(terms, k, c + 1, noise)
+                assert abs(closed - oracle.sinr[k][c]) <= max(
+                    0.02 * abs(closed), 3.0 * oracle.sinr_se[k][c])
 
     def test_invalid_sample_count(self, rng):
         stats, assignment, serving = _single_link_setup(rng)
