@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 from .channel import (ChannelStatistics, LargeScaleModelConfig, PathLossParams,
                       channel_stats, path_loss_db, sample_channel,
                       shadowing_field, spatial_correlation)
-from .clustering import (ClusteringParams, ServingStructure,
+from .clustering import (ClusteringParams, ServingLinks, ServingStructure,
                          build_serving_structure, cluster_fixed,
                          cluster_legacy_largest_lsf, cluster_lsf_threshold,
-                         cluster_power, coherent_groups, order_cpus,
-                         served_users)
+                         cluster_power, coherent_groups, order_cpus)
 from .errors import (CfMimoError, ConfigurationError, DegenerateLinkError,
                      NumericalError)
 from .pilots import (PilotAssignment, PowerConfig, assign_pilots,

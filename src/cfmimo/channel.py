@@ -7,6 +7,7 @@ uniform linear array follows the Gaussian local-scattering closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,12 @@ class LargeScaleModelConfig:
             raise ConfigurationError("shadow_weight must lie in [0, 1]")
         if self.bandwidth_hz <= 0:
             raise ConfigurationError("bandwidth_hz must be positive")
+        try:
+            noise = self.noise_power_w
+        except OverflowError:
+            noise = math.inf
+        if not 0.0 < noise < math.inf:
+            raise ConfigurationError("noise power must be finite and positive")
 
     @property
     def noise_power_w(self) -> float:
@@ -134,13 +141,14 @@ def shadowing_field(deployment: Deployment, config: LargeScaleModelConfig,
     return config.shadow_std_db * (np.sqrt(w) * a[:, None] + np.sqrt(1.0 - w) * b[None, :])
 
 
-def spatial_correlation(nominal_angle: float, asd_deg: float, num_antennas: int,
-                        beta: float, spacing: float = 0.5) -> np.ndarray:
+def spatial_correlation(nominal_angle, asd_deg: float, num_antennas: int,
+                        beta, spacing: float = 0.5) -> np.ndarray:
     """Gaussian local-scattering correlation matrix for a ULA.
 
     Entry (l, m) = beta * exp(j*2*pi*spacing*(l-m)*sin(theta))
                         * exp(-(asd^2/2) * (2*pi*spacing*(l-m)*cos(theta))^2),
-    the small-angle closed form; trace equals N*beta.
+    the small-angle closed form; trace equals N*beta. Scalars give one
+    (N, N) matrix; angles and betas of shape (..., 1, 1) give a stack.
     """
     asd = np.deg2rad(asd_deg)
     lag = np.arange(num_antennas)[:, None] - np.arange(num_antennas)[None, :]
@@ -155,7 +163,6 @@ def channel_stats(deployment: Deployment, config: LargeScaleModelConfig,
 
     The nominal angle of each link is the AP->UE bearing under wrap-around.
     """
-    m, k = deployment.num_aps, deployment.num_users
     disp = wrap_displacement(deployment.ap_positions[:, None, :],
                              deployment.ue_positions[None, :, :],
                              deployment.area_side)  # (M, K, 2)
@@ -164,12 +171,9 @@ def channel_stats(deployment: Deployment, config: LargeScaleModelConfig,
     beta = 10.0 ** (beta_db / 10.0)
     angles = np.arctan2(disp[..., 1], disp[..., 0])
 
-    n_ant = deployment.num_antennas
-    R = np.empty((m, k, n_ant, n_ant), dtype=complex)
-    for mi in range(m):
-        for ki in range(k):
-            R[mi, ki] = spatial_correlation(angles[mi, ki], config.asd_deg,
-                                            n_ant, beta[mi, ki], config.antenna_spacing)
+    R = spatial_correlation(angles[..., None, None], config.asd_deg,
+                            deployment.num_antennas, beta[..., None, None],
+                            config.antenna_spacing)
     return ChannelStatistics(R=R, beta=beta, noise_power=config.noise_power_w)
 
 

@@ -11,6 +11,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,20 +45,44 @@ class ClusteringParams:
 
 
 @dataclass(frozen=True)
+class ServingLinks:
+    """The (AP, user) serving links of every coherent group, user-major.
+
+    Link l is AP ap[l] serving user user[l]. Group g holds the links from
+    group_start[g] up to the next group's start and serves group_user[g].
+    Users, their groups and each group's APs keep the order of
+    ServingStructure.groups.
+    """
+    ap: np.ndarray              # (L,)
+    user: np.ndarray            # (L,)
+    group_start: np.ndarray     # (G,)
+    group_user: np.ndarray      # (G,)
+
+
+@dataclass(frozen=True)
 class ServingStructure:
-    """Clusters A_k, their per-CPU coherent groups, and per-AP served users.
+    """Clusters A_k and their per-CPU coherent groups over num_aps APs.
 
     groups[k] is a list of (cpu_index, ap_tuple) pairs; the tuples are
     disjoint, each lies within a single CPU's AP pool, and their union is
-    clusters[k]. served_users[m] = {k : m in A_k}.
+    clusters[k].
     """
     clusters: tuple[tuple[int, ...], ...]
     groups: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    served_users: tuple[tuple[int, ...], ...]
+    num_aps: int
 
-    @property
-    def num_aps(self) -> int:
-        return len(self.served_users)
+    @cached_property
+    def links(self) -> ServingLinks:
+        """groups flattened into serving links; derived on first use, so a
+        copy with other groups (dataclasses.replace) gets its own."""
+        flat = [(k, aps) for k, user_groups in enumerate(self.groups)
+                for _, aps in user_groups]
+        sizes = [len(aps) for _, aps in flat]
+        group_user = np.array([k for k, _ in flat], dtype=int)
+        return ServingLinks(ap=np.array([m for _, aps in flat for m in aps], dtype=int),
+                            user=np.repeat(group_user, sizes),
+                            group_start=np.cumsum(sizes) - sizes,
+                            group_user=group_user)
 
 
 def _descending_order(values: np.ndarray) -> np.ndarray:
@@ -158,15 +183,6 @@ def coherent_groups(cluster, cpu_map) -> tuple[tuple[int, tuple[int, ...]], ...]
     return tuple(groups)
 
 
-def served_users(clusters, num_aps: int) -> tuple[tuple[int, ...], ...]:
-    """Per-AP served-user sets U_m = {k : m in A_k}."""
-    out = [[] for _ in range(num_aps)]
-    for k, cluster in enumerate(clusters):
-        for m in cluster:
-            out[m].append(k)
-    return tuple(tuple(users) for users in out)
-
-
 def build_serving_structure(beta: np.ndarray, cpu_map, params: ClusteringParams,
                             noise_power: float = 1.0,
                             mode: str = "mixed") -> ServingStructure:
@@ -199,5 +215,5 @@ def build_serving_structure(beta: np.ndarray, cpu_map, params: ClusteringParams,
     return ServingStructure(
         clusters=tuple(clusters),
         groups=tuple(groups),
-        served_users=served_users(clusters, num_aps),
+        num_aps=num_aps,
     )

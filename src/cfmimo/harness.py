@@ -13,7 +13,7 @@ import csv
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -54,7 +54,6 @@ class ExperimentConfig:
     oracle: OracleConfig = field(default_factory=OracleConfig)
     sweep: dict[str, tuple] | None = None   # dotted parameter path -> value list
     base_seed: int = 0
-    sic_order: str = "desired_desc"
 
     def __post_init__(self):
         if self.transmission_mode not in TRANSMISSION_MODES:
@@ -62,6 +61,8 @@ class ExperimentConfig:
                 f"transmission_mode must be one of {TRANSMISSION_MODES}")
         if self.num_drops < 1:
             raise ConfigurationError("num_drops must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigurationError("base_seed must be >= 0")
 
 
 def validation_config(num_aps: int, num_users: int, num_cpus: int,
@@ -80,14 +81,14 @@ def validation_config(num_aps: int, num_users: int, num_cpus: int,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropResult:
+    """The rates of one drop. A run keeps one per drop until it writes its
+    results, so the rates are packed doubles rather than float objects."""
     drop_index: int
     seed: int                     # deployment seed actually used
-    user_rate: tuple[float, ...]  # r_k, bits/s/Hz
+    user_rate: array              # r_k, bits/s/Hz, typecode "d"
     sum_rate: float
-    cluster_sizes: tuple[int, ...]
-    group_counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -241,8 +242,7 @@ def _drop_stages(config: ExperimentConfig, drop_index: int):
     serving = build_serving_structure(stats.beta, deployment.cpu_map,
                                       config.clustering, stats.noise_power,
                                       mode=config.transmission_mode)
-    terms = compute_terms(serving, stats, assignment, config.powers,
-                          sic_order=config.sic_order)
+    terms = compute_terms(serving, stats, assignment, config.powers)
     return dep_seed, stats, assignment, serving, terms
 
 
@@ -251,14 +251,9 @@ def run_drop(config: ExperimentConfig, drop_index: int) -> DropResult:
     with _naming_drop(drop_index):
         dep_seed, stats, _, serving, terms = _drop_stages(config, drop_index)
         rates = user_rates(terms, serving, config.frame, stats.noise_power)
-    return DropResult(
-        drop_index=drop_index,
-        seed=dep_seed,
-        user_rate=tuple(float(r) for r in rates.user_rate),
-        sum_rate=rates.sum_rate,
-        cluster_sizes=tuple(len(c) for c in serving.clusters),
-        group_counts=tuple(len(g) for g in serving.groups),
-    )
+    return DropResult(drop_index=drop_index, seed=dep_seed,
+                      user_rate=array("d", rates.user_rate),
+                      sum_rate=rates.sum_rate)
 
 
 def _run_drop_args(args) -> DropResult:
@@ -269,6 +264,9 @@ def run_single(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run num_drops independent drops (sweep field ignored) and aggregate."""
     indices = range(config.num_drops)
     if jobs > 1:
+        # Imported here: the pool machinery adds about 2 MB to the resident
+        # size of every process that loads it, and serial runs never need it.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             drops = list(pool.map(_run_drop_args,
                                   [(config, i) for i in indices], chunksize=4))

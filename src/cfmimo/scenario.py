@@ -39,6 +39,8 @@ class ScenarioConfig:
             raise ConfigurationError("area_side must be positive")
         if len(self.cpu_positions) < 1:
             raise ConfigurationError("at least one CPU position is required")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
     @property
     def num_cpus(self) -> int:

@@ -27,8 +27,6 @@ from .errors import ConfigurationError, DegenerateLinkError, NumericalError
 from .pilots import (PilotAssignment, PowerConfig, mmse_coefficients,
                      mmse_estimate, psi_stack, simulate_pilot_phase)
 
-SIC_ORDERS = ("desired_desc", "cpu_index")
-
 
 @dataclass(frozen=True)
 class FrameConfig:
@@ -48,13 +46,11 @@ class FrameConfig:
 class SETerms:
     """Closed-form SINR building blocks, with groups already in SIC order.
 
-    D[k] is an array over user k's groups; group_cpus[k] records which CPU
-    each (reordered) group belongs to.
+    D[k] is an array over user k's groups.
     """
     D: tuple[np.ndarray, ...]          # per-user desired powers, SIC order
     E: np.ndarray                      # (K,) total average power
     F: np.ndarray                      # (K,) coherent co-pilot power
-    group_cpus: tuple[tuple[int, ...], ...]
     group_order: tuple[tuple[int, ...], ...]  # SIC permutation of serving.groups[k]
 
 
@@ -90,10 +86,8 @@ def effective_data_powers(serving: ServingStructure, powers: PowerConfig) -> np.
     Per-AP budget handling: "ignore" uses the nominal power as-is, "rescale"
     shrinks all of an overloaded AP's links uniformly, "error" raises.
     """
-    num_aps = serving.num_aps
-    rho = np.zeros((num_aps, len(serving.clusters)))
-    for k, cluster in enumerate(serving.clusters):
-        rho[list(cluster), k] = powers.data_power
+    rho = np.zeros((serving.num_aps, len(serving.groups)))
+    rho[serving.links.ap, serving.links.user] = powers.data_power
     if powers.ap_power_budget is None or powers.power_budget_mode == "ignore":
         return rho
     totals = rho.sum(axis=1)
@@ -107,89 +101,58 @@ def effective_data_powers(serving: ServingStructure, powers: PowerConfig) -> np.
     return rho
 
 
-def _link_traces(stats: ChannelStatistics, assignment: PilotAssignment,
-                 powers: PowerConfig):
-    """Per-link quantities shared by D, E and F.
+def _mr_scales(serving: ServingStructure, stats: ChannelStatistics,
+               assignment: PilotAssignment, powers: PowerConfig):
+    """(psi_inv, est_trace, scale) shared by the closed form and the oracle.
 
-    Returns (psi_inv, tr_gii, est_trace) where tr_gii[m, i] =
-    tr(R[m,i] Psi[m,t_i]^-1 R[m,i]) and est_trace = p^p tau_p tr_gii is
-    E{||H_hat||^2}. Only entries for serving links are guaranteed nonzero.
+    psi_inv is the inverse of the psi_stack, est_trace[m, i] =
+    p^p tau_p tr(R[m,i] Psi[m,t_i]^-1 R[m,i]) = E{||H_hat[m,i]||^2}, and
+    scale the (M, K) MR scales of the effective data powers.
     """
-    psis = psi_stack(stats, assignment, powers)
-    psi_inv = np.linalg.inv(psis)  # (tau_p, M, N, N); PD since sigma^2 > 0
-    # tr(R Psi^-1 R) for every (m, i) with Psi at user i's own pilot.
-    psi_inv_own = psi_inv[assignment.t]              # (K, M, N, N)
-    tr_gii = np.einsum("mkab,kmbc,mkca->mk", stats.R, psi_inv_own, stats.R,
-                       optimize=True).real
-    est_trace = powers.pilot_power * assignment.tau_p * tr_gii
-    return psi_inv, tr_gii, est_trace
+    psi_inv = np.linalg.inv(psi_stack(stats, assignment, powers))  # PD: sigma^2 > 0
+    est_trace = powers.pilot_power * assignment.tau_p * np.einsum(
+        "mkab,kmbc,mkca->mk", stats.R, psi_inv[assignment.t], stats.R,
+        optimize=True).real
+    return psi_inv, est_trace, mr_scale(effective_data_powers(serving, powers),
+                                        est_trace)
 
 
 def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
-                  assignment: PilotAssignment, powers: PowerConfig,
-                  sic_order: str = "desired_desc") -> SETerms:
+                  assignment: PilotAssignment, powers: PowerConfig) -> SETerms:
     """Evaluate D_k^c, E_k and F_k for every user and coherent group.
 
-    The inner matrix G_{i,k} = R[m,i] Psi[m,t]^-1 R[m,k] is evaluated per AP
-    m inside each AP sum; in its diagonal use G_{i,i} the Psi belongs to user
-    i's pilot (it stems from the MR normalization E{||H_hat_{m,i}||^2}).
+    The sums run over the serving links l = (m, i) of serving.links, with
+    MR scale s_l, p tau = p^p tau_p and A_l = R[m,i] Psi[m,t_i]^-1 (Psi at
+    user i's own pilot, from the MR normalisation E{||H_hat[m,i]||^2}):
+
+        E_k = sum_l s_l^2 p tau tr(R[m,k] A_l R[m,i]),
+        F_k = sum over groups g of k's co-pilot users of
+              |sum_{l in g} s_l p tau tr(A_l R[m,k])|^2,
+        D_g = (sum_{l in g} s_l E{||H_hat_l||^2})^2.
+
+    Each user's groups are put in SIC order: descending D, ties by index.
     """
-    if sic_order not in SIC_ORDERS:
-        raise ConfigurationError(f"sic_order must be one of {SIC_ORDERS}")
-    K = len(serving.clusters)
-    tau_p, pp = assignment.tau_p, powers.pilot_power
-    rho = effective_data_powers(serving, powers)
-    psi_inv, tr_gii, _ = _link_traces(stats, assignment, powers)
-    # tr_gii lacks the p^p tau_p factor of E{||H_hat||^2}: zero pilot power
-    # leaves the closed form at its D = F = 0 limit instead of raising.
-    mr_scale(rho, tr_gii)
+    links = serving.links
+    ap, user, start = links.ap, links.user, links.group_start
+    psi_inv, est_trace, scale = _mr_scales(serving, stats, assignment, powers)
+    s, pt = scale[ap, user], powers.pilot_power * assignment.tau_p
+    R_own = stats.R[ap, user]                                   # (L, N, N)
+    A = R_own @ psi_inv[assignment.t[user], ap]
+    E = np.einsum("l,lkab,lbc,lca->k", s ** 2 * pt, stats.R[ap], A, R_own,
+                  optimize=True).real
+    # Co-pilot (link, user) pairs; every other cross amplitude is zero.
+    pair_l, pair_k = np.nonzero(assignment.t[user][:, None] == assignment.t)
+    amp = np.zeros((ap.size, assignment.t.size), dtype=complex)
+    amp[pair_l, pair_k] = s[pair_l] * pt * np.einsum(
+        "pab,pba->p", A[pair_l], stats.R[ap[pair_l], pair_k])
+    F = np.sum(np.abs(np.add.reduceat(amp, start)) ** 2, axis=0)
+    d = np.add.reduceat(s * est_trace[ap, user], start) ** 2
 
-    E = np.zeros(K)
-    F = np.zeros(K)
-    D_raw: list[list[float]] = [[] for _ in range(K)]
-    for k in range(K):
-        psi_inv_k = psi_inv[assignment.t[k]]     # (M, N, N), user k's pilot
-        copilots = set(assignment.copilot_set(k).tolist())
-        for i in range(K):
-            # tr(G_{i,k}) per AP, with Psi at user k's pilot (complex in general).
-            contaminates = i in copilots
-            if contaminates:
-                tr_gik = np.einsum("mab,mbc,mca->m", stats.R[:, i], psi_inv_k,
-                                   stats.R[:, k], optimize=True)
-            # tr(R[m,k] G_{i,i}) per AP for the average-power term.
-            tr_rk_gii = np.einsum("mab,mbc,mcd,mda->m", stats.R[:, k],
-                                  stats.R[:, i], psi_inv[assignment.t[i]],
-                                  stats.R[:, i], optimize=True).real
-            for _, aps in serving.groups[i]:
-                idx = list(aps)
-                active = rho[idx, i] > 0.0
-                E[k] += np.sum(rho[idx, i] * tr_rk_gii[idx] / np.where(
-                    active, tr_gii[idx, i], 1.0) * active)
-                if contaminates:
-                    amp = np.sum(np.sqrt(rho[idx, i] * pp * tau_p)
-                                 * tr_gik[idx] / np.sqrt(np.where(
-                                     active, tr_gii[idx, i], 1.0)) * active)
-                    F[k] += abs(amp) ** 2
-        for _, aps in serving.groups[k]:
-            idx = list(aps)
-            D_raw[k].append(float(np.sum(np.sqrt(
-                rho[idx, k] * pp * tau_p * np.clip(tr_gii[idx, k], 0.0, None))) ** 2))
-
-    D: list[np.ndarray] = []
-    group_cpus: list[tuple[int, ...]] = []
-    group_order: list[tuple[int, ...]] = []
-    for k in range(K):
-        d = np.asarray(D_raw[k])
-        cpus = np.asarray([cpu for cpu, _ in serving.groups[k]])
-        if sic_order == "desired_desc":
-            order = np.lexsort((np.arange(d.size), -d))
-        else:
-            order = np.argsort(cpus, kind="stable")
-        D.append(d[order])
-        group_cpus.append(tuple(int(c) for c in cpus[order]))
-        group_order.append(tuple(int(b) for b in order))
-    return SETerms(D=tuple(D), E=E, F=F, group_cpus=tuple(group_cpus),
-                   group_order=tuple(group_order))
+    order = np.lexsort((-d, links.group_user))
+    bounds = np.flatnonzero(np.diff(links.group_user)) + 1
+    return SETerms(D=tuple(np.split(d[order], bounds)), E=E, F=F,
+                   group_order=tuple(tuple((o - o.min()).tolist())
+                                     for o in np.split(order, bounds)))
 
 
 def sinr_mixed(terms: SETerms, k: int, c: int, noise_power: float) -> float:
@@ -215,6 +178,10 @@ def user_rates(terms: SETerms, serving: ServingStructure, frame: FrameConfig,
         sinrs.append(g)
         rates.append(frame.prelog * np.log2(1.0 + g))
     user_rate = np.array([r.sum() for r in rates])
+    bad = np.flatnonzero(~(np.isfinite(user_rate) & (user_rate >= 0.0)))
+    if bad.size:
+        raise NumericalError(f"user {bad[0]} has rate {user_rate[bad[0]]}, "
+                             "not a finite non-negative number")
     return RateResult(
         sinr=tuple(sinrs),
         group_rate=tuple(rates),
@@ -267,19 +234,15 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     if terms is None:
         terms = compute_terms(serving, stats, assignment, powers)
     K = len(serving.clusters)
-    psi_inv, _, est_trace = _link_traces(stats, assignment, powers)
-    w_scale = mr_scale(effective_data_powers(serving, powers), est_trace)
+    psi_inv, _, w_scale = _mr_scales(serving, stats, assignment, powers)
     coef = mmse_coefficients(stats, assignment, powers, psi_inv)
     sqrt_R = correlation_sqrt(stats.R)
 
-    # Flatten (i, b) group pairs once; groups follow serving.groups order.
-    flat_groups = [(i, b, list(aps))
-                   for i in range(K)
-                   for b, (_, aps) in enumerate(serving.groups[i])]
-    G = len(flat_groups)
-    copilot_mask = np.zeros((G, K), dtype=bool)   # does group g contaminate user k
-    for g, (i, _, _) in enumerate(flat_groups):
-        copilot_mask[g] = assignment.t == assignment.t[i]
+    links = serving.links
+    group_aps = np.split(links.ap, links.group_start[1:])
+    G = len(group_aps)
+    # Does group g contaminate user k?
+    copilot_mask = assignment.t[links.group_user][:, None] == assignment.t
 
     # Streaming moments of a (complex) and |a|^2 per (group, observing user).
     sum_a = np.zeros((G, K), dtype=complex)
@@ -298,7 +261,7 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
         W = w_scale[None, :, :, None] * mmse_estimate(y, coef, assignment)
 
         inner = np.einsum("smka,smia->smki", np.conj(H), W, optimize=True)
-        for g, (i, _, aps) in enumerate(flat_groups):
+        for g, (i, aps) in enumerate(zip(links.group_user, group_aps)):
             # Index the source user first: two advanced indices in one take
             # would shuffle the sample axis to the front.
             a = inner[..., i][:, aps, :].sum(axis=1)    # (b, K)
@@ -334,13 +297,13 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     D_se: list[np.ndarray] = []
     sinr: list[np.ndarray] = []
     sinr_se: list[np.ndarray] = []
-    group_pos = {(i, b): g for g, (i, b, _) in enumerate(flat_groups)}
     for k in range(K):
-        order = terms.group_order[k]
-        if len(order) != len(serving.groups[k]):
+        order = list(terms.group_order[k])
+        rows = np.flatnonzero(links.group_user == k)
+        if len(order) != rows.size:
             raise NumericalError("group count mismatch between terms and serving")
-        d = np.array([coh[group_pos[(k, b)], k] for b in order])
-        d_se = np.array([coh_se[group_pos[(k, b)], k] for b in order])
+        d = coh[rows[order], k]
+        d_se = coh_se[rows[order], k]
         D_hat.append(d)
         D_se.append(d_se)
         g = np.empty(d.size)

@@ -26,11 +26,9 @@ def random_stats(num_aps: int, num_users: int, num_antennas: int,
     """
     beta = beta_scale * rng.lognormal(mean=0.0, sigma=1.0,
                                       size=(num_aps, num_users))
-    R = np.empty((num_aps, num_users, num_antennas, num_antennas), dtype=complex)
-    for m in range(num_aps):
-        for k in range(num_users):
-            angle = rng.uniform(-np.pi, np.pi)
-            R[m, k] = spatial_correlation(angle, 15.0, num_antennas, beta[m, k])
+    angles = rng.uniform(-np.pi, np.pi, size=(num_aps, num_users))
+    R = spatial_correlation(angles[..., None, None], 15.0, num_antennas,
+                            beta[..., None, None])
     return ChannelStatistics(R=R, beta=beta, noise_power=noise_power)
 
 

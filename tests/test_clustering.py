@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,7 @@ from conftest import random_cpu_map
 from cfmimo.clustering import (ClusteringParams, build_serving_structure,
                                cluster_fixed, cluster_legacy_largest_lsf,
                                cluster_lsf_threshold, cluster_power,
-                               coherent_groups, form_cluster, order_cpus,
-                               served_users)
+                               coherent_groups, form_cluster, order_cpus)
 from cfmimo.errors import ConfigurationError
 
 
@@ -159,23 +160,6 @@ class TestCoherentGroups:
             coherent_groups((), ((0,),))
 
 
-class TestServedUsers:
-    def test_unused_ap_empty(self):
-        assert served_users(((0,), (0,)), 2) == ((0, 1), ())
-
-    def test_everyone_everywhere(self):
-        clusters = ((0, 1), (0, 1), (0, 1))
-        assert served_users(clusters, 2) == ((0, 1, 2), (0, 1, 2))
-
-    def test_incidence_identity(self, rng):
-        for _ in range(20):
-            clusters = tuple(
-                tuple(np.flatnonzero(rng.random(8) < 0.5).tolist()) or (0,)
-                for _ in range(5))
-            um = served_users(clusters, 8)
-            assert sum(len(u) for u in um) == sum(len(c) for c in clusters)
-
-
 betas = st.lists(st.floats(min_value=1e-6, max_value=1e3,
                            allow_nan=False), min_size=4, max_size=12)
 
@@ -252,6 +236,24 @@ class TestBuildServingStructure:
             assert len(by_mode["coherent"].groups[k]) == 1
             assert all(len(aps) == 1
                        for _, aps in by_mode["non_coherent"].groups[k])
+
+    def test_links_flatten_groups(self, rng):
+        beta = rng.lognormal(size=(10, 4))
+        cpu_map = random_cpu_map(10, 3, rng)
+        params = ClusteringParams(algorithm="fixed_aps", n_cpu=3, n_ap=6)
+        for mode in ("mixed", "coherent", "non_coherent"):
+            serving = build_serving_structure(beta, cpu_map, params, mode=mode)
+            links = serving.links
+            stops = list(links.group_start[1:]) + [links.ap.size]
+            rebuilt = [[] for _ in serving.groups]
+            for start, stop, k in zip(links.group_start, stops, links.group_user):
+                assert np.all(links.user[start:stop] == k)
+                rebuilt[k].append(tuple(links.ap[start:stop].tolist()))
+            assert rebuilt == [[aps for _, aps in g] for g in serving.groups]
+        # A copy with other groups does not keep the old index.
+        fewer = replace(serving, groups=(serving.groups[0][:1],) + serving.groups[1:])
+        dropped = sum(len(aps) for _, aps in serving.groups[0][1:])
+        assert fewer.links.ap.size == links.ap.size - dropped
 
     def test_over_noise_threshold_uses_noise_power(self, rng):
         beta = rng.lognormal(size=(6, 1)) * 1e-8

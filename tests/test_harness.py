@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfmimo.cli import main
 from cfmimo.clustering import ClusteringParams
@@ -117,7 +123,6 @@ class TestRunDrop:
     def test_result_shapes(self):
         drop = run_drop(_tiny_config(), 2)
         assert len(drop.user_rate) == 4
-        assert len(drop.cluster_sizes) == 4
         assert drop.sum_rate == pytest.approx(sum(drop.user_rate))
 
     def test_cpu_without_aps_is_skipped(self):
@@ -185,6 +190,36 @@ class TestEmitResults:
         assert probs == sorted(probs)
 
 
+_numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -1.0, 1e-300, 1e300, 1e308]))
+_extreme_configs = st.fixed_dictionaries({
+    "num_drops": st.just(1),
+    "scenario": st.fixed_dictionaries(
+        {"num_aps": st.integers(1, 12), "num_users": st.integers(1, 4),
+         "num_antennas": st.integers(1, 3)},
+        optional={"area_side": _numbers, "seed": st.integers(-1, 2**64)}),
+}, optional={
+    "base_seed": st.integers(-1, 2**64),
+    "transmission_mode": st.sampled_from(["coherent", "mixed", "non_coherent"]),
+    "powers": st.fixed_dictionaries({}, optional={
+        "pilot_power": _numbers, "data_power": _numbers,
+        "ap_power_budget": st.none() | _numbers,
+        "power_budget_mode": st.sampled_from(["ignore", "rescale", "error"])}),
+    "large_scale": st.fixed_dictionaries({}, optional={
+        "shadow_std_db": _numbers, "decorrelation_distance": _numbers,
+        "asd_deg": _numbers, "antenna_spacing": _numbers,
+        "bandwidth_hz": _numbers, "noise_figure_db": _numbers}),
+    "clustering": st.fixed_dictionaries(
+        {"algorithm": st.sampled_from(["legacy_largest_lsf", "lsf_threshold",
+                                       "fixed_aps", "power_fraction"])},
+        optional={"n_cpu": st.integers(0, 5), "n_ap": st.integers(0, 13),
+                  "lsf_threshold": _numbers, "power_fraction": _numbers,
+                  "legacy_cluster_size": st.integers(0, 13)}),
+    "frame": st.fixed_dictionaries({}, optional={
+        "tau_c": st.integers(0, 300), "tau_p": st.integers(0, 12)}),
+})
+
+
 class TestCli:
     def test_run_writes_outputs(self, tmp_path, capsys):
         code = main(["run", "--drops", "2", "--out", str(tmp_path),
@@ -222,6 +257,52 @@ class TestCli:
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path)]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, flags", [
+        ({"base_seed": -1}, []),
+        ({}, ["--seed", "-1"]),
+        ({"scenario": {"seed": -1}}, []),
+        ({"large_scale": {"noise_figure_db": 4000}}, []),
+    ], ids=["base_seed", "seed_flag", "scenario_seed", "noise_figure_db"])
+    def test_out_of_range_value_exit_code(self, tmp_path, capsys, section, flags):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"num_drops": 1, **section}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path),
+                     *flags]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("powers, message", [
+        # E{||H_hat||^2} = 0 leaves MR precoding undefined.
+        ({"pilot_power": 0.0}, "drop 0: serving link (AP"),
+        # Overflowing powers give NaN rates.
+        ({"data_power": 1e308}, "drop 0: user"),
+    ], ids=["zero_pilot_power", "overflowing_data_power"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, powers, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"num_drops": 1, "powers": powers}))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @given(doc=_extreme_configs)
+    @settings(max_examples=30, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exit_code_contract(self, doc):
+        # Any JSON config exits 0, 1 or 2; on 0 every rate is finite and >= 0.
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "config.json"
+            path.write_text(json.dumps(doc, allow_nan=False))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["run", "--config", str(path), "--out", out])
+            assert code in (0, 1, 2)
+            if code == 0:
+                with open(Path(out) / "results.csv", newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                rates = [float(v) for row in rows for key, v in row.items()
+                         if "rate" in key and v]
+                assert rates and all(np.isfinite(rates)) and min(rates) >= 0.0
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         path = tmp_path / "config.json"

@@ -22,7 +22,7 @@ def _single_link_setup(rng, num_antennas=2, noise_power=0.5):
     stats = random_stats(1, 1, num_antennas, rng, noise_power=noise_power)
     assignment = PilotAssignment(tau_p=2, t=np.array([0]))
     serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),),
-                               served_users=((0,),))
+                               num_aps=1)
     return stats, assignment, serving
 
 
@@ -67,7 +67,7 @@ class TestEffectiveDataPowers:
     def _serving(self):
         return ServingStructure(clusters=((0, 1), (0,)),
                                 groups=(((0, (0, 1)),), ((0, (0,)),)),
-                                served_users=((0, 1), (0,)))
+                                num_aps=2)
 
     def test_nominal_powers_on_links(self):
         rho = effective_data_powers(self._serving(), PowerConfig(data_power=0.1))
@@ -149,26 +149,12 @@ class TestComputeTerms:
             assert sorted(terms.group_order[k]) == \
                 list(range(len(serving.groups[k])))
 
-    def test_cpu_index_order_option(self, rng):
-        stats, assignment, serving, _, powers, _ = small_instance(
-            10, 4, 2, 4, 4, seed=2)
-        terms = compute_terms(serving, stats, assignment, powers,
-                              sic_order="cpu_index")
-        for k in range(4):
-            assert list(terms.group_cpus[k]) == sorted(terms.group_cpus[k])
-
-    def test_unknown_sic_order_rejected(self, rng):
-        stats, assignment, serving = _single_link_setup(rng)
-        with pytest.raises(ConfigurationError):
-            compute_terms(serving, stats, assignment, PowerConfig(),
-                          sic_order="random")
-
     def test_zero_statistics_serving_link_rejected(self):
         stats = random_stats(1, 1, 2, np.random.default_rng(0))
         stats.R[0, 0] = 0.0
         assignment = PilotAssignment(tau_p=1, t=np.array([0]))
         serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),),
-                                   served_users=((0,),))
+                                   num_aps=1)
         with pytest.raises(DegenerateLinkError):
             compute_terms(serving, stats, assignment, PowerConfig())
 
@@ -211,10 +197,9 @@ class TestUserRates:
         # gamma = 1 with tau_c = 200, tau_p = 10 gives 0.95 bits/s/Hz.
         from cfmimo.spectral_efficiency import SETerms
         terms = SETerms(D=(np.array([2.0]),), E=np.array([1.0]),
-                        F=np.array([1.0]), group_cpus=((0,),),
-                        group_order=((0,),))
+                        F=np.array([1.0]), group_order=((0,),))
         serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),),
-                                   served_users=((0,),))
+                                   num_aps=1)
         # Denominator = 1 + 1 - 2 + 2 = 2, so gamma = 1.
         result = user_rates(terms, serving, FrameConfig(200, 10),
                             noise_power=2.0)
