@@ -3,8 +3,9 @@
 __version__ = "0.1.0"
 
 from .channel import (ChannelStatistics, LargeScaleModelConfig, PathLossParams,
-                      channel_stats, path_loss_db, sample_channel,
-                      shadowing_field, spatial_correlation)
+                      channel_normals, channel_stats, correlate_channel,
+                      path_loss_db, sample_channel, shadowing_field,
+                      spatial_correlation)
 from .clustering import (ClusteringParams, ServingLinks, ServingStructure,
                          build_serving_structure, cluster_fixed,
                          cluster_legacy_largest_lsf, cluster_lsf_threshold,
@@ -13,7 +14,8 @@ from .errors import (CfMimoError, ConfigurationError, DegenerateLinkError,
                      NumericalError)
 from .pilots import (PilotAssignment, PowerConfig, assign_pilots,
                      estimate_covariance, mmse_coefficients, mmse_estimate,
-                     psi_stack, simulate_pilot_phase)
+                     pilot_normals, pilot_observations, psi_stack,
+                     simulate_pilot_phase)
 from .scenario import (Deployment, ScenarioConfig, generate_deployment,
                        wrap_distance)
 from .spectral_efficiency import (FrameConfig, OracleResult, RateResult,

@@ -193,18 +193,34 @@ def correlation_sqrt(R: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def sample_channel(stats: ChannelStatistics, rng: np.random.Generator,
-                   num_samples: int | None = None,
-                   sqrt_R: np.ndarray | None = None) -> np.ndarray:
-    """Draw correlated Rayleigh realizations H[m, k] = R^(1/2) g, g ~ CN(0, I).
+def channel_normals(stats: ChannelStatistics, rng: np.random.Generator,
+                    num_samples: int | None = None) -> np.ndarray:
+    """(2, [num_samples,] M, K, N) standard normals for sample_channel.
 
-    Returns (M, K, N), or (num_samples, M, K, N) when num_samples is given.
-    sqrt_R may be passed to reuse a precomputed factor across calls.
+    Index 0 holds the real and index 1 the imaginary parts, drawn in that
+    order; correlate_channel turns them into channel realizations.
     """
-    if sqrt_R is None:
-        sqrt_R = correlation_sqrt(stats.R)
     shape = (stats.num_aps, stats.num_users, stats.num_antennas)
     if num_samples is not None:
         shape = (num_samples,) + shape
-    g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return np.einsum("mkab,...mkb->...mka", sqrt_R, g)
+    return rng.standard_normal((2,) + shape)
+
+
+def correlate_channel(sqrt_R: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """H[..., m, k] = R[m, k]^(1/2) g, g = (normals[0] + j normals[1]) / sqrt(2).
+
+    sqrt_R: (M, K, N, N) from correlation_sqrt; normals: (2, ..., M, K, N)
+    from channel_normals, or any slice of its sample axes.
+    """
+    g = (normals[0] + 1j * normals[1]) / np.sqrt(2.0)
+    return np.einsum("mkab,...mkb->...mka", sqrt_R, g, optimize=True)
+
+
+def sample_channel(stats: ChannelStatistics, rng: np.random.Generator,
+                   num_samples: int | None = None) -> np.ndarray:
+    """Draw correlated Rayleigh realizations H[m, k] = R^(1/2) g, g ~ CN(0, I).
+
+    Returns (M, K, N), or (num_samples, M, K, N) when num_samples is given.
+    """
+    return correlate_channel(correlation_sqrt(stats.R),
+                             channel_normals(stats, rng, num_samples))

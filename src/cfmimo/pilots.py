@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStatistics
+from .clustering import ServingLinks
 from .errors import ConfigurationError
 
 VALID_BUDGET_MODES = ("ignore", "rescale", "error")
@@ -32,10 +33,6 @@ class PilotAssignment:
         if t.ndim != 1 or np.any(t < 0) or np.any(t >= self.tau_p):
             raise ConfigurationError("pilot indices must lie in {0..tau_p-1}")
         object.__setattr__(self, "t", t)
-
-    def copilot_set(self, k: int) -> np.ndarray:
-        """Users sharing user k's pilot, including k itself."""
-        return np.flatnonzero(self.t == self.t[k])
 
     def users_on_pilot(self, pilot: int) -> np.ndarray:
         return np.flatnonzero(self.t == pilot)
@@ -83,21 +80,32 @@ def psi_stack(stats: ChannelStatistics, assignment: PilotAssignment,
     return out
 
 
-def simulate_pilot_phase(realization: np.ndarray, assignment: PilotAssignment,
-                         powers: PowerConfig, noise_power: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Projected pilot observations y_check[..., pilot, m] for channel draws.
+def pilot_normals(realization_shape: tuple[int, ...], assignment: PilotAssignment,
+                  rng: np.random.Generator) -> np.ndarray:
+    """(2, ..., tau_p, M, N) standard normals of the pilot noise.
+
+    realization_shape is the (..., M, K, N) shape of the channel draws;
+    index 0 holds the real and index 1 the imaginary parts, drawn in that
+    order.
+    """
+    *lead, m, _, n = realization_shape
+    return rng.standard_normal((2, *lead, assignment.tau_p, m, n))
+
+
+def pilot_observations(realization: np.ndarray, normals: np.ndarray,
+                       assignment: PilotAssignment, powers: PowerConfig,
+                       noise_power: float) -> np.ndarray:
+    """Projected pilot observations y_check[..., pilot, m] of channel draws.
 
     Pilot orthogonality makes the projection exact, so the tau_p-column pilot
     matrix never needs to be materialized:
     y_check[t, m] = sum over users i on pilot t of sqrt(p^p tau_p) H[m, i] + CN(0, sigma^2 I).
 
-    realization: (..., M, K, N); returns (..., tau_p, M, N). The noise is
-    drawn as one real and then one imaginary standard-normal block.
+    realization: (..., M, K, N); normals: (2, ..., tau_p, M, N) from
+    pilot_normals, or the matching slice of its sample axes. Returns
+    (..., tau_p, M, N).
     """
-    *lead, m, _, n = realization.shape
-    shape = (*lead, assignment.tau_p, m, n)
-    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    y = normals[0] + 1j * normals[1]
     y *= np.sqrt(noise_power / 2.0)
     amp = np.sqrt(powers.pilot_power * assignment.tau_p)
     for pilot in range(assignment.tau_p):
@@ -105,6 +113,18 @@ def simulate_pilot_phase(realization: np.ndarray, assignment: PilotAssignment,
         if users.size:
             y[..., pilot, :, :] += amp * realization[..., users, :].sum(axis=-2)
     return y
+
+
+def simulate_pilot_phase(realization: np.ndarray, assignment: PilotAssignment,
+                         powers: PowerConfig, noise_power: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Draw the pilot noise and return pilot_observations of the draws.
+
+    realization: (..., M, K, N); returns (..., tau_p, M, N).
+    """
+    return pilot_observations(
+        realization, pilot_normals(realization.shape, assignment, rng),
+        assignment, powers, noise_power)
 
 
 def mmse_coefficients(stats: ChannelStatistics, assignment: PilotAssignment,
@@ -118,13 +138,19 @@ def mmse_coefficients(stats: ChannelStatistics, assignment: PilotAssignment,
 
 
 def mmse_estimate(y_check: np.ndarray, coef: np.ndarray,
-                  assignment: PilotAssignment) -> np.ndarray:
+                  assignment: PilotAssignment,
+                  links: ServingLinks | None = None) -> np.ndarray:
     """MMSE estimates H_hat[..., m, k] = coef[m, k] y_check[..., t_k, m].
 
-    y_check: (..., tau_p, M, N) from simulate_pilot_phase; coef from
-    mmse_coefficients. Returns (..., M, K, N).
+    y_check: (..., tau_p, M, N) from pilot_observations; coef from
+    mmse_coefficients. Returns (..., M, K, N), or (..., L, N) at the L
+    serving links (links.ap[l], links.user[l]) when links is given.
     """
-    return np.einsum("mkac,...kmc->...mka", coef, y_check[..., assignment.t, :, :],
+    if links is None:
+        return np.einsum("mkac,...kmc->...mka", coef,
+                         y_check[..., assignment.t, :, :], optimize=True)
+    return np.einsum("lac,...lc->...la", coef[links.ap, links.user],
+                     y_check[..., assignment.t[links.user], links.ap, :],
                      optimize=True)
 
 

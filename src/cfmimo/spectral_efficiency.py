@@ -21,11 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelStatistics, correlation_sqrt, sample_channel
+from .channel import (ChannelStatistics, channel_normals, correlate_channel,
+                      correlation_sqrt)
 from .clustering import ServingStructure
 from .errors import ConfigurationError, DegenerateLinkError, NumericalError
 from .pilots import (PilotAssignment, PowerConfig, mmse_coefficients,
-                     mmse_estimate, psi_stack, simulate_pilot_phase)
+                     mmse_estimate, pilot_normals, pilot_observations,
+                     psi_stack)
+
+# The oracle draws its normals ORACLE_BATCH samples at a time, which fixes
+# its random stream. It transforms each batch in chunks of as many samples
+# as keep the (chunk, L, K, N) link-by-user channel gather, the largest
+# temporary, near ORACLE_CHUNK_SIZE complex entries (3.2 MB); the chunk
+# length does not change the result.
+ORACLE_BATCH = 20_000
+ORACLE_CHUNK_SIZE = 200_000
 
 
 @dataclass(frozen=True)
@@ -212,14 +222,13 @@ class OracleResult:
 def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
               assignment: PilotAssignment, powers: PowerConfig,
               frame: FrameConfig, num_samples: int, rng: np.random.Generator,
-              terms: SETerms | None = None,
-              batch_size: int = 20000) -> OracleResult:
+              terms: SETerms | None = None) -> OracleResult:
     """Estimate the SINR expectations by direct simulation.
 
     For every sample: draw channels, simulate the pilot phase with noise,
-    form MMSE estimates and MR precoders, then accumulate the received
-    amplitude a_{i,k}^b = sum_{m in A_i^b} H[m,k]^H W[m,i] of every group b
-    of every user i at every user k. The estimators are
+    form MMSE estimates and MR precoders at the serving links, then
+    accumulate the received amplitude a_{i,k}^b = sum_{m in A_i^b} H[m,k]^H W[m,i]
+    of every group b of every user i at every user k. The estimators are
 
         D_k^c = |mean a_{k,k}^c|^2            (coherent desired power),
         F_k   = sum over co-pilot (i, b) of |mean a_{i,k}^b|^2,
@@ -239,8 +248,8 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     sqrt_R = correlation_sqrt(stats.R)
 
     links = serving.links
-    group_aps = np.split(links.ap, links.group_start[1:])
-    G = len(group_aps)
+    s = w_scale[links.ap, links.user][:, None]      # (L, 1) MR scales
+    G = links.group_start.size
     # Does group g contaminate user k?
     copilot_mask = assignment.t[links.group_user][:, None] == assignment.t
 
@@ -251,27 +260,30 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     sum_im2 = np.zeros((G, K))
     sum_p2 = np.zeros((G, K))          # sum of |a|^4
 
-    done = 0
     noise = stats.noise_power
-    while done < num_samples:
-        b = min(batch_size, num_samples - done)
-        H = sample_channel(stats, rng, num_samples=b, sqrt_R=sqrt_R)  # (b,M,K,N)
-        y = simulate_pilot_phase(H, assignment, powers, noise, rng)
-        # MR precoders for all links (inactive ones scale to 0).
-        W = w_scale[None, :, :, None] * mmse_estimate(y, coef, assignment)
-
-        inner = np.einsum("smka,smia->smki", np.conj(H), W, optimize=True)
-        for g, (i, aps) in enumerate(zip(links.group_user, group_aps)):
-            # Index the source user first: two advanced indices in one take
-            # would shuffle the sample axis to the front.
-            a = inner[..., i][:, aps, :].sum(axis=1)    # (b, K)
-            sum_a[g] += a.sum(axis=0)
+    step = max(1, ORACLE_CHUNK_SIZE // (links.ap.size * K * stats.num_antennas))
+    for start in range(0, num_samples, ORACLE_BATCH):
+        g = channel_normals(stats, rng, min(ORACLE_BATCH, num_samples - start))
+        z = pilot_normals(g.shape[1:], assignment, rng)
+        for lo in range(0, g.shape[1], step):
+            chunk = slice(lo, lo + step)
+            H = correlate_channel(sqrt_R, g[:, chunk])              # (c,M,K,N)
+            y = pilot_observations(H, z[:, chunk], assignment, powers, noise)
+            W = s * mmse_estimate(y, coef, assignment, links)        # (c,L,N)
+            # a at every link and user, sum_n conj(H[m,k,n]) W[l,n], as the
+            # conjugate of N broadcast products (faster than einsum here).
+            H_l, W_c = H[:, links.ap], np.conj(W)[:, :, None, :]    # (c,L,K,N)
+            amp = H_l[..., 0] * W_c[..., 0]
+            for n in range(1, W.shape[-1]):
+                amp += H_l[..., n] * W_c[..., n]
+            a = np.conj(np.add.reduceat(amp, links.group_start, axis=1))  # (c,G,K)
+            sum_a += a.sum(axis=0)
             p = np.abs(a) ** 2
-            sum_a2[g] += p.sum(axis=0)
-            sum_re2[g] += (a.real ** 2).sum(axis=0)
-            sum_im2[g] += (a.imag ** 2).sum(axis=0)
-            sum_p2[g] += (p ** 2).sum(axis=0)
-        done += b
+            sum_a2 += p.sum(axis=0)
+            sum_re2 += (a.real ** 2).sum(axis=0)
+            sum_im2 += (a.imag ** 2).sum(axis=0)
+            sum_p2 += (p ** 2).sum(axis=0)
+        del g, z          # free this batch before the next one is drawn
 
     S = float(num_samples)
     mean_a = sum_a / S

@@ -4,30 +4,32 @@ import pytest
 from conftest import random_stats
 
 from cfmimo.channel import ChannelStatistics, sample_channel
+from cfmimo.clustering import ServingStructure
 from cfmimo.errors import ConfigurationError
 from cfmimo.pilots import (PilotAssignment, PowerConfig, assign_pilots,
                            estimate_covariance, mmse_coefficients,
-                           mmse_estimate, psi_stack, simulate_pilot_phase)
+                           mmse_estimate, pilot_normals, pilot_observations,
+                           psi_stack, simulate_pilot_phase)
 
 
 class TestAssignPilots:
     def test_single_pilot_everyone_copilot(self, rng):
         a = assign_pilots(6, 1, rng)
         for k in range(6):
-            assert np.array_equal(a.copilot_set(k), np.arange(6))
+            assert np.array_equal(a.users_on_pilot(a.t[k]), np.arange(6))
 
     def test_distinct_pilots_no_contamination(self):
         a = PilotAssignment(tau_p=5, t=np.array([0, 1, 2, 3, 4]))
         for k in range(5):
-            assert np.array_equal(a.copilot_set(k), [k])
+            assert np.array_equal(a.users_on_pilot(a.t[k]), [k])
 
     def test_copilot_sets_symmetric_and_reflexive(self, rng):
         a = assign_pilots(15, 4, rng)
         for k in range(15):
-            s = set(a.copilot_set(k).tolist())
+            s = set(a.users_on_pilot(a.t[k]).tolist())
             assert k in s
             for i in s:
-                assert k in set(a.copilot_set(i).tolist())
+                assert k in set(a.users_on_pilot(a.t[i]).tolist())
 
     def test_mean_copilot_count(self):
         # K = 20 users on tau_p = 10 pilots: E|P_k| = 1 + 19/10 = 2.9.
@@ -35,7 +37,7 @@ class TestAssignPilots:
         sizes = []
         for _ in range(2_000):
             a = assign_pilots(20, 10, gen)
-            sizes.extend(len(a.copilot_set(k)) for k in range(20))
+            sizes.extend(len(a.users_on_pilot(a.t[k])) for k in range(20))
         assert np.mean(sizes) == pytest.approx(2.9, abs=0.05)
 
     def test_invalid_inputs(self, rng):
@@ -122,6 +124,22 @@ class TestPilotPhase:
         y = simulate_pilot_phase(h, a, powers, noise_power=0.0, rng=rng)
         assert np.allclose(y[0, 0], 2.0 * np.sqrt(0.5))
 
+    def test_noise_drawn_real_then_imaginary(self, rng):
+        # simulate_pilot_phase = pilot_observations of pilot_normals, and the
+        # noise is one real and then one imaginary standard-normal block.
+        a = PilotAssignment(tau_p=3, t=np.array([0, 2]))
+        powers = PowerConfig()
+        h = rng.standard_normal((4, 2, 2, 2)) + 1j * rng.standard_normal((4, 2, 2, 2))
+        y = simulate_pilot_phase(h, a, powers, 0.5, np.random.default_rng(5))
+        normals = pilot_normals(h.shape, a, np.random.default_rng(5))
+        assert normals.shape == (2, 4, 3, 2, 2)
+        re, im = np.random.default_rng(5).standard_normal((2, 4, 3, 2, 2))
+        assert np.array_equal(normals, [re, im])
+        assert np.array_equal(
+            y, pilot_observations(h, normals, a, powers, 0.5))
+        assert np.allclose(y[:, 1], np.sqrt(0.25) * (re + 1j * im)[:, 1],
+                           rtol=1e-15, atol=0)
+
     def test_observation_covariance_matches_psi(self, rng):
         # One AP, two co-pilot users; 10^5 batched draws of y_check.
         stats = random_stats(1, 2, 2, rng, noise_power=0.4)
@@ -156,6 +174,27 @@ class TestMmseEstimate:
         coef = mmse_coefficients(stats, a, powers, _psi_inv(stats, a, powers))
         y = np.ones((1, 1, 2), dtype=complex)
         assert np.allclose(mmse_estimate(y, coef, a), 0.0)
+
+    def test_estimate_at_serving_links(self, rng):
+        # With a link index the estimates are those of the full grid at
+        # (links.ap, links.user), in link order.
+        stats = random_stats(3, 2, 2, rng)
+        a = PilotAssignment(tau_p=2, t=np.array([1, 1]))
+        powers = PowerConfig()
+        serving = ServingStructure(clusters=((2, 0), (1,)),
+                                   groups=(((0, (2,)), (1, (0,))),
+                                           ((0, (1,)),)),
+                                   num_aps=3)
+        gen = np.random.default_rng(17)
+        y = simulate_pilot_phase(sample_channel(stats, gen, num_samples=4),
+                                 a, powers, stats.noise_power, gen)
+        coef = mmse_coefficients(stats, a, powers, _psi_inv(stats, a, powers))
+        links = serving.links
+        at_links = mmse_estimate(y, coef, a, links)
+        assert at_links.shape == (4, 3, 2)
+        assert np.allclose(at_links,
+                           mmse_estimate(y, coef, a)[:, links.ap, links.user],
+                           rtol=1e-14, atol=0)
 
     def test_estimate_covariance_monte_carlo(self, rng):
         stats = random_stats(2, 3, 2, rng)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from cfmimo.harness import OracleConfig, run_oracle_check, validation_config
 from cfmimo.pilots import (PilotAssignment, PowerConfig, estimate_covariance,
                            mmse_coefficients, mmse_estimate, psi_stack,
                            simulate_pilot_phase)
+from cfmimo import spectral_efficiency
 from cfmimo.spectral_efficiency import (FrameConfig, compute_terms,
                                         effective_data_powers, mc_oracle,
                                         mr_scale, sinr_mixed, user_rates)
@@ -293,6 +295,37 @@ class TestOracle:
                 closed = sinr_mixed(terms, k, c + 1, noise)
                 assert abs(closed - oracle.sinr[k][c]) <= max(
                     0.02 * abs(closed), 3.0 * oracle.sinr_se[k][c])
+
+    def test_chunking_changes_neither_stream_nor_result(self, monkeypatch):
+        # The chunk only bounds the temporaries: one-sample chunks and one
+        # chunk per batch give the default's terms and standard errors.
+        config = replace(validation_config(12, 4, 4, 4),
+                         oracle=OracleConfig(num_samples=3_000))
+        _, default, _ = run_oracle_check(config)
+        for chunk in (7, 10 ** 9):
+            monkeypatch.setattr(spectral_efficiency, "ORACLE_CHUNK_SIZE", chunk)
+            _, oracle, _ = run_oracle_check(config)
+            for name in ("D", "D_se", "E", "E_se", "F", "F_se", "sinr",
+                         "sinr_se"):
+                np.testing.assert_allclose(
+                    np.hstack(getattr(oracle, name)),
+                    np.hstack(getattr(default, name)), rtol=1e-12, atol=0,
+                    err_msg=f"{name}, chunk {chunk}")
+
+    def test_peak_memory_is_one_batch_of_normals(self):
+        # One 100 000-sample call at (M, K, Q, tau_p) = (12, 4, 4, 4) holds
+        # one batch of standard normals (about 61 MB) and chunk-sized
+        # temporaries.
+        stats, assignment, serving, terms, powers, frame = small_instance(
+            12, 4, 2, 4, 4, seed=0)
+        tracemalloc.start()
+        try:
+            mc_oracle(serving, stats, assignment, powers, frame, 100_000,
+                      np.random.default_rng(0), terms=terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128e6
 
     def test_invalid_sample_count(self, rng):
         stats, assignment, serving = _single_link_setup(rng)
