@@ -7,9 +7,7 @@ from .channel import (ChannelStatistics, LargeScaleModelConfig, PathLossParams,
                       path_loss_db, sample_channel, shadowing_field,
                       spatial_correlation)
 from .clustering import (ClusteringParams, ServingLinks, ServingStructure,
-                         build_serving_structure, cluster_fixed,
-                         cluster_legacy_largest_lsf, cluster_lsf_threshold,
-                         cluster_power, coherent_groups, order_cpus)
+                         build_serving_structure, serving_mask)
 from .errors import (CfMimoError, ConfigurationError, DegenerateLinkError,
                      NumericalError)
 from .pilots import (PilotAssignment, PowerConfig, assign_pilots,
@@ -20,6 +18,6 @@ from .scenario import (Deployment, ScenarioConfig, generate_deployment,
                        wrap_distance)
 from .spectral_efficiency import (FrameConfig, OracleResult, RateResult,
                                   SETerms, compute_terms, mc_oracle,
-                                  mr_scale, sinr_mixed, user_rates)
+                                  mr_scale, user_rates)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,6 +23,7 @@ from .harness import (ExperimentConfig, OracleConfig, emit_results,
                       load_config, run_experiment, run_oracle_check,
                       validation_config)
 from .scenario import ScenarioConfig
+from .spectral_efficiency import user_rates
 
 
 def _desk_scale(seed: int) -> ExperimentConfig:
@@ -89,24 +90,31 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    """Compare every closed-form term against the oracle on small instances."""
+    """Compare every closed-form term and SINR of drop 0 against the oracle,
+    on small instances or on the --config experiment."""
     if args.config:
         configs = [load_config(args.config)]
     else:
-        configs = [_apply_overrides(replace(
-            validation_config(m, k, q, tau_p),
-            oracle=OracleConfig(num_samples=args.samples)), args)
-            for m, k, q, tau_p in ((8, 3, 2, 2), (12, 4, 4, 4))]
+        configs = [validation_config(m, k, q, tau_p)
+                   for m, k, q, tau_p in ((8, 3, 2, 2), (12, 4, 4, 4))]
+    configs = [_apply_overrides(cfg, args) for cfg in configs]
+    if args.samples is not None:
+        configs = [replace(cfg, oracle=OracleConfig(num_samples=args.samples))
+                   for cfg in configs]
 
     worst = 0.0
     ok = True
     for cfg in configs:
         terms, oracle, noise = run_oracle_check(cfg)
+        sinr = user_rates(terms, cfg.frame, noise).sinr
         for k in range(len(terms.D)):
+            groups = range(terms.D[k].size)
             pairs = ([("E", terms.E[k], oracle.E[k], oracle.E_se[k]),
                       ("F", terms.F[k], oracle.F[k], oracle.F_se[k])]
                      + [(f"D[{c}]", terms.D[k][c], oracle.D[k][c],
-                         oracle.D_se[k][c]) for c in range(terms.D[k].size)])
+                         oracle.D_se[k][c]) for c in groups]
+                     + [(f"SINR[{c}]", sinr[k][c], oracle.sinr[k][c],
+                         oracle.sinr_se[k][c]) for c in groups])
             for name, closed, est, se in pairs:
                 scale = max(abs(closed), 3.0 * se)
                 err = abs(closed - est)
@@ -136,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--drops", type=int, default=None)
         p.add_argument("--jobs", type=int, default=1)
         if name == "validate":
-            p.add_argument("--samples", type=int, default=100_000,
-                           help="oracle sample count")
+            p.add_argument("--samples", type=int, default=None,
+                           help="oracle sample count (default: the config's)")
     return parser
 
 

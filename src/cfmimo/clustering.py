@@ -1,11 +1,15 @@
 """User-centric AP clustering and per-CPU coherent group formation.
 
-Three multi-CPU-aware algorithms (threshold on large-scale fading, fixed
-AP count, received-power fraction) restrict the candidate APs to the
-n_cpu best CPUs before selecting (CPUs that control no AP are never
-candidates); setting n_cpu = Q recovers the corresponding single-pool
-legacy scheme. All ties break toward the lowest index so results are
-reproducible.
+The clusters of all users are one (M, K) serving mask, the per-user
+selection matrices D_k of Demir, Björnson & Sanguinetti, *Foundations of
+User-Centric Cell-Free Massive MIMO* (2021), formed for every user at once
+as in Björnson & Sanguinetti, "Scalable Cell-Free Massive MIMO Systems"
+(IEEE TCOM 2020). Three multi-CPU-aware algorithms (threshold on
+large-scale fading, fixed AP count, received-power fraction) restrict the
+candidate APs to the n_cpu CPUs with the best LSF toward the user before
+selecting (CPUs that control no AP are never candidates); setting n_cpu = Q
+recovers the corresponding single-pool legacy scheme. All ties break
+toward the lowest index so results are reproducible.
 """
 
 from __future__ import annotations
@@ -85,135 +89,92 @@ class ServingStructure:
                             group_user=group_user)
 
 
-def _descending_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorting values descending, lowest index first on ties."""
-    return np.lexsort((np.arange(values.size), -values))
+def _descending_rank(values: np.ndarray) -> np.ndarray:
+    """Rank of each entry within its column, 0 for the largest; equal
+    values rank the lower row index first."""
+    order = np.argsort(-values, axis=0, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(values.shape[0])[:, None], axis=0)
+    return rank
 
 
-def order_cpus(beta_column: np.ndarray, cpu_map) -> np.ndarray:
-    """Indices of the CPUs that control APs, sorted by their best LSF toward
-    this user, descending. A CPU without APs (possible in a random
-    deployment) is left out."""
-    pools = np.array([q for q, aps in enumerate(cpu_map) if len(aps)], dtype=int)
-    best = np.array([np.max(beta_column[list(cpu_map[q])]) for q in pools])
-    return pools[_descending_order(best)]
+def serving_mask(beta: np.ndarray, ap_to_cpu: np.ndarray, num_cpus: int,
+                 params: ClusteringParams, noise_power: float = 1.0) -> np.ndarray:
+    """(M, K) boolean mask of the clusters: mask[m, k] when AP m serves user k.
 
-
-def _candidate_aps(beta_column: np.ndarray, cpu_map, n_cpu: int) -> np.ndarray:
-    """APs of the best min(n_cpu, non-empty pools) CPUs, ascending."""
-    if n_cpu > len(cpu_map):
-        raise ConfigurationError("n_cpu exceeds the number of CPUs")
-    chosen = order_cpus(beta_column, cpu_map)[:n_cpu]
-    aps = np.concatenate([np.asarray(cpu_map[q], dtype=int) for q in chosen])
-    return np.sort(aps)
-
-
-def cluster_legacy_largest_lsf(beta_column: np.ndarray, cluster_size: int) -> tuple[int, ...]:
-    """The cluster_size APs with largest LSF (single-pool legacy baseline)."""
-    order = _descending_order(beta_column)
-    return tuple(sorted(order[: min(cluster_size, beta_column.size)]))
-
-
-def cluster_lsf_threshold(beta_column: np.ndarray, cpu_map, n_cpu: int,
-                          threshold: float) -> tuple[int, ...]:
-    """APs of the n_cpu best CPUs whose LSF meets the threshold.
-
-    The threshold is compared against whatever scale beta_column is given in
-    (callers normalize by the noise power for the over_noise mode). If no
-    candidate passes, the single best candidate AP serves the user.
+    beta is the (M, K) large-scale fading; ap_to_cpu[m] is the CPU, one of
+    num_cpus, that controls AP m. Every user gets at least one AP. The
+    multi-CPU algorithms reject an n_cpu above num_cpus, CPUs without APs
+    included; the legacy algorithm ignores n_cpu.
     """
-    candidates = _candidate_aps(beta_column, cpu_map, n_cpu)
-    passing = candidates[beta_column[candidates] >= threshold]
-    if passing.size == 0:
-        best = candidates[_descending_order(beta_column[candidates])[0]]
-        return (int(best),)
-    return tuple(int(m) for m in passing)
-
-
-def cluster_fixed(beta_column: np.ndarray, cpu_map, n_cpu: int,
-                  n_ap: int) -> tuple[int, ...]:
-    """The n_ap largest-LSF APs among the n_cpu best CPUs."""
-    candidates = _candidate_aps(beta_column, cpu_map, n_cpu)
-    order = _descending_order(beta_column[candidates])
-    take = candidates[order[: min(n_ap, candidates.size)]]
-    return tuple(sorted(int(m) for m in take))
-
-
-def cluster_power(beta_column: np.ndarray, cpu_map, n_cpu: int,
-                  fraction: float) -> tuple[int, ...]:
-    """Smallest strongest-first AP prefix carrying >= fraction of candidate power."""
-    candidates = _candidate_aps(beta_column, cpu_map, n_cpu)
-    order = _descending_order(beta_column[candidates])
-    sorted_beta = beta_column[candidates[order]]
-    cumulative = np.cumsum(sorted_beta)
-    needed = fraction * cumulative[-1]
-    count = int(np.searchsorted(cumulative, needed)) + 1
-    count = min(max(count, 1), candidates.size)
-    return tuple(sorted(int(m) for m in candidates[order[:count]]))
-
-
-def form_cluster(beta_column: np.ndarray, cpu_map, params: ClusteringParams,
-                 noise_power: float = 1.0) -> tuple[int, ...]:
-    """Dispatch to the configured clustering algorithm for one user."""
     if params.algorithm == "legacy_largest_lsf":
-        return cluster_legacy_largest_lsf(beta_column, params.legacy_cluster_size)
+        return _descending_rank(beta) < params.legacy_cluster_size
+    if params.n_cpu > num_cpus:
+        raise ConfigurationError("n_cpu exceeds the number of CPUs")
+    if params.algorithm == "lsf_threshold" and params.threshold_mode == "over_noise":
+        beta = beta / noise_power
+
+    # Best LSF of each CPU toward each user, -inf for a CPU without APs.
+    by_cpu = np.argsort(ap_to_cpu, kind="stable")
+    pool = np.bincount(ap_to_cpu, minlength=num_cpus)
+    best = np.full((num_cpus, beta.shape[1]), -np.inf)
+    best[pool > 0] = np.maximum.reduceat(beta[by_cpu], (np.cumsum(pool) - pool)[pool > 0],
+                                         axis=0)
+    candidate = _descending_rank(best)[ap_to_cpu] < params.n_cpu
+    strength = np.where(candidate, beta, -np.inf)
+
     if params.algorithm == "lsf_threshold":
-        column = beta_column / noise_power if params.threshold_mode == "over_noise" \
-            else beta_column
-        return cluster_lsf_threshold(column, cpu_map, params.n_cpu, params.lsf_threshold)
+        mask = candidate & (beta >= params.lsf_threshold)
+        # A user with no passing candidate is served by its best candidate.
+        alone = np.flatnonzero(~mask.any(axis=0))
+        mask[np.argmax(strength[:, alone], axis=0), alone] = True
+        return mask
+    rank = _descending_rank(strength)          # candidates take the first ranks
     if params.algorithm == "fixed_aps":
-        return cluster_fixed(beta_column, cpu_map, params.n_cpu, params.n_ap)
-    return cluster_power(beta_column, cpu_map, params.n_cpu, params.power_fraction)
+        return candidate & (rank < params.n_ap)
+    # power_fraction: the shortest strongest-first prefix of the candidates
+    # that carries at least the fraction delta of their total LSF.
+    cumulative = np.cumsum(np.sort(np.where(candidate, beta, 0.0), axis=0)[::-1], axis=0)
+    count = np.sum(cumulative < params.power_fraction * cumulative[-1], axis=0) + 1
+    return rank < np.clip(count, 1, candidate.sum(axis=0))
 
 
-def coherent_groups(cluster, cpu_map) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Partition a cluster into per-CPU coherent groups, CPU-index order.
-
-    The SIC decode order is applied later, once desired-signal powers are
-    known; here groups are listed by ascending CPU index.
-    """
-    cluster = set(int(m) for m in cluster)
-    if not cluster:
-        raise ConfigurationError("cluster must be nonempty")
-    groups = []
-    for q, aps in enumerate(cpu_map):
-        members = tuple(sorted(cluster & set(aps)))
-        if members:
-            groups.append((q, members))
-    return tuple(groups)
+def _segments(items: list, cuts: np.ndarray) -> tuple[tuple, ...]:
+    """items cut into consecutive tuples before each index in cuts."""
+    bounds = [0, *cuts.tolist(), len(items)]
+    return tuple(tuple(items[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
 
 
-def build_serving_structure(beta: np.ndarray, cpu_map, params: ClusteringParams,
-                            noise_power: float = 1.0,
+def build_serving_structure(beta: np.ndarray, ap_to_cpu: np.ndarray, num_cpus: int,
+                            params: ClusteringParams, noise_power: float = 1.0,
                             mode: str = "mixed") -> ServingStructure:
     """Cluster every user and form groups per the transmission mode.
 
-    mode: "mixed" groups per CPU; "coherent" one group spanning the whole
-    cluster (ideal full synchronization, labeled with CPU -1 when the
-    cluster spans several CPUs); "non_coherent" all-singleton groups.
+    mode: "mixed" one group per (user, CPU), in CPU-index order; "coherent"
+    one group spanning the whole cluster (ideal full synchronization,
+    labeled with CPU -1 when the cluster spans several CPUs);
+    "non_coherent" one single-AP group per serving link. The SIC decode
+    order is applied later, once the desired-signal powers are known.
     """
     if mode not in ("mixed", "coherent", "non_coherent"):
         raise ConfigurationError(f"unknown transmission mode: {mode}")
-    num_aps, num_users = beta.shape
-    ap_cpu = np.empty(num_aps, dtype=int)
-    for q, aps in enumerate(cpu_map):
-        ap_cpu[list(aps)] = q
-
-    clusters = []
-    groups = []
-    for k in range(num_users):
-        cluster = form_cluster(beta[:, k], cpu_map, params, noise_power)
-        clusters.append(tuple(cluster))
-        if mode == "coherent":
-            cpus = set(int(ap_cpu[m]) for m in cluster)
-            label = cpus.pop() if len(cpus) == 1 else -1
-            groups.append(((label, tuple(cluster)),))
-        elif mode == "non_coherent":
-            groups.append(tuple((int(ap_cpu[m]), (m,)) for m in cluster))
-        else:
-            groups.append(coherent_groups(cluster, cpu_map))
+    user, ap = np.nonzero(serving_mask(beta, ap_to_cpu, num_cpus, params, noise_power).T)
+    clusters = _segments(ap.tolist(), np.flatnonzero(np.diff(user)) + 1)
+    cpu = ap_to_cpu[ap]
+    if mode == "mixed":
+        order = np.lexsort((ap, cpu, user))
+        user, ap, cpu = user[order], ap[order], cpu[order]
+        new_group = (np.diff(user) != 0) | (np.diff(cpu) != 0)
+    elif mode == "coherent":
+        new_group = np.diff(user) != 0
+    else:
+        new_group = np.ones(ap.size - 1, dtype=bool)
+    start = np.flatnonzero(np.concatenate(([True], new_group)))
+    low, high = np.minimum.reduceat(cpu, start), np.maximum.reduceat(cpu, start)
+    groups = list(zip(np.where(low == high, low, -1).tolist(),
+                      _segments(ap.tolist(), start[1:])))
     return ServingStructure(
-        clusters=tuple(clusters),
-        groups=tuple(groups),
-        num_aps=num_aps,
+        clusters=clusters,
+        groups=_segments(groups, np.flatnonzero(np.diff(user[start])) + 1),
+        num_aps=beta.shape[0],
     )

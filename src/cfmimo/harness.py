@@ -239,8 +239,9 @@ def _drop_stages(config: ExperimentConfig, drop_index: int):
     deployment = generate_deployment(scenario)
     stats = channel_stats(deployment, config.large_scale, shadow_rng)
     assignment = assign_pilots(scenario.num_users, config.frame.tau_p, pilot_rng)
-    serving = build_serving_structure(stats.beta, deployment.cpu_map,
-                                      config.clustering, stats.noise_power,
+    serving = build_serving_structure(stats.beta, deployment.ap_to_cpu,
+                                      deployment.num_cpus, config.clustering,
+                                      stats.noise_power,
                                       mode=config.transmission_mode)
     terms = compute_terms(serving, stats, assignment, config.powers)
     return dep_seed, stats, assignment, serving, terms
@@ -249,8 +250,8 @@ def _drop_stages(config: ExperimentConfig, drop_index: int):
 def run_drop(config: ExperimentConfig, drop_index: int) -> DropResult:
     """Execute one deployment drop; pure function of (config, drop_index)."""
     with _naming_drop(drop_index):
-        dep_seed, stats, _, serving, terms = _drop_stages(config, drop_index)
-        rates = user_rates(terms, serving, config.frame, stats.noise_power)
+        dep_seed, stats, _, _, terms = _drop_stages(config, drop_index)
+        rates = user_rates(terms, config.frame, stats.noise_power)
     return DropResult(drop_index=drop_index, seed=dep_seed,
                       user_rate=array("d", rates.user_rate),
                       sum_rate=rates.sum_rate)

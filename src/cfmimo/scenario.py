@@ -9,7 +9,7 @@ network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class Deployment:
     ap_positions: np.ndarray      # (M, 2) meters
     ue_positions: np.ndarray      # (K, 2) meters
     cpu_positions: np.ndarray     # (Q, 2) meters
-    cpu_map: tuple[tuple[int, ...], ...]  # per-CPU disjoint AP index sets
+    ap_to_cpu: np.ndarray         # (M,) index of the CPU controlling each AP
     area_side: float = 1000.0
     num_antennas: int = 1         # N, per AP
 
@@ -69,12 +69,11 @@ class Deployment:
         return self.cpu_positions.shape[0]
 
     @property
-    def ap_to_cpu(self) -> np.ndarray:
-        """(M,) index of the CPU controlling each AP."""
-        out = np.empty(self.num_aps, dtype=int)
-        for q, aps in enumerate(self.cpu_map):
-            out[list(aps)] = q
-        return out
+    def cpu_map(self) -> tuple[tuple[int, ...], ...]:
+        """Per-CPU disjoint AP index sets, ascending; empty for a CPU
+        without APs."""
+        return tuple(tuple(np.flatnonzero(self.ap_to_cpu == q).tolist())
+                     for q in range(self.num_cpus))
 
 
 def wrap_displacement(a: np.ndarray, b: np.ndarray, area_side: float) -> np.ndarray:
@@ -112,13 +111,12 @@ def generate_deployment(config: ScenarioConfig) -> Deployment:
 
     dist = wrap_distance_matrix(ap_pos, cpu_pos, config.area_side)  # (M, Q)
     owner = np.argmin(dist, axis=1)  # argmin takes the first minimum: lowest index on ties
-    cpu_map = tuple(tuple(np.flatnonzero(owner == q)) for q in range(config.num_cpus))
 
     return Deployment(
         ap_positions=ap_pos,
         ue_positions=ue_pos,
         cpu_positions=cpu_pos,
-        cpu_map=cpu_map,
+        ap_to_cpu=owner,
         area_side=config.area_side,
         num_antennas=config.num_antennas,
     )

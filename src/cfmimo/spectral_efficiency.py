@@ -67,10 +67,8 @@ class SETerms:
 @dataclass(frozen=True)
 class RateResult:
     sinr: tuple[np.ndarray, ...]       # per-user per-group, linear, SIC order
-    group_rate: tuple[np.ndarray, ...]  # bits/s/Hz
-    user_rate: np.ndarray              # (K,)
+    user_rate: np.ndarray              # (K,) bits/s/Hz
     sum_rate: float
-    prelog: float
 
 
 def mr_scale(rho: np.ndarray, est_trace: np.ndarray) -> np.ndarray:
@@ -120,9 +118,9 @@ def _mr_scales(serving: ServingStructure, stats: ChannelStatistics,
     scale the (M, K) MR scales of the effective data powers.
     """
     psi_inv = np.linalg.inv(psi_stack(stats, assignment, powers))  # PD: sigma^2 > 0
+    R_psi_inv = stats.R @ psi_inv[assignment.t].swapaxes(0, 1)        # (M, K, N, N)
     est_trace = powers.pilot_power * assignment.tau_p * np.einsum(
-        "mkab,kmbc,mkca->mk", stats.R, psi_inv[assignment.t], stats.R,
-        optimize=True).real
+        "mkab,mkba->mk", R_psi_inv, stats.R).real
     return psi_inv, est_trace, mr_scale(effective_data_powers(serving, powers),
                                         est_trace)
 
@@ -148,8 +146,7 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     s, pt = scale[ap, user], powers.pilot_power * assignment.tau_p
     R_own = stats.R[ap, user]                                   # (L, N, N)
     A = R_own @ psi_inv[assignment.t[user], ap]
-    E = np.einsum("l,lkab,lbc,lca->k", s ** 2 * pt, stats.R[ap], A, R_own,
-                  optimize=True).real
+    E = (s ** 2 * pt) @ np.einsum("lkab,lba->lk", stats.R[ap], A @ R_own).real
     # Co-pilot (link, user) pairs; every other cross amplitude is zero.
     pair_l, pair_k = np.nonzero(assignment.t[user][:, None] == assignment.t)
     amp = np.zeros((ap.size, assignment.t.size), dtype=complex)
@@ -165,40 +162,37 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
                                      for o in np.split(order, bounds)))
 
 
-def sinr_mixed(terms: SETerms, k: int, c: int, noise_power: float) -> float:
-    """SINR of user k's c-th decoded group (c is 1-based in SIC order)."""
-    d = terms.D[k]
-    if not 1 <= c <= d.size:
-        raise ConfigurationError(f"group index {c} out of range for user {k}")
-    denom = terms.E[k] + terms.F[k] - np.sum(d[:c]) + noise_power
-    if denom <= 0.0:
-        raise NumericalError(
-            f"non-positive SINR denominator for user {k}, group {c}")
-    return float(d[c - 1] / denom)
-
-
-def user_rates(terms: SETerms, serving: ServingStructure, frame: FrameConfig,
+def user_rates(terms: SETerms, frame: FrameConfig,
                noise_power: float) -> RateResult:
-    """Per-group and per-user spectral efficiencies with the pilot prelog."""
-    sinrs = []
-    rates = []
-    for k in range(len(serving.clusters)):
-        g = np.array([sinr_mixed(terms, k, c + 1, noise_power)
-                      for c in range(terms.D[k].size)])
-        sinrs.append(g)
-        rates.append(frame.prelog * np.log2(1.0 + g))
-    user_rate = np.array([r.sum() for r in rates])
+    """Per-user spectral efficiencies with the pilot prelog.
+
+    Group c of user k, in SIC order, has the SINR
+    D_k^c / (E_k + F_k - sum_{b<=c} D_k^b + sigma^2), and user k the rate
+    prelog * sum_c log2(1 + SINR_k^c).
+    """
+    sizes = np.array([d.size for d in terms.D])
+    first = np.cumsum(sizes) - sizes
+    d = np.concatenate(terms.D)
+    # Each user's decoded-D partial sums, from a cumsum within that user
+    # only, which keeps them exact at any number of users.
+    decoded = np.arange(sizes.max()) < sizes[:, None]      # (K, most groups)
+    padded = np.zeros(decoded.shape)
+    padded[decoded] = d
+    denom = (np.repeat(terms.E + terms.F, sizes)
+             - np.cumsum(padded, axis=1)[decoded] + noise_power)
+    bad = np.flatnonzero(denom <= 0.0)
+    if bad.size:
+        k = int(np.searchsorted(first, bad[0], side="right")) - 1
+        raise NumericalError(f"non-positive SINR denominator for user {k}, "
+                             f"group {bad[0] - first[k] + 1}")
+    sinr = d / denom
+    user_rate = np.add.reduceat(frame.prelog * np.log2(1.0 + sinr), first)
     bad = np.flatnonzero(~(np.isfinite(user_rate) & (user_rate >= 0.0)))
     if bad.size:
         raise NumericalError(f"user {bad[0]} has rate {user_rate[bad[0]]}, "
                              "not a finite non-negative number")
-    return RateResult(
-        sinr=tuple(sinrs),
-        group_rate=tuple(rates),
-        user_rate=user_rate,
-        sum_rate=float(user_rate.sum()),
-        prelog=frame.prelog,
-    )
+    return RateResult(sinr=tuple(np.split(sinr, first[1:])), user_rate=user_rate,
+                      sum_rate=float(user_rate.sum()))
 
 
 @dataclass(frozen=True)

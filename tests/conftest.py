@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from cfmimo.channel import ChannelStatistics, spatial_correlation
-from cfmimo.clustering import ClusteringParams, build_serving_structure
+from cfmimo.clustering import (ClusteringParams, build_serving_structure,
+                               serving_mask)
 from cfmimo.harness import validation_config
 from cfmimo.pilots import assign_pilots
 from cfmimo.scenario import generate_deployment
@@ -33,12 +34,40 @@ def random_stats(num_aps: int, num_users: int, num_antennas: int,
 
 
 def random_cpu_map(num_aps: int, num_cpus: int,
-                   rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
-    """Random partition of AP indices into num_cpus nonempty pools."""
+                   rng: np.random.Generator) -> np.ndarray:
+    """(num_aps,) random AP-to-CPU map in which every CPU controls an AP."""
     owner = np.concatenate([np.arange(num_cpus),
                             rng.integers(0, num_cpus, size=num_aps - num_cpus)])
     rng.shuffle(owner)
-    return tuple(tuple(np.flatnonzero(owner == q)) for q in range(num_cpus))
+    return owner
+
+
+def legacy(size: int) -> ClusteringParams:
+    return ClusteringParams(algorithm="legacy_largest_lsf",
+                            legacy_cluster_size=size)
+
+
+def threshold(n_cpu: int, delta: float) -> ClusteringParams:
+    """The threshold algorithm on the raw LSF."""
+    return ClusteringParams(algorithm="lsf_threshold", n_cpu=n_cpu,
+                            lsf_threshold=delta, threshold_mode="raw_linear")
+
+
+def fixed(n_cpu: int, n_ap: int) -> ClusteringParams:
+    return ClusteringParams(algorithm="fixed_aps", n_cpu=n_cpu, n_ap=n_ap)
+
+
+def power(n_cpu: int, fraction: float) -> ClusteringParams:
+    return ClusteringParams(algorithm="power_fraction", n_cpu=n_cpu,
+                            power_fraction=fraction)
+
+
+def cluster_of(beta, ap_to_cpu, num_cpus: int,
+               params: ClusteringParams) -> tuple[int, ...]:
+    """The cluster of one user whose LSF column is beta, from the mask."""
+    mask = serving_mask(np.asarray(beta, dtype=float)[:, None],
+                        np.asarray(ap_to_cpu), num_cpus, params)
+    return tuple(np.flatnonzero(mask[:, 0]).tolist())
 
 
 def small_instance(num_aps: int, num_users: int, num_antennas: int,
@@ -57,9 +86,9 @@ def small_instance(num_aps: int, num_users: int, num_antennas: int,
         config.scenario, num_antennas=num_antennas, seed=seed))
     stats = channel_stats(deployment, config.large_scale, rng)
     assignment = assign_pilots(num_users, tau_p, rng)
-    serving = build_serving_structure(stats.beta, deployment.cpu_map,
-                                      config.clustering, stats.noise_power,
-                                      mode=mode)
+    serving = build_serving_structure(stats.beta, deployment.ap_to_cpu,
+                                      deployment.num_cpus, config.clustering,
+                                      stats.noise_power, mode=mode)
     terms = compute_terms(serving, stats, assignment, config.powers)
     return stats, assignment, serving, terms, config.powers, config.frame
 

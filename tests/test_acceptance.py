@@ -13,13 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_cpu_map, random_stats
+from conftest import (cluster_of, fixed, legacy, power, random_cpu_map,
+                      random_stats, threshold)
 
 from cfmimo.channel import sample_channel
-from cfmimo.clustering import (ClusteringParams, build_serving_structure,
-                               cluster_fixed, cluster_legacy_largest_lsf,
-                               cluster_lsf_threshold, cluster_power,
-                               coherent_groups, form_cluster)
+from cfmimo.clustering import ClusteringParams, build_serving_structure
 from cfmimo.harness import (ExperimentConfig, OracleConfig, emit_results,
                             run_experiment, run_oracle_check, run_single,
                             validation_config)
@@ -27,8 +25,7 @@ from cfmimo.pilots import (PilotAssignment, PowerConfig, assign_pilots,
                            estimate_covariance, mmse_coefficients,
                            mmse_estimate, psi_stack, simulate_pilot_phase)
 from cfmimo.scenario import ScenarioConfig
-from cfmimo.spectral_efficiency import (FrameConfig, compute_terms,
-                                        sinr_mixed, user_rates)
+from cfmimo.spectral_efficiency import FrameConfig, compute_terms, user_rates
 
 JOBS = 4
 
@@ -72,16 +69,16 @@ def test_criterion_1_closed_form_matches_oracle():
                  + [(12, 4, 4, 4, s) for s in (0, 1, 2)])
     ok = True
     for m, k, q, tau_p, seed in instances:
-        terms, oracle, noise = run_oracle_check(replace(
-            validation_config(m, k, q, tau_p), base_seed=seed,
-            oracle=OracleConfig(num_samples=100_000)))
+        config = replace(validation_config(m, k, q, tau_p), base_seed=seed,
+                         oracle=OracleConfig(num_samples=100_000))
+        terms, oracle, noise = run_oracle_check(config)
+        sinr = user_rates(terms, config.frame, noise).sinr
         for u in range(k):
             pairs = [(terms.E[u], oracle.E[u], oracle.E_se[u]),
                      (terms.F[u], oracle.F[u], oracle.F_se[u])]
             pairs += [(terms.D[u][c], oracle.D[u][c], oracle.D_se[u][c])
                       for c in range(terms.D[u].size)]
-            pairs += [(sinr_mixed(terms, u, c + 1, noise),
-                       oracle.sinr[u][c], oracle.sinr_se[u][c])
+            pairs += [(sinr[u][c], oracle.sinr[u][c], oracle.sinr_se[u][c])
                       for c in range(terms.D[u].size)]
             for closed, est, se in pairs:
                 ok &= abs(closed - est) <= max(0.02 * abs(closed), 3.0 * se)
@@ -94,33 +91,33 @@ def test_criterion_2_special_case_exactness():
         gen = np.random.default_rng(seed)
         stats = random_stats(8, 3, 2, gen)
         assignment = assign_pilots(3, 2, gen)
-        cpu_map = random_cpu_map(8, 2, gen)
+        owner = random_cpu_map(8, 2, gen)
         powers = PowerConfig()
         frame = FrameConfig(200, 2)
 
         # (a) clusters confined to one CPU: mixed equals the coherent form.
         params = ClusteringParams(algorithm="fixed_aps", n_cpu=1, n_ap=3)
-        mixed = build_serving_structure(stats.beta, cpu_map, params,
+        mixed = build_serving_structure(stats.beta, owner, 2, params,
                                         mode="mixed")
-        coh = build_serving_structure(stats.beta, cpu_map, params,
+        coh = build_serving_structure(stats.beta, owner, 2, params,
                                       mode="coherent")
         rm = user_rates(compute_terms(mixed, stats, assignment, powers),
-                        mixed, frame, stats.noise_power)
+                        frame, stats.noise_power)
         rc = user_rates(compute_terms(coh, stats, assignment, powers),
-                        coh, frame, stats.noise_power)
+                        frame, stats.noise_power)
         ok &= np.allclose(rm.user_rate, rc.user_rate, rtol=1e-12, atol=0)
 
         # (b) one AP per CPU: mixed groups are singletons = non-coherent.
-        singleton_map = tuple((mm,) for mm in range(8))
+        singleton = np.arange(8)
         params = ClusteringParams(algorithm="fixed_aps", n_cpu=8, n_ap=4)
-        mixed = build_serving_structure(stats.beta, singleton_map, params,
+        mixed = build_serving_structure(stats.beta, singleton, 8, params,
                                         mode="mixed")
-        nc = build_serving_structure(stats.beta, singleton_map, params,
+        nc = build_serving_structure(stats.beta, singleton, 8, params,
                                      mode="non_coherent")
         rm = user_rates(compute_terms(mixed, stats, assignment, powers),
-                        mixed, frame, stats.noise_power)
+                        frame, stats.noise_power)
         rn = user_rates(compute_terms(nc, stats, assignment, powers),
-                        nc, frame, stats.noise_power)
+                        frame, stats.noise_power)
         ok &= np.allclose(rm.user_rate, rn.user_rate, rtol=1e-12, atol=0)
 
         # (c) single-AP clusters: the three modes are bit-identical.
@@ -128,10 +125,10 @@ def test_criterion_2_special_case_exactness():
                                   legacy_cluster_size=1)
         rates = []
         for mode in ("mixed", "coherent", "non_coherent"):
-            serving = build_serving_structure(stats.beta, cpu_map, params,
+            serving = build_serving_structure(stats.beta, owner, 2, params,
                                               mode=mode)
             r = user_rates(compute_terms(serving, stats, assignment, powers),
-                           serving, frame, stats.noise_power)
+                           frame, stats.noise_power)
             rates.append(tuple(r.user_rate))
         ok &= rates[0] == rates[1] == rates[2]
     _report(2, "special-case exactness", ok)
@@ -144,26 +141,25 @@ def test_criterion_3_legacy_reductions():
         m = int(gen.integers(6, 20))
         q = int(gen.integers(1, 5))
         beta = gen.lognormal(size=m)
-        cpu_map = random_cpu_map(m, q, gen)
+        owner = random_cpu_map(m, q, gen)
         delta = float(np.quantile(beta, 0.6))
         n_ap = int(gen.integers(1, m + 1))
         frac = float(gen.uniform(0.3, 1.0))
 
         # Single-pool counterparts computed independently.
+        order = np.lexsort((np.arange(m), -beta))
         legacy_threshold = tuple(int(i) for i in np.flatnonzero(beta >= delta))
         if not legacy_threshold:
-            order = np.lexsort((np.arange(m), -beta))
             legacy_threshold = (int(order[0]),)
-        legacy_fixed = cluster_legacy_largest_lsf(beta, n_ap)
-        order = np.lexsort((np.arange(m), -beta))
+        legacy_fixed = tuple(sorted(int(i) for i in order[:min(n_ap, m)]))
         cum = np.cumsum(beta[order])
         count = int(np.searchsorted(cum, frac * cum[-1])) + 1
         legacy_power = tuple(sorted(int(i) for i in order[:min(count, m)]))
 
-        ok &= set(cluster_lsf_threshold(beta, cpu_map, q, delta)) == \
+        ok &= set(cluster_of(beta, owner, q, threshold(q, delta))) == \
             set(legacy_threshold)
-        ok &= set(cluster_fixed(beta, cpu_map, q, n_ap)) == set(legacy_fixed)
-        ok &= set(cluster_power(beta, cpu_map, q, frac)) == set(legacy_power)
+        ok &= set(cluster_of(beta, owner, q, fixed(q, n_ap))) == set(legacy_fixed)
+        ok &= set(cluster_of(beta, owner, q, power(q, frac))) == set(legacy_power)
     _report(3, "legacy clustering reductions", ok)
 
 
@@ -253,36 +249,36 @@ def test_criterion_7_clustering_property_suites():
         m = int(gen.integers(4, 13))
         q = int(gen.integers(1, min(m, 4) + 1))
         beta = gen.lognormal(size=m)
-        cpu_map = random_cpu_map(m, q, gen)
-        cluster = cluster_fixed(beta, cpu_map, q,
-                                int(gen.integers(1, m + 1)))
-        groups = coherent_groups(cluster, cpu_map)
+        owner = random_cpu_map(m, q, gen)
+        serving = build_serving_structure(
+            beta[:, None], owner, q, fixed(q, int(gen.integers(1, m + 1))))
+        cluster, groups = serving.clusters[0], serving.groups[0]
         union = sorted(ap for _, aps in groups for ap in aps)
         ok &= union == sorted(cluster)
-        ok &= all(set(aps) <= set(cpu_map[cpu]) for cpu, aps in groups)
+        ok &= all(all(owner[ap] == cpu for ap in aps) for cpu, aps in groups)
 
     # Monotonicity in each algorithm's control parameter.
     for _ in range(1000):
         m = int(gen.integers(4, 13))
         beta = gen.lognormal(size=m)
-        cpu_map = random_cpu_map(m, int(gen.integers(1, 4)), gen)
-        q = len(cpu_map)
+        q = int(gen.integers(1, 4))
+        owner = random_cpu_map(m, q, gen)
         d1, d2 = sorted(gen.uniform(beta.min(), beta.max(), size=2))
-        ok &= set(cluster_lsf_threshold(beta, cpu_map, q, d2)) <= \
-            set(cluster_lsf_threshold(beta, cpu_map, q, d1))
+        ok &= set(cluster_of(beta, owner, q, threshold(q, d2))) <= \
+            set(cluster_of(beta, owner, q, threshold(q, d1)))
         n1, n2 = sorted(gen.integers(1, m + 1, size=2))
-        ok &= set(cluster_fixed(beta, cpu_map, q, int(n1))) <= \
-            set(cluster_fixed(beta, cpu_map, q, int(n2)))
+        ok &= set(cluster_of(beta, owner, q, fixed(q, int(n1)))) <= \
+            set(cluster_of(beta, owner, q, fixed(q, int(n2))))
         f1, f2 = sorted(gen.uniform(0.05, 1.0, size=2))
-        ok &= set(cluster_power(beta, cpu_map, q, f1)) <= \
-            set(cluster_power(beta, cpu_map, q, f2))
+        ok &= set(cluster_of(beta, owner, q, power(q, f1))) <= \
+            set(cluster_of(beta, owner, q, power(q, f2)))
 
     # Fallback: every algorithm returns a nonempty cluster.
     for _ in range(1000):
         m = int(gen.integers(4, 13))
         beta = gen.lognormal(size=m)
-        cpu_map = random_cpu_map(m, int(gen.integers(1, 4)), gen)
-        q = len(cpu_map)
+        q = int(gen.integers(1, 4))
+        owner = random_cpu_map(m, q, gen)
         for params in (
             ClusteringParams(algorithm="lsf_threshold", n_cpu=q,
                              lsf_threshold=float(beta.max()) * 10.0,
@@ -293,19 +289,18 @@ def test_criterion_7_clustering_property_suites():
             ClusteringParams(algorithm="legacy_largest_lsf",
                              legacy_cluster_size=1),
         ):
-            ok &= len(form_cluster(beta, cpu_map, params)) >= 1
+            ok &= len(cluster_of(beta, owner, q, params)) >= 1
 
     # Tie determinism: heavily quantized inputs, repeated runs, lowest index.
     for _ in range(1000):
         m = int(gen.integers(4, 13))
         beta = np.round(gen.lognormal(size=m), 1) + 0.1
-        cpu_map = random_cpu_map(m, int(gen.integers(1, 4)), gen)
-        q = len(cpu_map)
-        params = ClusteringParams(algorithm="fixed_aps", n_cpu=q,
-                                  n_ap=int(gen.integers(1, m + 1)))
-        first = form_cluster(beta, cpu_map, params)
-        ok &= first == form_cluster(beta, cpu_map, params)
-        top = cluster_legacy_largest_lsf(beta, 1)
+        q = int(gen.integers(1, 4))
+        owner = random_cpu_map(m, q, gen)
+        params = fixed(q, int(gen.integers(1, m + 1)))
+        first = cluster_of(beta, owner, q, params)
+        ok &= first == cluster_of(beta, owner, q, params)
+        top = cluster_of(beta, owner, q, legacy(1))
         ok &= top[0] == int(np.flatnonzero(beta == beta.max())[0])
     _report(7, "clustering structural properties", ok)
 

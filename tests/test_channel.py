@@ -65,7 +65,8 @@ class TestShadowing:
     def test_colocated_aps_fully_correlated(self, rng):
         pos = np.array([[10.0, 10.0], [10.0, 10.0], [-200.0, 55.0]])
         dep = Deployment(ap_positions=pos, ue_positions=np.zeros((2, 2)),
-                         cpu_positions=np.zeros((1, 2)), cpu_map=((0, 1, 2),))
+                         cpu_positions=np.zeros((1, 2)),
+                         ap_to_cpu=np.zeros(3, dtype=int))
         cfg = LargeScaleModelConfig(shadow_weight=1.0)
         field = shadowing_field(dep, cfg, rng)
         # With the UE component weighted out, identical positions share values.
@@ -83,7 +84,8 @@ class TestShadowing:
     def test_nearby_aps_more_correlated_than_distant(self):
         pos = np.array([[0.0, 0.0], [10.0, 0.0], [450.0, 450.0]])
         dep = Deployment(ap_positions=pos, ue_positions=np.zeros((1, 2)),
-                         cpu_positions=np.zeros((1, 2)), cpu_map=((0, 1, 2),))
+                         cpu_positions=np.zeros((1, 2)),
+                         ap_to_cpu=np.zeros(3, dtype=int))
         cfg = LargeScaleModelConfig(shadow_weight=1.0)
         gen = np.random.default_rng(7)
         draws = np.array([shadowing_field(dep, cfg, gen)[:, 0]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfmimo import cli
 from cfmimo.cli import main
 from cfmimo.clustering import ClusteringParams
 from cfmimo.errors import ConfigurationError
@@ -119,6 +120,26 @@ class TestRunDrop:
         mixed = run_drop(replace(base, transmission_mode="mixed"), 0)
         nc = run_drop(replace(base, transmission_mode="non_coherent"), 0)
         assert mixed.user_rate == nc.user_rate
+
+    @pytest.mark.parametrize("algorithm",
+                             ["lsf_threshold", "fixed_aps", "power_fraction"])
+    def test_n_cpu_above_cpu_count_rejected(self, tmp_path, algorithm):
+        # One AP between two CPUs: the CPU without APs still counts, so
+        # n_cpu = 2 runs and n_cpu = 3 is rejected; legacy ignores n_cpu.
+        base = _tiny_config(
+            scenario=ScenarioConfig(num_aps=1, num_users=2, num_antennas=2,
+                                    cpu_positions=((250.0, 0.0), (-250.0, 0.0))),
+            clustering=ClusteringParams(algorithm=algorithm, n_cpu=2),
+            num_drops=1)
+        assert run_drop(base, 0).sum_rate >= 0
+        over = replace(base, clustering=replace(base.clustering, n_cpu=3))
+        with pytest.raises(ConfigurationError, match="drop 0: n_cpu exceeds"):
+            run_drop(over, 0)
+        legacy = replace(over.clustering, algorithm="legacy_largest_lsf")
+        assert run_drop(replace(over, clustering=legacy), 0).sum_rate >= 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(over)))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
 
     def test_result_shapes(self):
         drop = run_drop(_tiny_config(), 2)
@@ -303,6 +324,34 @@ class TestCli:
                 rates = [float(v) for row in rows for key, v in row.items()
                          if "rate" in key and v]
                 assert rates and all(np.isfinite(rates)) and min(rates) >= 0.0
+
+    @pytest.mark.parametrize("use_config, flags, expected", [
+        (True, [], (3, 777)),
+        (True, ["--seed", "5", "--samples", "123"], (5, 123)),
+        (False, [], (0, 100_000)),
+        (False, ["--seed", "5", "--samples", "123"], (5, 123)),
+    ])
+    def test_validate_applies_seed_and_samples(self, tmp_path, monkeypatch,
+                                               use_config, flags, expected):
+        seen = []
+
+        def first_check_only(config, drop_index=0):
+            seen.append((config.base_seed, config.oracle.num_samples))
+            raise ConfigurationError("checked the first config")
+
+        monkeypatch.setattr(cli, "run_oracle_check", first_check_only)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"base_seed": 3,
+                                    "oracle": {"num_samples": 777}}))
+        config = ["--config", str(path)] if use_config else []
+        assert main(["validate", *config, *flags]) == 1
+        assert seen == [expected]
+
+    def test_validate_compares_sinr(self, capsys):
+        main(["validate", "--samples", "2000"])
+        out = capsys.readouterr().out
+        assert "user 0 SINR[0]: closed" in out
+        assert "worst normalized deviation" in out
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         path = tmp_path / "config.json"

@@ -9,7 +9,7 @@ from conftest import random_stats, small_instance
 from cfmimo.channel import sample_channel
 from cfmimo.clustering import ServingStructure, build_serving_structure, \
     ClusteringParams
-from cfmimo.errors import ConfigurationError, DegenerateLinkError
+from cfmimo.errors import ConfigurationError, DegenerateLinkError, NumericalError
 from cfmimo.harness import OracleConfig, run_oracle_check, validation_config
 from cfmimo.pilots import (PilotAssignment, PowerConfig, estimate_covariance,
                            mmse_coefficients, mmse_estimate, psi_stack,
@@ -17,7 +17,7 @@ from cfmimo.pilots import (PilotAssignment, PowerConfig, estimate_covariance,
 from cfmimo import spectral_efficiency
 from cfmimo.spectral_efficiency import (FrameConfig, compute_terms,
                                         effective_data_powers, mc_oracle,
-                                        mr_scale, sinr_mixed, user_rates)
+                                        mr_scale, user_rates)
 
 
 def _single_link_setup(rng, num_antennas=2, noise_power=0.5):
@@ -166,7 +166,7 @@ class TestSinr:
         stats, assignment, serving = _single_link_setup(rng)
         powers = PowerConfig()
         terms = compute_terms(serving, stats, assignment, powers)
-        gamma = sinr_mixed(terms, 0, 1, stats.noise_power)
+        gamma = user_rates(terms, FrameConfig(), stats.noise_power).sinr[0][0]
         expected = terms.D[0][0] / (terms.E[0] + terms.F[0] - terms.D[0][0]
                                     + stats.noise_power)
         assert gamma == pytest.approx(expected, rel=1e-12)
@@ -181,14 +181,6 @@ class TestSinr:
             assert np.all(np.diff(denoms) <= 1e-15)
             assert all(d > 0 for d in denoms)
 
-    def test_out_of_range_group_rejected(self, rng):
-        stats, assignment, serving = _single_link_setup(rng)
-        terms = compute_terms(serving, stats, assignment, PowerConfig())
-        with pytest.raises(ConfigurationError):
-            sinr_mixed(terms, 0, 2, stats.noise_power)
-        with pytest.raises(ConfigurationError):
-            sinr_mixed(terms, 0, 0, stats.noise_power)
-
 
 class TestUserRates:
     def test_prelog_arithmetic(self):
@@ -200,12 +192,22 @@ class TestUserRates:
         from cfmimo.spectral_efficiency import SETerms
         terms = SETerms(D=(np.array([2.0]),), E=np.array([1.0]),
                         F=np.array([1.0]), group_order=((0,),))
-        serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),),
-                                   num_aps=1)
         # Denominator = 1 + 1 - 2 + 2 = 2, so gamma = 1.
-        result = user_rates(terms, serving, FrameConfig(200, 10),
-                            noise_power=2.0)
+        result = user_rates(terms, FrameConfig(200, 10), noise_power=2.0)
         assert result.user_rate[0] == pytest.approx(0.95, rel=1e-12)
+
+    def test_numerical_failures_name_user_and_group(self):
+        from cfmimo.spectral_efficiency import SETerms
+        # User 1's second group leaves 3 - 1 - 4 + 1 = -1 undecoded power.
+        terms = SETerms(D=(np.array([1.0]), np.array([1.0, 4.0])),
+                        E=np.array([3.0, 3.0]), F=np.zeros(2),
+                        group_order=((0,), (0, 1)))
+        with pytest.raises(NumericalError,
+                           match="denominator for user 1, group 2"):
+            user_rates(terms, FrameConfig(), noise_power=1.0)
+        nan_terms = replace(terms, D=(np.array([1.0]), np.array([np.nan])))
+        with pytest.raises(NumericalError, match="user 1 has rate nan"):
+            user_rates(nan_terms, FrameConfig(), noise_power=1.0)
 
     def test_zero_gamma_zero_rate(self):
         frame = FrameConfig(tau_c=200, tau_p=10)
@@ -214,12 +216,15 @@ class TestUserRates:
     def test_rates_consistent_with_sinrs(self):
         stats, assignment, serving, terms, powers, frame = small_instance(
             8, 3, 2, 2, 2, seed=1)
-        result = user_rates(terms, serving, frame, stats.noise_power)
+        result = user_rates(terms, frame, stats.noise_power)
         for k in range(3):
-            expected = sum(
-                frame.prelog * np.log2(1.0 + sinr_mixed(terms, k, c + 1,
-                                                        stats.noise_power))
-                for c in range(terms.D[k].size))
+            # Group by group, each SINR over the power not yet decoded.
+            d, expected = terms.D[k], 0.0
+            for c in range(d.size):
+                gamma = d[c] / (terms.E[k] + terms.F[k] - np.sum(d[:c + 1])
+                                + stats.noise_power)
+                assert result.sinr[k][c] == pytest.approx(gamma, rel=1e-12)
+                expected += frame.prelog * np.log2(1.0 + gamma)
             assert result.user_rate[k] == pytest.approx(expected, rel=1e-12)
         assert result.sum_rate == pytest.approx(result.user_rate.sum())
 
@@ -257,9 +262,8 @@ class TestOracle:
         # tracks the closed form tightly.
         stats = random_stats(2, 2, 2, rng, noise_power=1e-12)
         assignment = PilotAssignment(tau_p=2, t=np.array([0, 1]))
-        cpu_map = ((0,), (1,))
         serving = build_serving_structure(
-            stats.beta, cpu_map,
+            stats.beta, np.array([0, 1]), 2,
             ClusteringParams(algorithm="fixed_aps", n_cpu=2, n_ap=2),
             stats.noise_power)
         powers = PowerConfig()
@@ -288,11 +292,12 @@ class TestOracle:
         config = replace(validation_config(12, 4, 4, 2), base_seed=41,
                          oracle=OracleConfig(num_samples=100_000))
         terms, oracle, noise = run_oracle_check(config, 4)
+        sinr = user_rates(terms, config.frame, noise).sinr
         assert oracle.D[2][3] == 0.0
         for k in range(4):
             assert np.all(np.isfinite(oracle.sinr_se[k]))
             for c in range(terms.D[k].size):
-                closed = sinr_mixed(terms, k, c + 1, noise)
+                closed = sinr[k][c]
                 assert abs(closed - oracle.sinr[k][c]) <= max(
                     0.02 * abs(closed), 3.0 * oracle.sinr_se[k][c])
 
