@@ -10,10 +10,10 @@ from .clustering import (ClusteringParams, ServingLinks, ServingStructure,
                          build_serving_structure, serving_mask)
 from .errors import (CfMimoError, ConfigurationError, DegenerateLinkError,
                      NumericalError)
-from .pilots import (PilotAssignment, PowerConfig, assign_pilots,
-                     estimate_covariance, mmse_coefficients, mmse_estimate,
-                     pilot_normals, pilot_observations, psi_stack,
-                     simulate_pilot_phase)
+from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
+                     assign_pilots, estimate_covariance, estimation_terms,
+                     mmse_coefficients, mmse_estimate, pilot_normals,
+                     pilot_observations, psi_stack, simulate_pilot_phase)
 from .scenario import (Deployment, ScenarioConfig, generate_deployment,
                        wrap_distance)
 from .spectral_efficiency import (FrameConfig, OracleResult, RateResult,

@@ -8,7 +8,8 @@ Subcommands:
   fig2     preset: total rate vs legacy cluster size A_k
   fig3-6   preset: clustering algorithms vs n_cpu for each mode
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/numerical error.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime/numerical
+error.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import replace
 from .clustering import ClusteringParams
 from .errors import CfMimoError, ConfigurationError
 from .harness import (ExperimentConfig, OracleConfig, emit_results,
-                      load_config, run_experiment, run_oracle_check,
-                      validation_config)
+                      load_config, point_label, run_experiment,
+                      run_oracle_check, validation_config)
 from .scenario import ScenarioConfig
 from .spectral_efficiency import user_rates
 
@@ -71,7 +72,7 @@ def _cmd_run(args, expect_sweep: bool) -> int:
     results = run_experiment(config, jobs=args.jobs)
     csv_path, json_path = emit_results(results, args.out)
     for point, res in results:
-        label = " ".join(f"{k}={v}" for k, v in point.items()) or "base"
+        label = point_label(point) or "base"
         print(f"{label}: mean sum rate {res.mean_sum_rate:.4f} bits/s/Hz "
               f"over {len(res.drops)} drops")
     print(f"wrote {csv_path} and {json_path}")
@@ -83,7 +84,7 @@ def _cmd_preset(args) -> int:
     results = run_experiment(config, jobs=args.jobs)
     csv_path, json_path = emit_results(results, args.out, stem=args.command)
     for point, res in results:
-        label = " ".join(f"{k}={v}" for k, v in point.items())
+        label = point_label(point)
         print(f"{label}: mean sum rate {res.mean_sum_rate:.4f} bits/s/Hz")
     print(f"wrote {csv_path} and {json_path}")
     return 0
@@ -97,7 +98,8 @@ def _cmd_validate(args) -> int:
     else:
         configs = [validation_config(m, k, q, tau_p)
                    for m, k, q, tau_p in ((8, 3, 2, 2), (12, 4, 4, 4))]
-    configs = [_apply_overrides(cfg, args) for cfg in configs]
+    if args.seed is not None:
+        configs = [replace(cfg, base_seed=args.seed) for cfg in configs]
     if args.samples is not None:
         configs = [replace(cfg, oracle=OracleConfig(num_samples=args.samples))
                    for cfg in configs]
@@ -132,20 +134,30 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like configuration errors: exit 2 is kept for
+    numerical failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cfmimo",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="cfmimo", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "sweep", "validate", "fig1", "fig2", "fig3-6"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--drops", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         if name == "validate":
             p.add_argument("--samples", type=int, default=None,
                            help="oracle sample count (default: the config's)")
+            continue
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--drops", type=int, default=None)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most one per drop")
     return parser
 
 

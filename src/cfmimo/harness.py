@@ -1,10 +1,18 @@
 """Experiment orchestration: seeded drops, sweeps, aggregation, persistence.
 
 A drop is one deterministic pipeline run: deployment -> channel statistics
--> pilot assignment -> clustering -> closed-form rates. Per-drop random
-streams are split from the base seed with numpy's SeedSequence
-(spawn_key = drop index), so serial and parallel executions produce
-identical results.
+-> pilot assignment -> estimation terms (Psi^-1 and E{||H_hat||^2}) ->
+clustering -> closed-form rates. Per-drop random streams are split from the
+base seed with numpy's SeedSequence (spawn_key = drop index), so serial and
+parallel executions produce identical results.
+
+The stages up to the estimation terms read only a config's upstream key,
+(scenario, large_scale, frame.tau_p, powers.pilot_power, base_seed), and
+the drop index. A sweep therefore runs drop-major: each drop runs those
+stages once per distinct key, then clustering and the closed form for
+every sweep point with that key. The rows are regrouped per point, in grid
+order, before aggregation. With jobs > 1 one process pool of
+min(jobs, drops) workers spreads the drops of the whole grid.
 """
 
 from __future__ import annotations
@@ -18,15 +26,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .channel import LargeScaleModelConfig, PathLossParams, channel_stats
+from .channel import (ChannelStatistics, LargeScaleModelConfig, PathLossParams,
+                      channel_stats)
 from .clustering import ClusteringParams, build_serving_structure
 from .errors import CfMimoError, ConfigurationError
-from .pilots import PowerConfig, assign_pilots
-from .scenario import ScenarioConfig, generate_deployment
+from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
+                     assign_pilots, estimation_terms)
+from .scenario import Deployment, ScenarioConfig, generate_deployment
 from .spectral_efficiency import (FrameConfig, compute_terms, mc_oracle,
                                   user_rates)
 
@@ -220,61 +231,98 @@ def _drop_streams(base_seed: int, drop_index: int):
     return dep_seed, np.random.default_rng(shadow), np.random.default_rng(pilot)
 
 
+def point_label(point: dict) -> str:
+    """A sweep point as space-separated path=value pairs."""
+    return " ".join(f"{k}={v}" for k, v in point.items())
+
+
 @contextmanager
-def _naming_drop(drop_index: int):
-    """Prefix the message of any CfMimoError raised inside with the drop."""
+def _naming(point: dict, drop_index: int):
+    """Prefix the message of any CfMimoError raised inside with the drop
+    and, inside a sweep, the sweep point."""
+    where = f"drop {drop_index}"
+    if point:
+        where = f"sweep point {point_label(point)}, {where}"
     try:
         yield
     except CfMimoError as exc:
-        raise type(exc)(f"drop {drop_index}: {exc}") from exc
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _drop_stages(config: ExperimentConfig, drop_index: int):
-    """Deployment through closed-form terms for one drop.
+def _upstream_key(config: ExperimentConfig) -> tuple:
+    """Everything that _upstream reads from config. Keys are compared by
+    equality, not by hash: a swept value may be a list."""
+    return (config.scenario, config.large_scale, config.frame.tau_p,
+            config.powers.pilot_power, config.base_seed)
 
-    Returns (dep_seed, stats, assignment, serving, terms).
-    """
+
+class _Upstream(NamedTuple):
+    seed: int                     # deployment seed actually used
+    deployment: Deployment
+    stats: ChannelStatistics
+    assignment: PilotAssignment
+    estimation: EstimationTerms
+
+
+def _upstream(config: ExperimentConfig, drop_index: int) -> _Upstream:
+    """Deployment, channel statistics, pilots and estimation terms of a drop:
+    the stages that every config with the same _upstream_key shares."""
     dep_seed, shadow_rng, pilot_rng = _drop_streams(config.base_seed, drop_index)
-    scenario = replace(config.scenario, seed=dep_seed)
-    deployment = generate_deployment(scenario)
+    deployment = generate_deployment(replace(config.scenario, seed=dep_seed))
     stats = channel_stats(deployment, config.large_scale, shadow_rng)
-    assignment = assign_pilots(scenario.num_users, config.frame.tau_p, pilot_rng)
-    serving = build_serving_structure(stats.beta, deployment.ap_to_cpu,
-                                      deployment.num_cpus, config.clustering,
-                                      stats.noise_power,
+    assignment = assign_pilots(config.scenario.num_users, config.frame.tau_p,
+                               pilot_rng)
+    return _Upstream(dep_seed, deployment, stats, assignment,
+                     estimation_terms(stats, assignment, config.powers))
+
+
+def _downstream(config: ExperimentConfig, up: _Upstream):
+    """Clustering and closed-form terms of config on a drop's upstream.
+
+    Returns (serving, terms).
+    """
+    serving = build_serving_structure(up.stats.beta, up.deployment.ap_to_cpu,
+                                      up.deployment.num_cpus, config.clustering,
+                                      up.stats.noise_power,
                                       mode=config.transmission_mode)
-    terms = compute_terms(serving, stats, assignment, config.powers)
-    return dep_seed, stats, assignment, serving, terms
+    return serving, compute_terms(serving, up.stats, up.assignment,
+                                  config.powers, up.estimation)
+
+
+def _run_drop_grid(grid: list[tuple[dict, ExperimentConfig]],
+                   drop_index: int) -> list[DropResult]:
+    """Drop drop_index of every (sweep point, config) in grid, in grid order.
+
+    The upstream stages run once per distinct _upstream_key, and only one
+    key's upstream is held at a time.
+    """
+    out = [None] * len(grid)
+    todo = [(i, _upstream_key(config)) for i, (_, config) in enumerate(grid)]
+    while todo:
+        key = todo[0][1]
+        up = None
+        for i in [i for i, k in todo if k == key]:
+            point, config = grid[i]
+            with _naming(point, drop_index):
+                if up is None:
+                    up = _upstream(config, drop_index)
+                _, terms = _downstream(config, up)
+                rates = user_rates(terms, config.frame, up.stats.noise_power)
+            out[i] = DropResult(drop_index=drop_index, seed=up.seed,
+                                user_rate=array("d", rates.user_rate),
+                                sum_rate=rates.sum_rate)
+        todo = [(i, k) for i, k in todo if k != key]
+    return out
 
 
 def run_drop(config: ExperimentConfig, drop_index: int) -> DropResult:
     """Execute one deployment drop; pure function of (config, drop_index)."""
-    with _naming_drop(drop_index):
-        dep_seed, stats, _, _, terms = _drop_stages(config, drop_index)
-        rates = user_rates(terms, config.frame, stats.noise_power)
-    return DropResult(drop_index=drop_index, seed=dep_seed,
-                      user_rate=array("d", rates.user_rate),
-                      sum_rate=rates.sum_rate)
+    return _run_drop_grid([({}, config)], drop_index)[0]
 
 
-def _run_drop_args(args) -> DropResult:
-    return run_drop(*args)
-
-
-def run_single(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Run num_drops independent drops (sweep field ignored) and aggregate."""
-    indices = range(config.num_drops)
-    if jobs > 1:
-        # Imported here: the pool machinery adds about 2 MB to the resident
-        # size of every process that loads it, and serial runs never need it.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            drops = list(pool.map(_run_drop_args,
-                                  [(config, i) for i in indices], chunksize=4))
-    else:
-        drops = [run_drop(config, i) for i in indices]
-    drops.sort(key=lambda d: d.drop_index)
-
+def _summarize(config: ExperimentConfig,
+               drops: list[DropResult]) -> ExperimentResult:
+    """The result of one config from its drops, in drop order."""
     sums = np.array([d.sum_rate for d in drops])
     order = np.sort(sums)
     probs = np.arange(1, sums.size + 1) / sums.size
@@ -289,31 +337,73 @@ def run_single(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     )
 
 
+def _run_grid(grid: list[tuple[dict, ExperimentConfig]],
+              jobs: int) -> list[ExperimentResult]:
+    """Run every (sweep point, config) of grid drop-major, over at most
+    jobs worker processes, and aggregate each point's drops."""
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    num_drops = max(config.num_drops for _, config in grid)
+    # Drop d evaluates the grid entries that have more than d drops.
+    active = [[i for i, (_, config) in enumerate(grid) if config.num_drops > d]
+              for d in range(num_drops)]
+    tasks = [[grid[i] for i in entries] for entries in active]
+    workers = min(jobs, num_drops)
+    if workers > 1:
+        # Imported here: the pool machinery adds about 2 MB to the resident
+        # size of every process that loads it, and serial runs never need it.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_run_drop_grid, tasks, range(num_drops),
+                                 chunksize=max(1, num_drops // (4 * workers))))
+    else:
+        rows = list(map(_run_drop_grid, tasks, range(num_drops)))
+    drops = [[] for _ in grid]
+    for entries, row in zip(active, rows):
+        for i, result in zip(entries, row):
+            drops[i].append(result)
+    return [_summarize(config, d) for (_, config), d in zip(grid, drops)]
+
+
+def run_single(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
+    """Run num_drops independent drops (sweep field ignored) and aggregate."""
+    return _run_grid([({}, config)], jobs)[0]
+
+
 def run_experiment(config: ExperimentConfig,
                    jobs: int = 1) -> list[tuple[dict, ExperimentResult]]:
     """Run the experiment, expanding the sweep grid if one is configured.
 
-    Returns (sweep_point, result) pairs; a single pair with an empty point
-    when there is no sweep.
+    Returns (sweep_point, result) pairs in grid order; a single pair with an
+    empty point when there is no sweep. All points run in one drop-major
+    pass (see the module docstring).
     """
     if not config.sweep:
         return [({}, run_single(config, jobs))]
     names = list(config.sweep)
-    out = []
+    grid = []
     for values in product(*(config.sweep[n] for n in names)):
         point = dict(zip(names, values))
-        out.append((point, run_single(apply_sweep_point(config, point), jobs)))
-    return out
+        grid.append((point, apply_sweep_point(config, point)))
+    return [(point, result)
+            for (point, _), result in zip(grid, _run_grid(grid, jobs))]
 
 
 def run_oracle_check(config: ExperimentConfig, drop_index: int = 0):
     """Closed form vs Monte Carlo oracle on one drop; returns both results."""
-    with _naming_drop(drop_index):
-        _, stats, assignment, serving, terms = _drop_stages(config, drop_index)
+    with _naming({}, drop_index):
+        up = _upstream(config, drop_index)
+        serving, terms = _downstream(config, up)
+        # Only what the oracle reads stays alive while it allocates its
+        # 10-30 MB sample batches: small arrays held across them can split
+        # the freed heap, so that a later batch extends it and peak RSS grows.
+        stats, assignment = up.stats, up.assignment
+        del up
         oracle_rng = np.random.default_rng(
             np.random.SeedSequence(config.base_seed, spawn_key=(drop_index, 1)))
-        oracle = mc_oracle(serving, stats, assignment, config.powers, config.frame,
-                           config.oracle.num_samples, oracle_rng, terms=terms)
+        oracle = mc_oracle(serving, stats, assignment, config.powers,
+                           config.frame, config.oracle.num_samples, oracle_rng,
+                           terms=terms)
     return terms, oracle, stats.noise_power
 
 

@@ -80,6 +80,28 @@ def psi_stack(stats: ChannelStatistics, assignment: PilotAssignment,
     return out
 
 
+@dataclass(frozen=True)
+class EstimationTerms:
+    """The MMSE statistics of a drop that depend on the channel statistics,
+    the pilots and the pilot power only, not on the serving links or the
+    data power."""
+    psi_inv: np.ndarray           # (tau_p, M, N, N) inverse of the psi_stack
+    est_trace: np.ndarray         # (M, K) E{||H_hat[m, k]||^2}
+
+
+def estimation_terms(stats: ChannelStatistics, assignment: PilotAssignment,
+                     powers: PowerConfig) -> EstimationTerms:
+    """Psi^-1 and est_trace[m, k] = p^p tau_p tr(R[m,k] Psi[m,t_k]^-1 R[m,k]).
+
+    Of powers only the pilot power is read.
+    """
+    psi_inv = np.linalg.inv(psi_stack(stats, assignment, powers))  # PD: sigma^2 > 0
+    R_psi_inv = stats.R @ psi_inv[assignment.t].swapaxes(0, 1)        # (M, K, N, N)
+    est_trace = powers.pilot_power * assignment.tau_p * np.einsum(
+        "mkab,mkba->mk", R_psi_inv, stats.R).real
+    return EstimationTerms(psi_inv=psi_inv, est_trace=est_trace)
+
+
 def pilot_normals(realization_shape: tuple[int, ...], assignment: PilotAssignment,
                   rng: np.random.Generator) -> np.ndarray:
     """(2, ..., tau_p, M, N) standard normals of the pilot noise.

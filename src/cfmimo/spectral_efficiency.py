@@ -25,9 +25,9 @@ from .channel import (ChannelStatistics, channel_normals, correlate_channel,
                       correlation_sqrt)
 from .clustering import ServingStructure
 from .errors import ConfigurationError, DegenerateLinkError, NumericalError
-from .pilots import (PilotAssignment, PowerConfig, mmse_coefficients,
-                     mmse_estimate, pilot_normals, pilot_observations,
-                     psi_stack)
+from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
+                     estimation_terms, mmse_coefficients, mmse_estimate,
+                     pilot_normals, pilot_observations)
 
 # The oracle draws its normals ORACLE_BATCH samples at a time, which fixes
 # its random stream. It transforms each batch in chunks of as many samples
@@ -109,25 +109,13 @@ def effective_data_powers(serving: ServingStructure, powers: PowerConfig) -> np.
     return rho
 
 
-def _mr_scales(serving: ServingStructure, stats: ChannelStatistics,
-               assignment: PilotAssignment, powers: PowerConfig):
-    """(psi_inv, est_trace, scale) shared by the closed form and the oracle.
-
-    psi_inv is the inverse of the psi_stack, est_trace[m, i] =
-    p^p tau_p tr(R[m,i] Psi[m,t_i]^-1 R[m,i]) = E{||H_hat[m,i]||^2}, and
-    scale the (M, K) MR scales of the effective data powers.
-    """
-    psi_inv = np.linalg.inv(psi_stack(stats, assignment, powers))  # PD: sigma^2 > 0
-    R_psi_inv = stats.R @ psi_inv[assignment.t].swapaxes(0, 1)        # (M, K, N, N)
-    est_trace = powers.pilot_power * assignment.tau_p * np.einsum(
-        "mkab,mkba->mk", R_psi_inv, stats.R).real
-    return psi_inv, est_trace, mr_scale(effective_data_powers(serving, powers),
-                                        est_trace)
-
-
 def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
-                  assignment: PilotAssignment, powers: PowerConfig) -> SETerms:
+                  assignment: PilotAssignment, powers: PowerConfig,
+                  estimation: EstimationTerms) -> SETerms:
     """Evaluate D_k^c, E_k and F_k for every user and coherent group.
+
+    estimation is estimation_terms(stats, assignment, powers), which every
+    serving structure and data power of the drop can share.
 
     The sums run over the serving links l = (m, i) of serving.links, with
     MR scale s_l, p tau = p^p tau_p and A_l = R[m,i] Psi[m,t_i]^-1 (Psi at
@@ -142,7 +130,8 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     """
     links = serving.links
     ap, user, start = links.ap, links.user, links.group_start
-    psi_inv, est_trace, scale = _mr_scales(serving, stats, assignment, powers)
+    psi_inv, est_trace = estimation.psi_inv, estimation.est_trace
+    scale = mr_scale(effective_data_powers(serving, powers), est_trace)
     s, pt = scale[ap, user], powers.pilot_power * assignment.tau_p
     R_own = stats.R[ap, user]                                   # (L, N, N)
     A = R_own @ psi_inv[assignment.t[user], ap]
@@ -234,11 +223,13 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
+    estimation = estimation_terms(stats, assignment, powers)
     if terms is None:
-        terms = compute_terms(serving, stats, assignment, powers)
+        terms = compute_terms(serving, stats, assignment, powers, estimation)
     K = len(serving.clusters)
-    psi_inv, _, w_scale = _mr_scales(serving, stats, assignment, powers)
-    coef = mmse_coefficients(stats, assignment, powers, psi_inv)
+    w_scale = mr_scale(effective_data_powers(serving, powers),
+                       estimation.est_trace)
+    coef = mmse_coefficients(stats, assignment, powers, estimation.psi_inv)
     sqrt_R = correlation_sqrt(stats.R)
 
     links = serving.links

@@ -11,7 +11,7 @@ from cfmimo.channel import ChannelStatistics, spatial_correlation
 from cfmimo.clustering import (ClusteringParams, build_serving_structure,
                                serving_mask)
 from cfmimo.harness import validation_config
-from cfmimo.pilots import assign_pilots
+from cfmimo.pilots import assign_pilots, estimation_terms
 from cfmimo.scenario import generate_deployment
 from cfmimo.spectral_efficiency import compute_terms
 from cfmimo import channel_stats
@@ -89,7 +89,8 @@ def small_instance(num_aps: int, num_users: int, num_antennas: int,
     serving = build_serving_structure(stats.beta, deployment.ap_to_cpu,
                                       deployment.num_cpus, config.clustering,
                                       stats.noise_power, mode=mode)
-    terms = compute_terms(serving, stats, assignment, config.powers)
+    terms = compute_terms(serving, stats, assignment, config.powers,
+                          estimation_terms(stats, assignment, config.powers))
     return stats, assignment, serving, terms, config.powers, config.frame
 
 

@@ -19,11 +19,12 @@ from conftest import (cluster_of, fixed, legacy, power, random_cpu_map,
 from cfmimo.channel import sample_channel
 from cfmimo.clustering import ClusteringParams, build_serving_structure
 from cfmimo.harness import (ExperimentConfig, OracleConfig, emit_results,
-                            run_experiment, run_oracle_check, run_single,
+                            run_experiment, run_oracle_check,
                             validation_config)
 from cfmimo.pilots import (PilotAssignment, PowerConfig, assign_pilots,
-                           estimate_covariance, mmse_coefficients,
-                           mmse_estimate, psi_stack, simulate_pilot_phase)
+                           estimate_covariance, estimation_terms,
+                           mmse_coefficients, mmse_estimate, psi_stack,
+                           simulate_pilot_phase)
 from cfmimo.scenario import ScenarioConfig
 from cfmimo.spectral_efficiency import FrameConfig, compute_terms, user_rates
 
@@ -94,6 +95,7 @@ def test_criterion_2_special_case_exactness():
         owner = random_cpu_map(8, 2, gen)
         powers = PowerConfig()
         frame = FrameConfig(200, 2)
+        est = estimation_terms(stats, assignment, powers)
 
         # (a) clusters confined to one CPU: mixed equals the coherent form.
         params = ClusteringParams(algorithm="fixed_aps", n_cpu=1, n_ap=3)
@@ -101,9 +103,9 @@ def test_criterion_2_special_case_exactness():
                                         mode="mixed")
         coh = build_serving_structure(stats.beta, owner, 2, params,
                                       mode="coherent")
-        rm = user_rates(compute_terms(mixed, stats, assignment, powers),
+        rm = user_rates(compute_terms(mixed, stats, assignment, powers, est),
                         frame, stats.noise_power)
-        rc = user_rates(compute_terms(coh, stats, assignment, powers),
+        rc = user_rates(compute_terms(coh, stats, assignment, powers, est),
                         frame, stats.noise_power)
         ok &= np.allclose(rm.user_rate, rc.user_rate, rtol=1e-12, atol=0)
 
@@ -114,9 +116,9 @@ def test_criterion_2_special_case_exactness():
                                         mode="mixed")
         nc = build_serving_structure(stats.beta, singleton, 8, params,
                                      mode="non_coherent")
-        rm = user_rates(compute_terms(mixed, stats, assignment, powers),
+        rm = user_rates(compute_terms(mixed, stats, assignment, powers, est),
                         frame, stats.noise_power)
-        rn = user_rates(compute_terms(nc, stats, assignment, powers),
+        rn = user_rates(compute_terms(nc, stats, assignment, powers, est),
                         frame, stats.noise_power)
         ok &= np.allclose(rm.user_rate, rn.user_rate, rtol=1e-12, atol=0)
 
@@ -127,7 +129,7 @@ def test_criterion_2_special_case_exactness():
         for mode in ("mixed", "coherent", "non_coherent"):
             serving = build_serving_structure(stats.beta, owner, 2, params,
                                               mode=mode)
-            r = user_rates(compute_terms(serving, stats, assignment, powers),
+            r = user_rates(compute_terms(serving, stats, assignment, powers, est),
                            frame, stats.noise_power)
             rates.append(tuple(r.user_rate))
         ok &= rates[0] == rates[1] == rates[2]
@@ -201,10 +203,11 @@ def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
 
 
 def test_criterion_5_transmission_mode_ordering():
-    sums = {}
-    for mode in ("coherent", "mixed", "non_coherent"):
-        res = run_single(_desk_config(transmission_mode=mode), jobs=JOBS)
-        sums[mode] = np.array([d.sum_rate for d in res.drops])
+    modes = ("coherent", "mixed", "non_coherent")
+    results = run_experiment(_desk_config(sweep={"transmission_mode": modes}),
+                             jobs=JOBS)
+    sums = {point["transmission_mode"]: np.array([d.sum_rate for d in res.drops])
+            for point, res in results}
     gen = np.random.default_rng(0)
     coh_lo, _ = _bootstrap_ci(sums["coherent"], gen)
     _, nc_hi = _bootstrap_ci(sums["non_coherent"], gen)
@@ -223,16 +226,14 @@ def _unimodal_up_then_down(values: np.ndarray) -> bool:
 
 def test_criterion_6_cluster_size_sweep_shape():
     sizes = (1, 2, 4, 8, 16)
-    means = {}
-    for mode in ("coherent", "mixed", "non_coherent"):
-        row = []
-        for a in sizes:
-            cfg = _desk_config(
-                transmission_mode=mode,
-                clustering=ClusteringParams(algorithm="legacy_largest_lsf",
-                                            legacy_cluster_size=a))
-            row.append(run_single(cfg, jobs=JOBS).mean_sum_rate)
-        means[mode] = np.array(row)
+    modes = ("coherent", "mixed", "non_coherent")
+    results = run_experiment(_desk_config(sweep={
+        "transmission_mode": modes,
+        "clustering.legacy_cluster_size": sizes}), jobs=JOBS)
+    # Grid order: the sizes in order within each mode.
+    means = {mode: np.array([res.mean_sum_rate for point, res in results
+                             if point["transmission_mode"] == mode])
+             for mode in modes}
     nc = means["non_coherent"]
     ok = bool(np.all(np.diff(nc[1:]) <= 1e-9))   # non-increasing for A_k >= 2
     ok &= _unimodal_up_then_down(means["coherent"])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfmimo import cli
+from cfmimo import channel_stats, cli, harness
 from cfmimo.cli import main
 from cfmimo.clustering import ClusteringParams
 from cfmimo.errors import ConfigurationError
@@ -96,6 +97,55 @@ class TestSweep:
         assert {"clustering.n_ap", "transmission_mode"} == set(points[0])
 
 
+    def test_fan_out_matches_run_drop(self):
+        # Upstream axes (pilot power, AP count, CPU positions given as JSON
+        # lists, base seed), downstream axes and a num_drops axis: every
+        # (point, drop) of the drop-major run is the drop run on its own.
+        config = config_from_dict({
+            "scenario": {"num_aps": 12, "num_users": 4, "num_antennas": 2,
+                         "cpu_positions": [[250.0, 0.0], [-250.0, 0.0]]},
+            "clustering": {"algorithm": "fixed_aps", "n_cpu": 2, "n_ap": 4},
+            "sweep": {
+                "powers.pilot_power": [0.2, 0.05],
+                "scenario.num_aps": [10, 12],
+                "scenario.cpu_positions": [[[250.0, 0.0], [-250.0, 0.0]],
+                                           [[0.0, 250.0], [0.0, -250.0]]],
+                "base_seed": [0, 5],
+                "num_drops": [1, 3],
+                "transmission_mode": ["mixed", "non_coherent"],
+                "clustering.n_ap": [2, 4],
+            },
+        })
+        results = run_experiment(config)
+        assert len(results) == 2 ** 7
+        for point, result in results:
+            single = apply_sweep_point(config, point)
+            assert result.drops == tuple(run_drop(single, d)
+                                         for d in range(single.num_drops))
+
+    def test_channel_stats_once_per_upstream_key(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return channel_stats(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "channel_stats", counting)
+        run_experiment(replace(cli._preset("fig3-6", 0), num_drops=2))
+        assert len(calls) == 2            # 27 points share each drop's
+        calls.clear()
+        run_experiment(_tiny_config(num_drops=3, sweep={
+            "powers.pilot_power": (0.2, 0.1),
+            "transmission_mode": ("mixed", "coherent")}))
+        assert len(calls) == 3 * 2        # once per (drop, pilot power)
+
+    def test_parallel_sweep_matches_serial(self):
+        config = _tiny_config(num_drops=4, sweep={
+            "powers.pilot_power": (0.2, 0.1),
+            "transmission_mode": ("mixed", "coherent")})
+        assert run_experiment(config, jobs=2) == run_experiment(config, jobs=1)
+
+
 class TestRunDrop:
     def test_deterministic(self):
         config = _tiny_config()
@@ -173,6 +223,42 @@ class TestRunSingle:
     def test_parallel_matches_serial(self):
         config = _tiny_config(num_drops=6)
         assert run_single(config, jobs=1) == run_single(config, jobs=2)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            run_single(_tiny_config(), jobs)
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            run_experiment(_tiny_config(sweep={"clustering.n_ap": (2, 4)}), jobs)
+
+    @pytest.mark.parametrize("jobs, sweep, workers", [
+        (8, None, [3]),                                   # one per drop
+        (2, None, [2]),
+        (2, {"clustering.n_ap": (2, 4), "powers.pilot_power": (0.2, 0.1)},
+         [2]),                                            # one per experiment
+        (1, None, []),
+    ])
+    def test_pool_size(self, monkeypatch, jobs, sweep, workers):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        config = _tiny_config(sweep=sweep)
+        run_experiment(config, jobs)
+        assert sizes == workers
 
     def test_percentiles_present(self):
         res = run_single(_tiny_config(num_drops=5))
@@ -305,6 +391,44 @@ class TestCli:
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_sweep_failure_names_point_and_drop(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "scenario": {"num_aps": 10, "num_users": 3}, "num_drops": 2,
+            "sweep": {"powers.pilot_power": [0.2, 0.0]}}))
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert ("sweep point powers.pilot_power=0.0, drop 0: serving link (AP"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
+        assert main(["run", "--drops", "1", "--jobs", jobs,
+                     "--out", str(tmp_path)]) == 1
+        assert "configuration error: jobs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--bogus"],
+        ["run", "--jobs", "abc"],
+        ["fig1", "--drops", "1.5"],
+        ["validate", "--drops", "5"],
+        ["validate", "--jobs", "2"],
+        ["validate", "--out", "DIR"],
+        ["validate", "--samples", "1000", "--drops", "5", "--jobs", "2",
+         "--out", "DIR"],
+    ])
+    def test_usage_error_exit_code(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: cfmimo" in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--help"])
+        assert exc.value.code == 0
+        assert "--samples" in capsys.readouterr().out
 
     @given(doc=_extreme_configs)
     @settings(max_examples=30, deadline=None)

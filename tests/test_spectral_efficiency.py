@@ -12,8 +12,8 @@ from cfmimo.clustering import ServingStructure, build_serving_structure, \
 from cfmimo.errors import ConfigurationError, DegenerateLinkError, NumericalError
 from cfmimo.harness import OracleConfig, run_oracle_check, validation_config
 from cfmimo.pilots import (PilotAssignment, PowerConfig, estimate_covariance,
-                           mmse_coefficients, mmse_estimate, psi_stack,
-                           simulate_pilot_phase)
+                           estimation_terms, mmse_coefficients, mmse_estimate,
+                           psi_stack, simulate_pilot_phase)
 from cfmimo import spectral_efficiency
 from cfmimo.spectral_efficiency import (FrameConfig, compute_terms,
                                         effective_data_powers, mc_oracle,
@@ -103,7 +103,8 @@ class TestComputeTerms:
         stats.R[0, 0, 0, 0] = beta
         stats.beta[0, 0] = beta
         powers = PowerConfig(pilot_power=0.2, data_power=0.1)
-        terms = compute_terms(serving, stats, assignment, powers)
+        terms = compute_terms(serving, stats, assignment, powers,
+                              estimation_terms(stats, assignment, powers))
 
         psi = 2 * 0.2 * beta + noise
         d_expected = 0.1 * 0.2 * 2 * beta**2 / psi
@@ -115,7 +116,8 @@ class TestComputeTerms:
     def test_single_group_d_equals_trace_form(self, rng):
         stats, assignment, serving = _single_link_setup(rng)
         powers = PowerConfig()
-        terms = compute_terms(serving, stats, assignment, powers)
+        terms = compute_terms(serving, stats, assignment, powers,
+                              estimation_terms(stats, assignment, powers))
         psi = psi_stack(stats, assignment, powers)[0, 0]
         g = stats.R[0, 0] @ np.linalg.inv(psi) @ stats.R[0, 0]
         expected = (powers.data_power * powers.pilot_power * assignment.tau_p
@@ -157,15 +159,18 @@ class TestComputeTerms:
         assignment = PilotAssignment(tau_p=1, t=np.array([0]))
         serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),),
                                    num_aps=1)
+        powers = PowerConfig()
+        estimation = estimation_terms(stats, assignment, powers)
         with pytest.raises(DegenerateLinkError):
-            compute_terms(serving, stats, assignment, PowerConfig())
+            compute_terms(serving, stats, assignment, powers, estimation)
 
 
 class TestSinr:
     def test_single_group_coherent_form(self, rng):
         stats, assignment, serving = _single_link_setup(rng)
         powers = PowerConfig()
-        terms = compute_terms(serving, stats, assignment, powers)
+        terms = compute_terms(serving, stats, assignment, powers,
+                              estimation_terms(stats, assignment, powers))
         gamma = user_rates(terms, FrameConfig(), stats.noise_power).sinr[0][0]
         expected = terms.D[0][0] / (terms.E[0] + terms.F[0] - terms.D[0][0]
                                     + stats.noise_power)
@@ -267,7 +272,8 @@ class TestOracle:
             ClusteringParams(algorithm="fixed_aps", n_cpu=2, n_ap=2),
             stats.noise_power)
         powers = PowerConfig()
-        terms = compute_terms(serving, stats, assignment, powers)
+        terms = compute_terms(serving, stats, assignment, powers,
+                              estimation_terms(stats, assignment, powers))
         oracle = mc_oracle(serving, stats, assignment, powers,
                            FrameConfig(200, 2), num_samples=100_000,
                            rng=np.random.default_rng(9), terms=terms)
