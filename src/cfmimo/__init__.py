@@ -11,9 +11,9 @@ from .clustering import (ClusteringParams, ServingLinks, ServingStructure,
 from .errors import (CfMimoError, ConfigurationError, DegenerateLinkError,
                      NumericalError)
 from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
-                     assign_pilots, estimate_covariance, estimation_terms,
-                     mmse_coefficients, mmse_estimate, pilot_normals,
-                     pilot_observations, psi_stack, simulate_pilot_phase)
+                     assign_pilots, estimation_terms, mmse_estimate,
+                     pilot_normals, pilot_observations, psi_stack,
+                     simulate_pilot_phase)
 from .scenario import (Deployment, ScenarioConfig, generate_deployment,
                        wrap_distance)
 from .spectral_efficiency import (FrameConfig, OracleResult, RateResult,

@@ -1,7 +1,7 @@
 """Experiment orchestration: seeded drops, sweeps, aggregation, persistence.
 
 A drop is one deterministic pipeline run: deployment -> channel statistics
--> pilot assignment -> estimation terms (Psi^-1 and E{||H_hat||^2}) ->
+-> pilot assignment -> estimation terms (MMSE estimator, E{||H_hat||^2}) ->
 clustering -> closed-form rates. Per-drop random streams are split from the
 base seed with numpy's SeedSequence (spawn_key = drop index), so serial and
 parallel executions produce identical results.
@@ -74,6 +74,9 @@ class ExperimentConfig:
             raise ConfigurationError("num_drops must be >= 1")
         if self.base_seed < 0:
             raise ConfigurationError("base_seed must be >= 0")
+        if self.scenario.seed != 0:
+            raise ConfigurationError("scenario.seed is derived from base_seed "
+                                     "on every drop; set base_seed instead")
 
 
 def validation_config(num_aps: int, num_users: int, num_cpus: int,

@@ -82,24 +82,25 @@ def psi_stack(stats: ChannelStatistics, assignment: PilotAssignment,
 
 @dataclass(frozen=True)
 class EstimationTerms:
-    """The MMSE statistics of a drop that depend on the channel statistics,
-    the pilots and the pilot power only, not on the serving links or the
-    data power."""
-    psi_inv: np.ndarray           # (tau_p, M, N, N) inverse of the psi_stack
+    """The MMSE estimator of a drop and the power of its estimates. Both
+    depend on the channel statistics, the pilots and the pilot power only,
+    not on the serving links or the data power."""
+    coef: np.ndarray              # (M, K, N, N) sqrt(p^p tau_p) R[m,k] Psi[m,t_k]^-1
     est_trace: np.ndarray         # (M, K) E{||H_hat[m, k]||^2}
 
 
 def estimation_terms(stats: ChannelStatistics, assignment: PilotAssignment,
                      powers: PowerConfig) -> EstimationTerms:
-    """Psi^-1 and est_trace[m, k] = p^p tau_p tr(R[m,k] Psi[m,t_k]^-1 R[m,k]).
+    """The MMSE estimator coef[m, k] = sqrt(p^p tau_p) R[m,k] Psi[m,t_k]^-1
+    and est_trace[m, k] = sqrt(p^p tau_p) tr(coef[m, k] R[m, k]).
 
     Of powers only the pilot power is read.
     """
     psi_inv = np.linalg.inv(psi_stack(stats, assignment, powers))  # PD: sigma^2 > 0
-    R_psi_inv = stats.R @ psi_inv[assignment.t].swapaxes(0, 1)        # (M, K, N, N)
-    est_trace = powers.pilot_power * assignment.tau_p * np.einsum(
-        "mkab,mkba->mk", R_psi_inv, stats.R).real
-    return EstimationTerms(psi_inv=psi_inv, est_trace=est_trace)
+    amp = np.sqrt(powers.pilot_power * assignment.tau_p)
+    coef = amp * (stats.R @ psi_inv[assignment.t].swapaxes(0, 1))  # (M, K, N, N)
+    est_trace = amp * np.einsum("mkab,mkba->mk", coef, stats.R).real
+    return EstimationTerms(coef=coef, est_trace=est_trace)
 
 
 def pilot_normals(realization_shape: tuple[int, ...], assignment: PilotAssignment,
@@ -149,23 +150,13 @@ def simulate_pilot_phase(realization: np.ndarray, assignment: PilotAssignment,
         assignment, powers, noise_power)
 
 
-def mmse_coefficients(stats: ChannelStatistics, assignment: PilotAssignment,
-                      powers: PowerConfig, psi_inv: np.ndarray) -> np.ndarray:
-    """(M, K, N, N) estimation matrices sqrt(p^p tau_p) R[m, k] Psi[m, t_k]^-1.
-
-    psi_inv is the inverse of the psi_stack of the same inputs.
-    """
-    return np.sqrt(powers.pilot_power * assignment.tau_p) * np.einsum(
-        "mkab,kmbc->mkac", stats.R, psi_inv[assignment.t], optimize=True)
-
-
 def mmse_estimate(y_check: np.ndarray, coef: np.ndarray,
                   assignment: PilotAssignment,
                   links: ServingLinks | None = None) -> np.ndarray:
     """MMSE estimates H_hat[..., m, k] = coef[m, k] y_check[..., t_k, m].
 
     y_check: (..., tau_p, M, N) from pilot_observations; coef from
-    mmse_coefficients. Returns (..., M, K, N), or (..., L, N) at the L
+    estimation_terms. Returns (..., M, K, N), or (..., L, N) at the L
     serving links (links.ap[l], links.user[l]) when links is given.
     """
     if links is None:
@@ -174,14 +165,3 @@ def mmse_estimate(y_check: np.ndarray, coef: np.ndarray,
     return np.einsum("lac,...lc->...la", coef[links.ap, links.user],
                      y_check[..., assignment.t[links.user], links.ap, :],
                      optimize=True)
-
-
-def estimate_covariance(stats: ChannelStatistics, assignment: PilotAssignment,
-                        powers: PowerConfig, psi_inv: np.ndarray) -> np.ndarray:
-    """(M, K, N, N) covariances of the MMSE estimates, p^p tau_p R Psi^-1 R.
-
-    The estimation error has covariance R minus this matrix.
-    """
-    return powers.pilot_power * assignment.tau_p * np.einsum(
-        "mkab,kmbc,mkcd->mkad", stats.R, psi_inv[assignment.t], stats.R,
-        optimize=True)

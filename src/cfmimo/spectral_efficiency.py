@@ -17,23 +17,23 @@ independent check of the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelStatistics, channel_normals, correlate_channel,
-                      correlation_sqrt)
+from .channel import ChannelStatistics, correlate_channel, correlation_sqrt
 from .clustering import ServingStructure
 from .errors import ConfigurationError, DegenerateLinkError, NumericalError
 from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
-                     estimation_terms, mmse_coefficients, mmse_estimate,
-                     pilot_normals, pilot_observations)
+                     estimation_terms, mmse_estimate, pilot_observations)
 
 # The oracle draws its normals ORACLE_BATCH samples at a time, which fixes
-# its random stream. It transforms each batch in chunks of as many samples
-# as keep the (chunk, L, K, N) link-by-user channel gather, the largest
-# temporary, near ORACLE_CHUNK_SIZE complex entries (3.2 MB); the chunk
-# length does not change the result.
+# its random stream, into one pair of buffers that every batch reuses. It
+# transforms each batch in chunks of as many samples as keep the
+# (chunk, L, K, N) link-by-user channel gather, the largest temporary, near
+# ORACLE_CHUNK_SIZE complex entries (3.2 MB); the chunk length does not
+# change the result.
 ORACLE_BATCH = 20_000
 ORACLE_CHUNK_SIZE = 200_000
 
@@ -118,28 +118,29 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     serving structure and data power of the drop can share.
 
     The sums run over the serving links l = (m, i) of serving.links, with
-    MR scale s_l, p tau = p^p tau_p and A_l = R[m,i] Psi[m,t_i]^-1 (Psi at
-    user i's own pilot, from the MR normalisation E{||H_hat[m,i]||^2}):
+    MR scale s_l, a = sqrt(p^p tau_p) and the MMSE estimator
+    A_l = estimation.coef[m, i] = a R[m,i] Psi[m,t_i]^-1 (Psi at user i's
+    own pilot, from the MR normalisation E{||H_hat[m,i]||^2}):
 
-        E_k = sum_l s_l^2 p tau tr(R[m,k] A_l R[m,i]),
+        E_k = sum_l s_l^2 a tr(R[m,k] A_l R[m,i]),
         F_k = sum over groups g of k's co-pilot users of
-              |sum_{l in g} s_l p tau tr(A_l R[m,k])|^2,
+              |sum_{l in g} s_l a tr(A_l R[m,k])|^2,
         D_g = (sum_{l in g} s_l E{||H_hat_l||^2})^2.
 
     Each user's groups are put in SIC order: descending D, ties by index.
     """
     links = serving.links
     ap, user, start = links.ap, links.user, links.group_start
-    psi_inv, est_trace = estimation.psi_inv, estimation.est_trace
+    est_trace = estimation.est_trace
     scale = mr_scale(effective_data_powers(serving, powers), est_trace)
-    s, pt = scale[ap, user], powers.pilot_power * assignment.tau_p
-    R_own = stats.R[ap, user]                                   # (L, N, N)
-    A = R_own @ psi_inv[assignment.t[user], ap]
-    E = (s ** 2 * pt) @ np.einsum("lkab,lba->lk", stats.R[ap], A @ R_own).real
+    s, a = scale[ap, user], np.sqrt(powers.pilot_power * assignment.tau_p)
+    A = estimation.coef[ap, user]                               # (L, N, N)
+    E = (s ** 2 * a) @ np.einsum("lkab,lba->lk", stats.R[ap],
+                                 A @ stats.R[ap, user]).real
     # Co-pilot (link, user) pairs; every other cross amplitude is zero.
     pair_l, pair_k = np.nonzero(assignment.t[user][:, None] == assignment.t)
     amp = np.zeros((ap.size, assignment.t.size), dtype=complex)
-    amp[pair_l, pair_k] = s[pair_l] * pt * np.einsum(
+    amp[pair_l, pair_k] = s[pair_l] * a * np.einsum(
         "pab,pba->p", A[pair_l], stats.R[ap[pair_l], pair_k])
     F = np.sum(np.abs(np.add.reduceat(amp, start)) ** 2, axis=0)
     d = np.add.reduceat(s * est_trace[ap, user], start) ** 2
@@ -202,10 +203,17 @@ class OracleResult:
     num_samples: int
 
 
+def _normals_into(buf: np.ndarray, shape: tuple[int, ...],
+                  rng: np.random.Generator) -> np.ndarray:
+    """Standard normals of the given shape, drawn into the leading entries of
+    the flat buffer buf: the stream of rng.standard_normal(shape)."""
+    return rng.standard_normal(out=buf[:math.prod(shape)].reshape(shape))
+
+
 def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
               assignment: PilotAssignment, powers: PowerConfig,
               frame: FrameConfig, num_samples: int, rng: np.random.Generator,
-              terms: SETerms | None = None) -> OracleResult:
+              terms: SETerms) -> OracleResult:
     """Estimate the SINR expectations by direct simulation.
 
     For every sample: draw channels, simulate the pilot phase with noise,
@@ -219,17 +227,14 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
 
     with |mean|^2 debiased by the variance of the mean. SINRs are assembled
     exactly as the SIC chain structures them, using the group order of
-    `terms` (computed internally when not supplied).
+    `terms`, the closed-form terms of the same inputs.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
     estimation = estimation_terms(stats, assignment, powers)
-    if terms is None:
-        terms = compute_terms(serving, stats, assignment, powers, estimation)
     K = len(serving.clusters)
     w_scale = mr_scale(effective_data_powers(serving, powers),
                        estimation.est_trace)
-    coef = mmse_coefficients(stats, assignment, powers, estimation.psi_inv)
     sqrt_R = correlation_sqrt(stats.R)
 
     links = serving.links
@@ -246,15 +251,20 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     sum_p2 = np.zeros((G, K))          # sum of |a|^4
 
     noise = stats.noise_power
-    step = max(1, ORACLE_CHUNK_SIZE // (links.ap.size * K * stats.num_antennas))
+    M, N = stats.num_aps, stats.num_antennas
+    step = max(1, ORACLE_CHUNK_SIZE // (links.ap.size * K * N))
+    first = min(ORACLE_BATCH, num_samples)
+    g_buf = np.empty(2 * first * M * K * N)
+    z_buf = np.empty(2 * first * assignment.tau_p * M * N)
     for start in range(0, num_samples, ORACLE_BATCH):
-        g = channel_normals(stats, rng, min(ORACLE_BATCH, num_samples - start))
-        z = pilot_normals(g.shape[1:], assignment, rng)
-        for lo in range(0, g.shape[1], step):
+        batch = min(ORACLE_BATCH, num_samples - start)
+        g = _normals_into(g_buf, (2, batch, M, K, N), rng)
+        z = _normals_into(z_buf, (2, batch, assignment.tau_p, M, N), rng)
+        for lo in range(0, batch, step):
             chunk = slice(lo, lo + step)
             H = correlate_channel(sqrt_R, g[:, chunk])              # (c,M,K,N)
             y = pilot_observations(H, z[:, chunk], assignment, powers, noise)
-            W = s * mmse_estimate(y, coef, assignment, links)        # (c,L,N)
+            W = s * mmse_estimate(y, estimation.coef, assignment, links)  # (c,L,N)
             # a at every link and user, sum_n conj(H[m,k,n]) W[l,n], as the
             # conjugate of N broadcast products (faster than einsum here).
             H_l, W_c = H[:, links.ap], np.conj(W)[:, :, None, :]    # (c,L,K,N)
@@ -268,7 +278,6 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
             sum_re2 += (a.real ** 2).sum(axis=0)
             sum_im2 += (a.imag ** 2).sum(axis=0)
             sum_p2 += (p ** 2).sum(axis=0)
-        del g, z          # free this batch before the next one is drawn
 
     S = float(num_samples)
     mean_a = sum_a / S

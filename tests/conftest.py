@@ -11,7 +11,7 @@ from cfmimo.channel import ChannelStatistics, spatial_correlation
 from cfmimo.clustering import (ClusteringParams, build_serving_structure,
                                serving_mask)
 from cfmimo.harness import validation_config
-from cfmimo.pilots import assign_pilots, estimation_terms
+from cfmimo.pilots import assign_pilots, estimation_terms, psi_stack
 from cfmimo.scenario import generate_deployment
 from cfmimo.spectral_efficiency import compute_terms
 from cfmimo import channel_stats
@@ -31,6 +31,14 @@ def random_stats(num_aps: int, num_users: int, num_antennas: int,
     R = spatial_correlation(angles[..., None, None], 15.0, num_antennas,
                             beta[..., None, None])
     return ChannelStatistics(R=R, beta=beta, noise_power=noise_power)
+
+
+def solved_estimate_covariance(stats, assignment, powers) -> np.ndarray:
+    """(M, K, N, N) covariances p^p tau_p R Psi^-1 R of the MMSE estimates,
+    formed with np.linalg.solve rather than with the library's inverse."""
+    psi = psi_stack(stats, assignment, powers)[assignment.t].swapaxes(0, 1)
+    return (powers.pilot_power * assignment.tau_p
+            * stats.R @ np.linalg.solve(psi, stats.R))
 
 
 def random_cpu_map(num_aps: int, num_cpus: int,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (cluster_of, fixed, legacy, power, random_cpu_map,
-                      random_stats, threshold)
+                      random_stats, solved_estimate_covariance, threshold)
 
 from cfmimo.channel import sample_channel
 from cfmimo.clustering import ClusteringParams, build_serving_structure
@@ -22,8 +22,7 @@ from cfmimo.harness import (ExperimentConfig, OracleConfig, emit_results,
                             run_experiment, run_oracle_check,
                             validation_config)
 from cfmimo.pilots import (PilotAssignment, PowerConfig, assign_pilots,
-                           estimate_covariance, estimation_terms,
-                           mmse_coefficients, mmse_estimate, psi_stack,
+                           estimation_terms, mmse_estimate, psi_stack,
                            simulate_pilot_phase)
 from cfmimo.scenario import ScenarioConfig
 from cfmimo.spectral_efficiency import FrameConfig, compute_terms, user_rates
@@ -175,10 +174,9 @@ def test_criterion_4_mmse_estimator_statistics():
     y = simulate_pilot_phase(H, assignment, powers, stats.noise_power,
                              sample_rng)
     psi = psi_stack(stats, assignment, powers)
-    psi_inv = np.linalg.inv(psi)
-    coef = mmse_coefficients(stats, assignment, powers, psi_inv)
+    coef = estimation_terms(stats, assignment, powers).coef
     h_hat = mmse_estimate(y, coef, assignment)
-    target = estimate_covariance(stats, assignment, powers, psi_inv)
+    target = solved_estimate_covariance(stats, assignment, powers)
     n = H.shape[0]
     emp = np.einsum("smka,smkb->mkab", h_hat, np.conj(h_hat)) / n
     cross = np.einsum("smka,smkb->mkab", h_hat, np.conj(H - h_hat)) / n

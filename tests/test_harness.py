@@ -304,7 +304,8 @@ _extreme_configs = st.fixed_dictionaries({
     "scenario": st.fixed_dictionaries(
         {"num_aps": st.integers(1, 12), "num_users": st.integers(1, 4),
          "num_antennas": st.integers(1, 3)},
-        optional={"area_side": _numbers, "seed": st.integers(-1, 2**64)}),
+        optional={"area_side": _numbers,
+                  "seed": st.just(0) | st.integers(-1, 2**64)}),
 }, optional={
     "base_seed": st.integers(-1, 2**64),
     "transmission_mode": st.sampled_from(["coherent", "mixed", "non_coherent"]),
@@ -377,6 +378,17 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path),
                      *flags]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    def test_nonzero_scenario_seed_exit_code(self, tmp_path, capsys):
+        # Every drop derives its deployment seed from base_seed, so a
+        # scenario seed would be ignored.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"num_drops": 1,
+                                    "scenario": {"seed": 12345}}))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path)]) == 1
+        assert "set base_seed instead" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
 
     @pytest.mark.parametrize("powers, message", [
         # E{||H_hat||^2} = 0 leaves MR precoding undefined.

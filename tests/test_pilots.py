@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_stats
+from conftest import random_stats, solved_estimate_covariance
 
 from cfmimo.channel import ChannelStatistics, sample_channel
 from cfmimo.clustering import ServingStructure
 from cfmimo.errors import ConfigurationError
 from cfmimo.pilots import (PilotAssignment, PowerConfig, assign_pilots,
-                           estimate_covariance, mmse_coefficients,
-                           mmse_estimate, pilot_normals, pilot_observations,
-                           psi_stack, simulate_pilot_phase)
+                           estimation_terms, mmse_estimate, pilot_normals,
+                           pilot_observations, psi_stack, simulate_pilot_phase)
 
 
 class TestAssignPilots:
@@ -54,10 +53,6 @@ def _identity_stats(num_aps, num_users, beta=2.0, noise_power=0.5,
     R[..., np.arange(num_antennas), np.arange(num_antennas)] = beta
     return ChannelStatistics(R=R, beta=np.full((num_aps, num_users), beta),
                              noise_power=noise_power)
-
-
-def _psi_inv(stats, a, powers):
-    return np.linalg.inv(psi_stack(stats, a, powers))
 
 
 class TestPsi:
@@ -163,7 +158,7 @@ class TestMmseEstimate:
         powers = PowerConfig(pilot_power=0.2)
         h = (rng.standard_normal((1, 1, 2)) + 1j * rng.standard_normal((1, 1, 2)))
         y = simulate_pilot_phase(h, a, powers, noise_power=0.0, rng=rng)
-        coef = mmse_coefficients(stats, a, powers, _psi_inv(stats, a, powers))
+        coef = estimation_terms(stats, a, powers).coef
         assert np.allclose(mmse_estimate(y, coef, a), h, atol=1e-10)
 
     def test_zero_statistics_zero_estimate(self, rng):
@@ -171,7 +166,7 @@ class TestMmseEstimate:
                                   beta=np.zeros((1, 1)), noise_power=0.5)
         a = PilotAssignment(tau_p=1, t=np.array([0]))
         powers = PowerConfig()
-        coef = mmse_coefficients(stats, a, powers, _psi_inv(stats, a, powers))
+        coef = estimation_terms(stats, a, powers).coef
         y = np.ones((1, 1, 2), dtype=complex)
         assert np.allclose(mmse_estimate(y, coef, a), 0.0)
 
@@ -188,7 +183,7 @@ class TestMmseEstimate:
         gen = np.random.default_rng(17)
         y = simulate_pilot_phase(sample_channel(stats, gen, num_samples=4),
                                  a, powers, stats.noise_power, gen)
-        coef = mmse_coefficients(stats, a, powers, _psi_inv(stats, a, powers))
+        coef = estimation_terms(stats, a, powers).coef
         links = serving.links
         at_links = mmse_estimate(y, coef, a, links)
         assert at_links.shape == (4, 3, 2)
@@ -203,9 +198,8 @@ class TestMmseEstimate:
         gen = np.random.default_rng(31)
         y = simulate_pilot_phase(sample_channel(stats, gen, num_samples=100_000),
                                  a, powers, stats.noise_power, gen)
-        psi_inv = _psi_inv(stats, a, powers)
-        h_hat = mmse_estimate(y, mmse_coefficients(stats, a, powers, psi_inv), a)
-        target = estimate_covariance(stats, a, powers, psi_inv)
+        h_hat = mmse_estimate(y, estimation_terms(stats, a, powers).coef, a)
+        target = solved_estimate_covariance(stats, a, powers)
         emp = np.einsum("smka,smkb->mkab", h_hat, np.conj(h_hat)) / h_hat.shape[0]
         assert np.all(np.linalg.norm(emp - target, axis=(-2, -1))
                       <= 0.02 * np.linalg.norm(target, axis=(-2, -1)))
@@ -220,8 +214,7 @@ class TestMmseEstimate:
         y = simulate_pilot_phase(sample_channel(stats, gen, num_samples=3),
                                  a, powers, stats.noise_power, gen)
         psi = psi_stack(stats, a, powers)
-        h_hat = mmse_estimate(
-            y, mmse_coefficients(stats, a, powers, np.linalg.inv(psi)), a)
+        h_hat = mmse_estimate(y, estimation_terms(stats, a, powers).coef, a)
         amp = np.sqrt(powers.pilot_power * a.tau_p)
         for s, m, k in np.ndindex(3, 2, 3):
             per_link = amp * stats.R[m, k] @ np.linalg.solve(psi[a.t[k], m],
@@ -230,7 +223,7 @@ class TestMmseEstimate:
 
 
 class TestErrorCovariance:
-    """The error covariance R - estimate_covariance of the MMSE estimator."""
+    """The error covariance R - p^p tau_p R Psi^-1 R of the MMSE estimator."""
 
     def test_complement_identity(self, rng):
         # Error plus the estimate's covariance formed as coef Psi coef^H
@@ -239,9 +232,8 @@ class TestErrorCovariance:
         a = assign_pilots(4, 2, rng)
         powers = PowerConfig()
         psi = psi_stack(stats, a, powers)
-        psi_inv = np.linalg.inv(psi)
-        coef = mmse_coefficients(stats, a, powers, psi_inv)
-        error = stats.R - estimate_covariance(stats, a, powers, psi_inv)
+        coef = estimation_terms(stats, a, powers).coef
+        error = stats.R - solved_estimate_covariance(stats, a, powers)
         a_psi_a = coef @ psi[a.t].swapaxes(0, 1) @ np.conj(coef).swapaxes(-2, -1)
         assert np.allclose(error + a_psi_a, stats.R, rtol=1e-9, atol=1e-12)
 
@@ -249,22 +241,21 @@ class TestErrorCovariance:
         stats = random_stats(1, 1, 2, rng)
         a = PilotAssignment(tau_p=1, t=np.array([0]))
         powers = PowerConfig(pilot_power=0.0)
-        est = estimate_covariance(stats, a, powers, _psi_inv(stats, a, powers))
+        est = solved_estimate_covariance(stats, a, powers)
         assert np.allclose(stats.R - est, stats.R)
 
     def test_perfect_limit_gives_zero_error(self, rng):
         stats = random_stats(1, 1, 2, rng, noise_power=0.0)
         a = PilotAssignment(tau_p=1, t=np.array([0]))
         powers = PowerConfig()
-        est = estimate_covariance(stats, a, powers, _psi_inv(stats, a, powers))
+        est = solved_estimate_covariance(stats, a, powers)
         assert np.allclose(stats.R - est, 0.0, atol=1e-10)
 
     def test_error_covariance_psd(self, rng):
         stats = random_stats(3, 3, 2, rng)
         a = assign_pilots(3, 2, rng)
         powers = PowerConfig()
-        error = stats.R - estimate_covariance(stats, a, powers,
-                                              _psi_inv(stats, a, powers))
+        error = stats.R - solved_estimate_covariance(stats, a, powers)
         trace = np.trace(stats.R, axis1=-2, axis2=-1).real
         assert np.all(np.linalg.eigvalsh(error).min(axis=-1) >= -1e-12 * trace)
 

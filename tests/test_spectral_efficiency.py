@@ -4,16 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_stats, small_instance
+from conftest import random_stats, small_instance, solved_estimate_covariance
 
-from cfmimo.channel import sample_channel
+from cfmimo.channel import channel_normals, sample_channel
 from cfmimo.clustering import ServingStructure, build_serving_structure, \
     ClusteringParams
 from cfmimo.errors import ConfigurationError, DegenerateLinkError, NumericalError
 from cfmimo.harness import OracleConfig, run_oracle_check, validation_config
-from cfmimo.pilots import (PilotAssignment, PowerConfig, estimate_covariance,
-                           estimation_terms, mmse_coefficients, mmse_estimate,
-                           psi_stack, simulate_pilot_phase)
+from cfmimo.pilots import (PilotAssignment, PowerConfig, estimation_terms,
+                           mmse_estimate, pilot_normals, psi_stack,
+                           simulate_pilot_phase)
 from cfmimo import spectral_efficiency
 from cfmimo.spectral_efficiency import (FrameConfig, compute_terms,
                                         effective_data_powers, mc_oracle,
@@ -55,10 +55,9 @@ class TestMrPrecoder:
         gen = np.random.default_rng(3)
         y = simulate_pilot_phase(sample_channel(stats, gen, num_samples=100_000),
                                  assignment, powers, stats.noise_power, gen)
-        psi_inv = np.linalg.inv(psi_stack(stats, assignment, powers))
         h_hat = mmse_estimate(
-            y, mmse_coefficients(stats, assignment, powers, psi_inv), assignment)
-        est = estimate_covariance(stats, assignment, powers, psi_inv)
+            y, estimation_terms(stats, assignment, powers).coef, assignment)
+        est = solved_estimate_covariance(stats, assignment, powers)
         trace = np.trace(est, axis1=-2, axis2=-1).real
         w = mr_scale(np.full((1, 1), powers.data_power), trace)[..., None] * h_hat
         mean_power = (np.abs(w[:, 0, 0]) ** 2).sum(axis=1).mean()
@@ -164,6 +163,49 @@ class TestComputeTerms:
         with pytest.raises(DegenerateLinkError):
             compute_terms(serving, stats, assignment, powers, estimation)
 
+    @pytest.mark.parametrize("mode", ["coherent", "non_coherent", "mixed"])
+    def test_matches_per_link_solve(self, mode):
+        # D, E and F from their definitions, link by link with
+        # np.linalg.solve, under a per-AP budget that rescales the data
+        # power of some APs only, so that rho differs from AP to AP.
+        stats, assignment, serving, _, _, _ = small_instance(
+            12, 6, 3, 4, 3, seed=6, mode=mode)
+        powers = PowerConfig(data_power=0.1, ap_power_budget=0.25,
+                             power_budget_mode="rescale")
+        terms = compute_terms(serving, stats, assignment, powers,
+                              estimation_terms(stats, assignment, powers))
+        rho = effective_data_powers(serving, powers)
+        assert np.unique(rho[rho > 0]).size > 1
+        psi, t = psi_stack(stats, assignment, powers), assignment.t
+        pt = powers.pilot_power * assignment.tau_p
+        K = t.size
+        E, F = np.zeros(K), np.zeros(K)
+        for i, groups in enumerate(serving.groups):
+            d = []
+            for _, aps in groups:
+                desired, cross = 0.0, np.zeros(K, dtype=complex)
+                for m in aps:
+                    R_own = stats.R[m, i]
+                    own = pt * np.trace(R_own @ np.linalg.solve(
+                        psi[t[i], m], R_own)).real      # E{||H_hat||^2}
+                    s = np.sqrt(rho[m, i] / own)
+                    desired += s * own
+                    for k in range(K):
+                        E[k] += s ** 2 * pt * np.trace(
+                            stats.R[m, k] @ R_own
+                            @ np.linalg.solve(psi[t[i], m], R_own)).real
+                        if t[k] == t[i]:
+                            cross[k] += s * pt * np.trace(
+                                R_own @ np.linalg.solve(psi[t[i], m],
+                                                        stats.R[m, k]))
+                d.append(desired ** 2)
+                F += np.abs(cross) ** 2
+            np.testing.assert_allclose(
+                terms.D[i], np.array(d)[list(terms.group_order[i])],
+                rtol=1e-10, atol=0)
+        np.testing.assert_allclose(terms.E, E, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(terms.F, F, rtol=1e-10, atol=0)
+
 
 class TestSinr:
     def test_single_group_coherent_form(self, rng):
@@ -250,8 +292,11 @@ class TestOracle:
         stats.beta[0, 0] = beta
         powers = PowerConfig(pilot_power=0.2, data_power=0.1)
         frame = FrameConfig(200, 2)
+        terms = compute_terms(serving, stats, assignment, powers,
+                              estimation_terms(stats, assignment, powers))
         oracle = mc_oracle(serving, stats, assignment, powers, frame,
-                           num_samples=50_000, rng=np.random.default_rng(8))
+                           num_samples=50_000, rng=np.random.default_rng(8),
+                           terms=terms)
         psi = 2 * 0.2 * beta + noise
         d_hand = 0.1 * 0.2 * 2 * beta**2 / psi
         e_hand = 0.1 * beta
@@ -284,9 +329,12 @@ class TestOracle:
 
     def test_oracle_reports_standard_errors(self, rng):
         stats, assignment, serving = _single_link_setup(rng)
-        oracle = mc_oracle(serving, stats, assignment, PowerConfig(),
+        powers = PowerConfig()
+        terms = compute_terms(serving, stats, assignment, powers,
+                              estimation_terms(stats, assignment, powers))
+        oracle = mc_oracle(serving, stats, assignment, powers,
                            FrameConfig(200, 2), num_samples=2_000,
-                           rng=np.random.default_rng(10))
+                           rng=np.random.default_rng(10), terms=terms)
         assert oracle.num_samples == 2_000
         assert np.all(oracle.E_se > 0)
         assert all(np.all(se > 0) for se in oracle.D_se)
@@ -323,6 +371,33 @@ class TestOracle:
                     np.hstack(getattr(default, name)), rtol=1e-12, atol=0,
                     err_msg=f"{name}, chunk {chunk}")
 
+    def test_batches_draw_the_stream_of_fresh_normals(self, monkeypatch):
+        # Drawn into the reused buffers, every batch, the partial last one
+        # included, holds the normals that channel_normals and pilot_normals
+        # draw from the same generator into arrays of their own.
+        monkeypatch.setattr(spectral_efficiency, "ORACLE_BATCH", 700)
+        stats, assignment, serving, terms, powers, frame = small_instance(
+            8, 3, 2, 2, 3, seed=4)
+        drawn = []
+
+        class Recorder:
+            gen = np.random.default_rng(3)
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.gen.standard_normal(*args, **kwargs)
+                drawn.append(out.copy())
+                return out
+
+        mc_oracle(serving, stats, assignment, powers, frame, 1_500,
+                  Recorder(), terms=terms)
+        fresh, expected = np.random.default_rng(3), []
+        for n in (700, 700, 100):
+            g = channel_normals(stats, fresh, n)
+            expected += [g, pilot_normals(g.shape[1:], assignment, fresh)]
+        assert len(drawn) == len(expected)
+        for got, want in zip(drawn, expected):
+            np.testing.assert_array_equal(got, want)
+
     def test_peak_memory_is_one_batch_of_normals(self):
         # One 100 000-sample call at (M, K, Q, tau_p) = (12, 4, 4, 4) holds
         # one batch of standard normals (about 61 MB) and chunk-sized
@@ -340,7 +415,10 @@ class TestOracle:
 
     def test_invalid_sample_count(self, rng):
         stats, assignment, serving = _single_link_setup(rng)
+        powers = PowerConfig()
+        terms = compute_terms(serving, stats, assignment, powers,
+                              estimation_terms(stats, assignment, powers))
         with pytest.raises(ConfigurationError):
-            mc_oracle(serving, stats, assignment, PowerConfig(),
+            mc_oracle(serving, stats, assignment, powers,
                       FrameConfig(200, 2), num_samples=0,
-                      rng=np.random.default_rng(0))
+                      rng=np.random.default_rng(0), terms=terms)
