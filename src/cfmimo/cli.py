@@ -107,7 +107,7 @@ def _cmd_validate(args) -> int:
     worst = 0.0
     ok = True
     for cfg in configs:
-        terms, oracle, noise = run_oracle_check(cfg)
+        terms, oracle, noise = run_oracle_check(cfg, jobs=args.jobs)
         sinr = user_rates(terms, cfg.frame, noise).sinr
         for k in range(len(terms.D)):
             groups = range(terms.D[k].size)
@@ -150,14 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--jobs", type=int, default=1, help=(
+            "worker processes, at most one per oracle block"
+            if name == "validate" else "worker processes, at most one per drop"))
         if name == "validate":
             p.add_argument("--samples", type=int, default=None,
                            help="oracle sample count (default: the config's)")
             continue
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--drops", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, at most one per drop")
     return parser
 
 

@@ -392,22 +392,24 @@ def run_experiment(config: ExperimentConfig,
             for (point, _), result in zip(grid, _run_grid(grid, jobs))]
 
 
-def run_oracle_check(config: ExperimentConfig, drop_index: int = 0):
-    """Closed form vs Monte Carlo oracle on one drop; returns both results."""
+def run_oracle_check(config: ExperimentConfig, drop_index: int = 0,
+                     jobs: int = 1):
+    """Closed form vs Monte Carlo oracle on one drop; returns both results.
+
+    The oracle's blocks run over at most jobs worker processes; the result
+    does not depend on jobs.
+    """
+    if jobs < 1:    # checked here so that the message names no drop
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     with _naming({}, drop_index):
         up = _upstream(config, drop_index)
         serving, terms = _downstream(config, up)
-        # Only what the oracle reads stays alive while it allocates its
-        # 10-30 MB sample batches: small arrays held across them can split
-        # the freed heap, so that a later batch extends it and peak RSS grows.
-        stats, assignment = up.stats, up.assignment
-        del up
         oracle_rng = np.random.default_rng(
             np.random.SeedSequence(config.base_seed, spawn_key=(drop_index, 1)))
-        oracle = mc_oracle(serving, stats, assignment, config.powers,
+        oracle = mc_oracle(serving, up.stats, up.assignment, config.powers,
                            config.frame, config.oracle.num_samples, oracle_rng,
-                           terms=terms)
-    return terms, oracle, stats.noise_power
+                           terms=terms, jobs=jobs)
+    return terms, oracle, up.stats.noise_power
 
 
 # ---------------------------------------------------------------------------

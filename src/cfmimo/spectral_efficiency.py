@@ -23,18 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStatistics, correlate_channel, correlation_sqrt
-from .clustering import ServingStructure
+from .clustering import ServingLinks, ServingStructure
 from .errors import ConfigurationError, DegenerateLinkError, NumericalError
 from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
                      estimation_terms, mmse_estimate, pilot_observations)
 
-# The oracle draws its normals ORACLE_BATCH samples at a time, which fixes
-# its random stream, into one pair of buffers that every batch reuses. It
-# transforms each batch in chunks of as many samples as keep the
-# (chunk, L, K, N) link-by-user channel gather, the largest temporary, near
-# ORACLE_CHUNK_SIZE complex entries (3.2 MB); the chunk length does not
-# change the result.
-ORACLE_BATCH = 20_000
+# The oracle samples in blocks of ORACLE_BLOCK samples, each drawn from a
+# generator of its own, which fixes its random stream and bounds its memory
+# at one block of normals at any scale. It transforms each block in chunks
+# of as many samples as keep the (chunk, L, K, N) link-by-user channel
+# gather, the largest temporary, near ORACLE_CHUNK_SIZE complex entries
+# (3.2 MB); the chunk length does not change the result.
+ORACLE_BLOCK = 1_000
 ORACLE_CHUNK_SIZE = 200_000
 
 
@@ -210,10 +210,73 @@ def _normals_into(buf: np.ndarray, shape: tuple[int, ...],
     return rng.standard_normal(out=buf[:math.prod(shape)].reshape(shape))
 
 
+@dataclass(frozen=True)
+class _OraclePlan:
+    """What every oracle block reads; mc_oracle builds it once per call."""
+    sqrt_R: np.ndarray            # (M, K, N, N) R^(1/2)
+    w_coef: np.ndarray            # (M, K, N, N) MR-scaled estimator, s coef
+    links: ServingLinks
+    assignment: PilotAssignment
+    powers: PowerConfig
+    noise_power: float
+    step: int                     # samples per transform chunk
+
+
+def _block_moments(plan: _OraclePlan, rngs, sizes):
+    """Yield the moment sums of each block in turn: block b draws sizes[b]
+    samples from rngs[b], into two buffers that the blocks share.
+
+    The sums, per (group, observing user), are those of a, |a|^2, Re(a)^2,
+    Im(a)^2 and |a|^4.
+    """
+    M, K, N = plan.sqrt_R.shape[:3]
+    tau_p, links = plan.assignment.tau_p, plan.links
+    G = links.group_start.size
+    g_buf = np.empty(2 * max(sizes) * M * K * N)
+    z_buf = np.empty(2 * max(sizes) * tau_p * M * N)
+    for rng, n in zip(rngs, sizes):
+        g = _normals_into(g_buf, (2, n, M, K, N), rng)
+        z = _normals_into(z_buf, (2, n, tau_p, M, N), rng)
+        sums = (np.zeros((G, K), dtype=complex), *np.zeros((4, G, K)))
+        for lo in range(0, n, plan.step):
+            chunk = slice(lo, lo + plan.step)
+            H = correlate_channel(plan.sqrt_R, g[:, chunk])         # (c,M,K,N)
+            y = pilot_observations(H, z[:, chunk], plan.assignment,
+                                   plan.powers, plan.noise_power)
+            W = mmse_estimate(y, plan.w_coef, plan.assignment, links)  # (c,L,N)
+            # a at every link and user, sum_n conj(H[m,k,n]) W[l,n], as the
+            # conjugate of N broadcast products (faster than einsum here).
+            H_l, W_c = H[:, links.ap], np.conj(W)[:, :, None, :]    # (c,L,K,N)
+            amp = H_l[..., 0] * W_c[..., 0]
+            for i in range(1, N):
+                amp += H_l[..., i] * W_c[..., i]
+            a = np.conj(np.add.reduceat(amp, links.group_start, axis=1))  # (c,G,K)
+            p = np.abs(a) ** 2
+            for total, part in zip(sums, (a, p, a.real ** 2, a.imag ** 2,
+                                          p ** 2)):
+                total += part.sum(axis=0)
+        yield sums
+
+
+def _block_run(plan: _OraclePlan, rngs, sizes) -> list:
+    """The moment sums of a run of blocks, as a list a worker can return."""
+    return list(_block_moments(plan, rngs, sizes))
+
+
+def _add_in_order(blocks):
+    """The element-wise total of the blocks' moment sums, added in order."""
+    blocks = iter(blocks)
+    total = next(blocks)
+    for block in blocks:
+        for t, b in zip(total, block):
+            t += b
+    return total
+
+
 def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
               assignment: PilotAssignment, powers: PowerConfig,
               frame: FrameConfig, num_samples: int, rng: np.random.Generator,
-              terms: SETerms) -> OracleResult:
+              terms: SETerms, jobs: int = 1) -> OracleResult:
     """Estimate the SINR expectations by direct simulation.
 
     For every sample: draw channels, simulate the pilot phase with noise,
@@ -228,56 +291,49 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     with |mean|^2 debiased by the variance of the mean. SINRs are assembled
     exactly as the SIC chain structures them, using the group order of
     `terms`, the closed-form terms of the same inputs.
+
+    The samples are drawn in blocks of ORACLE_BLOCK, block b from the b-th
+    generator of rng.spawn. With jobs > 1 the blocks run in a pool of
+    min(jobs, blocks) worker processes; their sums are added in block order
+    either way, so the result does not depend on jobs.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     estimation = estimation_terms(stats, assignment, powers)
     K = len(serving.clusters)
     w_scale = mr_scale(effective_data_powers(serving, powers),
                        estimation.est_trace)
-    sqrt_R = correlation_sqrt(stats.R)
-
     links = serving.links
-    s = w_scale[links.ap, links.user][:, None]      # (L, 1) MR scales
-    G = links.group_start.size
+    plan = _OraclePlan(
+        sqrt_R=correlation_sqrt(stats.R),
+        w_coef=w_scale[..., None, None] * estimation.coef, links=links,
+        assignment=assignment, powers=powers, noise_power=stats.noise_power,
+        step=max(1, ORACLE_CHUNK_SIZE // (links.ap.size * K * stats.num_antennas)))
+    sizes = [min(ORACLE_BLOCK, num_samples - lo)
+             for lo in range(0, num_samples, ORACLE_BLOCK)]
+    rngs = rng.spawn(len(sizes))
+    workers = min(jobs, len(sizes))
+    if workers > 1:
+        # Imported here, as in harness._run_grid: serial calls never need
+        # the pool machinery. Runs of consecutive blocks, about four per
+        # worker, balance the load.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        per_run = -(-len(sizes) // (4 * workers))
+        runs = [slice(lo, lo + per_run) for lo in range(0, len(sizes), per_run)]
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            parts = pool.map(_block_run, [plan] * len(runs),
+                             [rngs[r] for r in runs], [sizes[r] for r in runs])
+            sums = _add_in_order(b for part in parts for b in part)
+    else:
+        sums = _add_in_order(_block_moments(plan, rngs, sizes))
+    sum_a, sum_a2, sum_re2, sum_im2, sum_p2 = sums
     # Does group g contaminate user k?
     copilot_mask = assignment.t[links.group_user][:, None] == assignment.t
-
-    # Streaming moments of a (complex) and |a|^2 per (group, observing user).
-    sum_a = np.zeros((G, K), dtype=complex)
-    sum_a2 = np.zeros((G, K))          # sum of |a|^2
-    sum_re2 = np.zeros((G, K))         # for the variance of Re/Im of a
-    sum_im2 = np.zeros((G, K))
-    sum_p2 = np.zeros((G, K))          # sum of |a|^4
-
     noise = stats.noise_power
-    M, N = stats.num_aps, stats.num_antennas
-    step = max(1, ORACLE_CHUNK_SIZE // (links.ap.size * K * N))
-    first = min(ORACLE_BATCH, num_samples)
-    g_buf = np.empty(2 * first * M * K * N)
-    z_buf = np.empty(2 * first * assignment.tau_p * M * N)
-    for start in range(0, num_samples, ORACLE_BATCH):
-        batch = min(ORACLE_BATCH, num_samples - start)
-        g = _normals_into(g_buf, (2, batch, M, K, N), rng)
-        z = _normals_into(z_buf, (2, batch, assignment.tau_p, M, N), rng)
-        for lo in range(0, batch, step):
-            chunk = slice(lo, lo + step)
-            H = correlate_channel(sqrt_R, g[:, chunk])              # (c,M,K,N)
-            y = pilot_observations(H, z[:, chunk], assignment, powers, noise)
-            W = s * mmse_estimate(y, estimation.coef, assignment, links)  # (c,L,N)
-            # a at every link and user, sum_n conj(H[m,k,n]) W[l,n], as the
-            # conjugate of N broadcast products (faster than einsum here).
-            H_l, W_c = H[:, links.ap], np.conj(W)[:, :, None, :]    # (c,L,K,N)
-            amp = H_l[..., 0] * W_c[..., 0]
-            for n in range(1, W.shape[-1]):
-                amp += H_l[..., n] * W_c[..., n]
-            a = np.conj(np.add.reduceat(amp, links.group_start, axis=1))  # (c,G,K)
-            sum_a += a.sum(axis=0)
-            p = np.abs(a) ** 2
-            sum_a2 += p.sum(axis=0)
-            sum_re2 += (a.real ** 2).sum(axis=0)
-            sum_im2 += (a.imag ** 2).sum(axis=0)
-            sum_p2 += (p ** 2).sum(axis=0)
 
     S = float(num_samples)
     mean_a = sum_a / S

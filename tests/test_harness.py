@@ -420,12 +420,16 @@ class TestCli:
                      "--out", str(tmp_path)]) == 1
         assert "configuration error: jobs must be >= 1" in capsys.readouterr().err
 
+    def test_validate_jobs_below_one_exit_code(self, capsys):
+        assert main(["validate", "--samples", "1000", "--jobs", "0"]) == 1
+        assert "configuration error: jobs must be >= 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["run", "--bogus"],
         ["run", "--jobs", "abc"],
         ["fig1", "--drops", "1.5"],
         ["validate", "--drops", "5"],
-        ["validate", "--jobs", "2"],
+        ["validate", "--jobs", "abc"],
         ["validate", "--out", "DIR"],
         ["validate", "--samples", "1000", "--drops", "5", "--jobs", "2",
          "--out", "DIR"],
@@ -471,7 +475,7 @@ class TestCli:
                                                use_config, flags, expected):
         seen = []
 
-        def first_check_only(config, drop_index=0):
+        def first_check_only(config, drop_index=0, jobs=1):
             seen.append((config.base_seed, config.oracle.num_samples))
             raise ConfigurationError("checked the first config")
 

@@ -10,10 +10,12 @@ from cfmimo.channel import channel_normals, sample_channel
 from cfmimo.clustering import ServingStructure, build_serving_structure, \
     ClusteringParams
 from cfmimo.errors import ConfigurationError, DegenerateLinkError, NumericalError
-from cfmimo.harness import OracleConfig, run_oracle_check, validation_config
+from cfmimo.harness import (ExperimentConfig, OracleConfig, run_oracle_check,
+                            validation_config)
 from cfmimo.pilots import (PilotAssignment, PowerConfig, estimation_terms,
                            mmse_estimate, pilot_normals, psi_stack,
                            simulate_pilot_phase)
+from cfmimo.scenario import ScenarioConfig
 from cfmimo import spectral_efficiency
 from cfmimo.spectral_efficiency import (FrameConfig, compute_terms,
                                         effective_data_powers, mc_oracle,
@@ -340,14 +342,14 @@ class TestOracle:
         assert all(np.all(se > 0) for se in oracle.D_se)
 
     def test_clipped_desired_power_keeps_finite_sinr_error(self):
-        # On this drop the oracle clips user 2's fourth-group D estimate to
+        # On this drop the oracle clips user 3's fourth-group D estimate to
         # 0; its SINR error must stay finite so that every SINR can be held
         # to max(2 %, 3 SE) of the closed form.
         config = replace(validation_config(12, 4, 4, 2), base_seed=41,
                          oracle=OracleConfig(num_samples=100_000))
         terms, oracle, noise = run_oracle_check(config, 4)
         sinr = user_rates(terms, config.frame, noise).sinr
-        assert oracle.D[2][3] == 0.0
+        assert oracle.D[3][3] == 0.0
         for k in range(4):
             assert np.all(np.isfinite(oracle.sinr_se[k]))
             for c in range(terms.D[k].size):
@@ -357,7 +359,7 @@ class TestOracle:
 
     def test_chunking_changes_neither_stream_nor_result(self, monkeypatch):
         # The chunk only bounds the temporaries: one-sample chunks and one
-        # chunk per batch give the default's terms and standard errors.
+        # chunk per block give the default's terms and standard errors.
         config = replace(validation_config(12, 4, 4, 4),
                          oracle=OracleConfig(num_samples=3_000))
         _, default, _ = run_oracle_check(config)
@@ -372,16 +374,21 @@ class TestOracle:
                     err_msg=f"{name}, chunk {chunk}")
 
     def test_batches_draw_the_stream_of_fresh_normals(self, monkeypatch):
-        # Drawn into the reused buffers, every batch, the partial last one
+        # Drawn into the reused buffers, block b, the partial last one
         # included, holds the normals that channel_normals and pilot_normals
-        # draw from the same generator into arrays of their own.
-        monkeypatch.setattr(spectral_efficiency, "ORACLE_BATCH", 700)
+        # draw into arrays of their own from the b-th generator spawned from
+        # the oracle's rng.
+        monkeypatch.setattr(spectral_efficiency, "ORACLE_BLOCK", 700)
         stats, assignment, serving, terms, powers, frame = small_instance(
             8, 3, 2, 2, 3, seed=4)
         drawn = []
 
         class Recorder:
-            gen = np.random.default_rng(3)
+            def __init__(self, gen):
+                self.gen = gen
+
+            def spawn(self, n):
+                return [Recorder(child) for child in self.gen.spawn(n)]
 
             def standard_normal(self, *args, **kwargs):
                 out = self.gen.standard_normal(*args, **kwargs)
@@ -389,19 +396,60 @@ class TestOracle:
                 return out
 
         mc_oracle(serving, stats, assignment, powers, frame, 1_500,
-                  Recorder(), terms=terms)
-        fresh, expected = np.random.default_rng(3), []
-        for n in (700, 700, 100):
-            g = channel_normals(stats, fresh, n)
-            expected += [g, pilot_normals(g.shape[1:], assignment, fresh)]
+                  Recorder(np.random.default_rng(3)), terms=terms)
+        expected = []
+        for block, n in zip(np.random.default_rng(3).spawn(3), (700, 700, 100)):
+            g = channel_normals(stats, block, n)
+            expected += [g, pilot_normals(g.shape[1:], assignment, block)]
         assert len(drawn) == len(expected)
         for got, want in zip(drawn, expected):
             np.testing.assert_array_equal(got, want)
 
+    def test_jobs_do_not_change_the_result(self):
+        # Three blocks, the last one partial, over two worker processes:
+        # the same terms and standard errors bit for bit.
+        config = replace(validation_config(8, 3, 2, 2),
+                         oracle=OracleConfig(num_samples=2_500))
+        _, serial, _ = run_oracle_check(config, 1)
+        _, pooled, _ = run_oracle_check(config, 1, jobs=2)
+        for name in ("D", "D_se", "E", "E_se", "F", "F_se", "sinr", "sinr_se"):
+            np.testing.assert_array_equal(np.hstack(getattr(pooled, name)),
+                                          np.hstack(getattr(serial, name)),
+                                          err_msg=name)
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            run_oracle_check(config, 1, jobs=0)
+        stats, assignment, serving, terms, powers, frame = small_instance(
+            8, 3, 2, 2, 2, seed=0)
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            mc_oracle(serving, stats, assignment, powers, frame, 100,
+                      np.random.default_rng(0), terms=terms, jobs=0)
+
+    def test_desk_scale_closed_form_matches_oracle(self):
+        # The rates of the presets come from this scale (M=40, K=10, N=2,
+        # legacy clusters of 10 APs over 4 CPUs): every D, E, F and SINR of
+        # a drop agrees with 10 000 oracle samples within max(2 %, 3 SE).
+        config = ExperimentConfig(
+            scenario=ScenarioConfig(num_aps=40, num_users=10, num_antennas=2),
+            clustering=ClusteringParams(algorithm="legacy_largest_lsf",
+                                        legacy_cluster_size=10),
+            oracle=OracleConfig(num_samples=10_000))
+        terms, oracle, noise = run_oracle_check(config)
+        sinr = user_rates(terms, config.frame, noise).sinr
+        for k in range(10):
+            pairs = [(terms.E[k], oracle.E[k], oracle.E_se[k]),
+                     (terms.F[k], oracle.F[k], oracle.F_se[k])]
+            pairs += [(terms.D[k][c], oracle.D[k][c], oracle.D_se[k][c])
+                      for c in range(terms.D[k].size)]
+            pairs += [(sinr[k][c], oracle.sinr[k][c], oracle.sinr_se[k][c])
+                      for c in range(terms.D[k].size)]
+            for closed, est, se in pairs:
+                assert abs(closed - est) <= max(0.02 * abs(closed), 3.0 * se)
+
     def test_peak_memory_is_one_batch_of_normals(self):
         # One 100 000-sample call at (M, K, Q, tau_p) = (12, 4, 4, 4) holds
-        # one batch of standard normals (about 61 MB) and chunk-sized
-        # temporaries.
+        # one 1 000-sample block of standard normals (3.1 MB) and
+        # chunk-sized temporaries: the (chunk, L, K, N) channel gather
+        # (3.2 MB) and a few arrays of its size.
         stats, assignment, serving, terms, powers, frame = small_instance(
             12, 4, 2, 4, 4, seed=0)
         tracemalloc.start()
@@ -411,7 +459,7 @@ class TestOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128e6
+        assert peak < 24e6
 
     def test_invalid_sample_count(self, rng):
         stats, assignment, serving = _single_link_setup(rng)
