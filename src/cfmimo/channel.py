@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import planes
 from .errors import ConfigurationError, NumericalError
-from .scenario import Deployment, wrap_displacement, wrap_distance_matrix
+from .scenario import Deployment, wrap_displacement_planes, wrap_distance_matrix
 
 BOLTZMANN = 1.381e-23   # J/K
 NOISE_TEMPERATURE = 290.0  # K
@@ -82,7 +83,8 @@ class LargeScaleModelConfig:
 
 @dataclass(frozen=True)
 class ChannelStatistics:
-    R: np.ndarray            # (M, K, N, N) Hermitian PSD, linear power
+    R: np.ndarray            # (M, K, N, N) Hermitian PSD, linear power;
+                             # channel_stats's is a planes.stacked view
     beta: np.ndarray         # (M, K) large-scale coefficients, linear
     noise_power: float       # sigma^2, watts
 
@@ -143,18 +145,36 @@ def shadowing_field(deployment: Deployment, config: LargeScaleModelConfig,
 
 def spatial_correlation(nominal_angle, asd_deg: float, num_antennas: int,
                         beta, spacing: float = 0.5) -> np.ndarray:
-    """Gaussian local-scattering correlation matrix for a ULA.
+    """Gaussian local-scattering correlation matrices of a ULA.
 
     Entry (l, m) = beta * exp(j*2*pi*spacing*(l-m)*sin(theta))
                         * exp(-(asd^2/2) * (2*pi*spacing*(l-m)*cos(theta))^2),
-    the small-angle closed form; trace equals N*beta. Scalars give one
-    (N, N) matrix; angles and betas of shape (..., 1, 1) give a stack.
+    the small-angle closed form. It depends on the lag l - m only, and lag
+    -d is the conjugate of lag d, so R is built as a Hermitian Toeplitz
+    matrix from its N lags d >= 0: exactly Hermitian, with beta on the
+    diagonal and trace N*beta. Angles and betas broadcast to one shape S;
+    the result is the (*S, N, N) stack of planes.stacked, one (N, N)
+    matrix for scalars.
     """
     asd = np.deg2rad(asd_deg)
-    lag = np.arange(num_antennas)[:, None] - np.arange(num_antennas)[None, :]
-    phase = 2.0 * np.pi * spacing * lag
-    return beta * (np.exp(1j * phase * np.sin(nominal_angle))
-                   * np.exp(-0.5 * asd**2 * (phase * np.cos(nominal_angle)) ** 2))
+    beta = np.asarray(beta, dtype=float)
+    sin, cos = np.sin(nominal_angle), np.cos(nominal_angle)
+    entry = np.empty((num_antennas, num_antennas) + np.broadcast_shapes(
+        beta.shape, np.shape(sin)), dtype=complex)
+    # The phase factor of lag d is the d-th power of that of lag 1.
+    turn, rotation = np.exp(1j * (2.0 * np.pi * spacing) * sin), 1.0
+    for lag in range(num_antennas):
+        if lag == 0:
+            value = beta
+        else:
+            phase = 2.0 * np.pi * spacing * lag
+            rotation = rotation * turn
+            value = beta * (rotation * np.exp(-0.5 * asd**2 * (phase * cos) ** 2))
+        conj = np.conj(value)
+        for m in range(num_antennas - lag):
+            entry[m + lag, m] = value
+            entry[m, m + lag] = conj
+    return planes.stacked(entry)
 
 
 def channel_stats(deployment: Deployment, config: LargeScaleModelConfig,
@@ -162,18 +182,17 @@ def channel_stats(deployment: Deployment, config: LargeScaleModelConfig,
     """Build beta (path loss + shadowing, linear) and R matrices for all links.
 
     The nominal angle of each link is the AP->UE bearing under wrap-around.
+    The geometry runs on (M, K) coordinate planes, and R is the stacked view
+    of its entry planes (spatial_correlation).
     """
-    disp = wrap_displacement(deployment.ap_positions[:, None, :],
-                             deployment.ue_positions[None, :, :],
-                             deployment.area_side)  # (M, K, 2)
-    dist = np.linalg.norm(disp, axis=-1)
+    dx, dy = wrap_displacement_planes(deployment.ap_positions,
+                                      deployment.ue_positions,
+                                      deployment.area_side)  # (M, K) each
+    dist = np.sqrt(dx * dx + dy * dy)
     beta_db = path_loss_db(dist, config.path_loss) + shadowing_field(deployment, config, rng)
     beta = 10.0 ** (beta_db / 10.0)
-    angles = np.arctan2(disp[..., 1], disp[..., 0])
-
-    R = spatial_correlation(angles[..., None, None], config.asd_deg,
-                            deployment.num_antennas, beta[..., None, None],
-                            config.antenna_spacing)
+    R = spatial_correlation(np.arctan2(dy, dx), config.asd_deg,
+                            deployment.num_antennas, beta, config.antenna_spacing)
     return ChannelStatistics(R=R, beta=beta, noise_power=config.noise_power_w)
 
 

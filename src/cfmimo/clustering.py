@@ -77,8 +77,9 @@ class ServingStructure:
 
     @cached_property
     def links(self) -> ServingLinks:
-        """groups flattened into serving links; derived on first use, so a
-        copy with other groups (dataclasses.replace) gets its own."""
+        """groups flattened into serving links. build_serving_structure hands
+        them over; a structure made otherwise, such as a copy with other
+        groups (dataclasses.replace), derives its own on first use."""
         flat = [(k, aps) for k, user_groups in enumerate(self.groups)
                 for _, aps in user_groups]
         sizes = [len(aps) for _, aps in flat]
@@ -173,8 +174,13 @@ def build_serving_structure(beta: np.ndarray, ap_to_cpu: np.ndarray, num_cpus: i
     low, high = np.minimum.reduceat(cpu, start), np.maximum.reduceat(cpu, start)
     groups = list(zip(np.where(low == high, low, -1).tolist(),
                       _segments(ap.tolist(), start[1:])))
-    return ServingStructure(
+    serving = ServingStructure(
         clusters=clusters,
         groups=_segments(groups, np.flatnonzero(np.diff(user[start])) + 1),
         num_aps=beta.shape[0],
     )
+    # The sorted arrays are the links that serving.links would derive from
+    # the groups; set in the instance, they take the cached property's place.
+    object.__setattr__(serving, "links", ServingLinks(
+        ap=ap, user=user, group_start=start, group_user=user[start]))
+    return serving

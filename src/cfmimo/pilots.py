@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import planes
 from .channel import ChannelStatistics
 from .clustering import ServingLinks
 from .errors import ConfigurationError
@@ -67,17 +68,18 @@ def psi_stack(stats: ChannelStatistics, assignment: PilotAssignment,
     """(tau_p, M, N, N) stack of Psi matrices for all pilots and APs.
 
     Psi[t, m] = sum over users i on pilot t of tau_p p^p R[m, i] + sigma^2 I;
-    positive definite whenever sigma^2 > 0.
+    positive definite whenever sigma^2 > 0. The stack is the planes.stacked
+    view of (N, N, M, tau_p) entry planes, whose user sums are one product
+    of the (N*N*M, K) planes of R with the (K, tau_p) pilot indicator.
     """
-    n = stats.num_antennas
-    out = np.broadcast_to(stats.noise_power * np.eye(n, dtype=complex),
-                          (assignment.tau_p, stats.num_aps, n, n)).copy()
-    for pilot in range(assignment.tau_p):
-        users = assignment.users_on_pilot(pilot)
-        if users.size:
-            out[pilot] += (assignment.tau_p * powers.pilot_power
-                           * stats.R[:, users].sum(axis=1))
-    return out
+    R = planes.planes(stats.R)                                  # (N, N, M, K)
+    n, _, m, k = R.shape
+    on_pilot = assignment.t[:, None] == np.arange(assignment.tau_p)
+    psi = ((assignment.tau_p * powers.pilot_power)
+           * (R.reshape(-1, k) @ on_pilot.astype(complex))).reshape(n, n, m, -1)
+    for i in range(n):
+        psi[i, i] += stats.noise_power
+    return planes.stacked(psi).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -94,13 +96,18 @@ def estimation_terms(stats: ChannelStatistics, assignment: PilotAssignment,
     """The MMSE estimator coef[m, k] = sqrt(p^p tau_p) R[m,k] Psi[m,t_k]^-1
     and est_trace[m, k] = sqrt(p^p tau_p) tr(coef[m, k] R[m, k]).
 
-    Of powers only the pilot power is read.
+    All of it runs on entry planes (cfmimo.planes): Psi is inverted by
+    Gauss-Jordan elimination on its planes, which needs no pivoting since
+    Psi is positive definite (sigma^2 > 0), and coef is the planes.stacked
+    view of its (N, N, M, K) planes. Of powers only the pilot power is read.
     """
-    psi_inv = np.linalg.inv(psi_stack(stats, assignment, powers))  # PD: sigma^2 > 0
     amp = np.sqrt(powers.pilot_power * assignment.tau_p)
-    coef = amp * (stats.R @ psi_inv[assignment.t].swapaxes(0, 1))  # (M, K, N, N)
-    est_trace = amp * np.einsum("mkab,mkba->mk", coef, stats.R).real
-    return EstimationTerms(coef=coef, est_trace=est_trace)
+    R = planes.planes(stats.R)                                  # (N, N, M, K)
+    psi_inv = planes.inverse(planes.planes(
+        psi_stack(stats, assignment, powers).swapaxes(0, 1)))   # (N, N, M, tau_p)
+    coef = planes.product(R, np.take(amp * psi_inv, assignment.t, axis=-1))
+    est_trace = amp * planes.trace_product(coef, R).real
+    return EstimationTerms(coef=planes.stacked(coef), est_trace=est_trace)
 
 
 def pilot_normals(realization_shape: tuple[int, ...], assignment: PilotAssignment,

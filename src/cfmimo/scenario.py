@@ -79,7 +79,8 @@ class Deployment:
 def wrap_displacement(a: np.ndarray, b: np.ndarray, area_side: float) -> np.ndarray:
     """Shortest displacement vector from a to b over the 9 translated copies of b.
 
-    Broadcasts over leading dimensions; the last axis must have size 2.
+    Element-wise: a and b broadcast, and a trailing axis of size 2 holds
+    the two coordinates.
     """
     d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
     # Per-coordinate minimal displacement on the torus of period L.
@@ -91,9 +92,24 @@ def wrap_distance(a, b, area_side: float):
     return np.linalg.norm(wrap_displacement(a, b, area_side), axis=-1)
 
 
+def wrap_displacement_planes(x: np.ndarray, y: np.ndarray,
+                             area_side: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, m) coordinate planes dx, dy of the wrap-around displacements
+    from every point of x (n, 2) to every point of y (m, 2).
+
+    Bit for bit the two coordinates of wrap_displacement(x[:, None],
+    y[None], area_side), without numpy's element-wise loops over a
+    trailing axis of length 2.
+    """
+    return tuple(wrap_displacement(x[:, None, c], y[None, :, c], area_side)
+                 for c in (0, 1))
+
+
 def wrap_distance_matrix(x: np.ndarray, y: np.ndarray, area_side: float) -> np.ndarray:
-    """All pairwise wrap-around distances between point sets x (n,2) and y (m,2)."""
-    return wrap_distance(x[:, None, :], y[None, :, :], area_side)
+    """All pairwise wrap-around distances between point sets x (n,2) and y (m,2);
+    bit for bit wrap_distance(x[:, None], y[None], area_side)."""
+    dx, dy = wrap_displacement_planes(x, y, area_side)
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def generate_deployment(config: ScenarioConfig) -> Deployment:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import planes
 from .channel import ChannelStatistics, correlate_channel, correlation_sqrt
 from .clustering import ServingLinks, ServingStructure
 from .errors import ConfigurationError, DegenerateLinkError, NumericalError
@@ -127,29 +128,45 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
               |sum_{l in g} s_l a tr(A_l R[m,k])|^2,
         D_g = (sum_{l in g} s_l E{||H_hat_l||^2})^2.
 
-    Each user's groups are put in SIC order: descending D, ties by index.
+    The N x N products and traces run on entry planes (cfmimo.planes), and
+    E is summed per AP first: E_k = sum_m tr(R[m,k] W_m), with W_m the sum
+    of s_l^2 A_l R[m,i] a over AP m's links. Each user's groups are put in
+    SIC order: descending D, ties by index.
     """
     links = serving.links
     ap, user, start = links.ap, links.user, links.group_start
     est_trace = estimation.est_trace
     scale = mr_scale(effective_data_powers(serving, powers), est_trace)
     s, a = scale[ap, user], np.sqrt(powers.pilot_power * assignment.tau_p)
-    A = estimation.coef[ap, user]                               # (L, N, N)
-    E = (s ** 2 * a) @ np.einsum("lkab,lba->lk", stats.R[ap],
-                                 A @ stats.R[ap, user]).real
+    R = planes.planes(stats.R)                                  # (N, N, M, K)
+    n, _, num_aps, num_users = R.shape
+    # np.take keeps the gathered planes contiguous; indexing the trailing
+    # axes with index arrays would not.
+    R_flat, link = R.reshape(n, n, -1), ap * num_users + user
+    A = np.take(planes.planes(estimation.coef).reshape(n, n, -1), link, axis=-1)
+    # W by bincounts of the links' planes, then E as one product of W with
+    # the (N*N*M, K) planes of R.
+    B = ((s ** 2 * a) * planes.product(A, np.take(R_flat, link, axis=-1))).ravel()
+    into = (np.arange(n * n)[:, None] * num_aps + ap).ravel()   # (entry, AP)
+    W = (np.bincount(into, B.real, n * n * num_aps)
+         + 1j * np.bincount(into, B.imag, n * n * num_aps)).reshape(n, n, num_aps)
+    E = (W.swapaxes(0, 1).ravel() @ R.reshape(-1, num_users)).real
     # Co-pilot (link, user) pairs; every other cross amplitude is zero.
     pair_l, pair_k = np.nonzero(assignment.t[user][:, None] == assignment.t)
-    amp = np.zeros((ap.size, assignment.t.size), dtype=complex)
-    amp[pair_l, pair_k] = s[pair_l] * a * np.einsum(
-        "pab,pba->p", A[pair_l], stats.R[ap[pair_l], pair_k])
+    amp = np.zeros((ap.size, num_users), dtype=complex)
+    amp[pair_l, pair_k] = s[pair_l] * a * planes.trace_product(
+        np.take(A, pair_l, axis=-1),
+        np.take(R_flat, ap[pair_l] * num_users + pair_k, axis=-1))
     F = np.sum(np.abs(np.add.reduceat(amp, start)) ** 2, axis=0)
     d = np.add.reduceat(s * est_trace[ap, user], start) ** 2
 
     order = np.lexsort((-d, links.group_user))
-    bounds = np.flatnonzero(np.diff(links.group_user)) + 1
-    return SETerms(D=tuple(np.split(d[order], bounds)), E=E, F=F,
-                   group_order=tuple(tuple((o - o.min()).tolist())
-                                     for o in np.split(order, bounds)))
+    bounds = np.flatnonzero(np.diff(links.group_user, prepend=-1, append=-1)).tolist()
+    cuts = list(zip(bounds[:-1], bounds[1:]))              # each user's groups
+    d = d[order]
+    return SETerms(D=tuple(d[lo:hi] for lo, hi in cuts), E=E, F=F,
+                   group_order=tuple(tuple((order[lo:hi] - lo).tolist())
+                                     for lo, hi in cuts))
 
 
 def user_rates(terms: SETerms, frame: FrameConfig,
@@ -181,8 +198,9 @@ def user_rates(terms: SETerms, frame: FrameConfig,
     if bad.size:
         raise NumericalError(f"user {bad[0]} has rate {user_rate[bad[0]]}, "
                              "not a finite non-negative number")
-    return RateResult(sinr=tuple(np.split(sinr, first[1:])), user_rate=user_rate,
-                      sum_rate=float(user_rate.sum()))
+    cuts = (*first.tolist(), sinr.size)
+    return RateResult(sinr=tuple(sinr[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])),
+                      user_rate=user_rate, sum_rate=float(user_rate.sum()))
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,7 @@ def random_stats(num_aps: int, num_users: int, num_antennas: int,
     beta = beta_scale * rng.lognormal(mean=0.0, sigma=1.0,
                                       size=(num_aps, num_users))
     angles = rng.uniform(-np.pi, np.pi, size=(num_aps, num_users))
-    R = spatial_correlation(angles[..., None, None], 15.0, num_antennas,
-                            beta[..., None, None])
+    R = spatial_correlation(angles, 15.0, num_antennas, beta)
     return ChannelStatistics(R=R, beta=beta, noise_power=noise_power)
 
 

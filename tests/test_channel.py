@@ -120,9 +120,21 @@ class TestSpatialCorrelation:
             beta = rng.lognormal()
             n = int(rng.integers(1, 6))
             R = spatial_correlation(rng.uniform(-np.pi, np.pi), 15.0, n, beta)
-            assert np.allclose(R, R.conj().T)
-            assert np.trace(R).real == pytest.approx(n * beta, rel=1e-12)
+            assert np.array_equal(R, R.conj().T)
+            assert np.array_equal(np.diagonal(R), np.full(n, beta + 0j))
+            assert np.trace(R).real == pytest.approx(n * beta, rel=1e-15)
             assert np.linalg.eigvalsh(R).min() >= -1e-12 * beta
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_is_the_scalar_matrices(self, n, rng):
+        angles = rng.uniform(-np.pi, np.pi, size=(3, 5))
+        beta = rng.lognormal(size=(3, 5))
+        R = spatial_correlation(angles, 15.0, n, beta)
+        assert R.shape == (3, 5, n, n)
+        # numpy's scalar and array complex products may round differently.
+        for m, k in np.ndindex(3, 5):
+            assert np.allclose(R[m, k], spatial_correlation(
+                angles[m, k], 15.0, n, beta[m, k]), rtol=1e-15, atol=0)
 
 
 class TestChannelStats:
@@ -140,13 +152,15 @@ class TestChannelStats:
                                                  num_antennas=3, seed=8))
         stats = channel_stats(dep, LargeScaleModelConfig(), rng)
         traces = np.trace(stats.R, axis1=-2, axis2=-1).real / 3.0
-        assert np.allclose(traces, stats.beta, rtol=1e-10)
+        assert np.allclose(traces, stats.beta, rtol=1e-15)
+        assert np.array_equal(np.diagonal(stats.R, axis1=-2, axis2=-1),
+                              np.repeat(stats.beta[..., None] + 0j, 3, axis=-1))
 
     def test_all_matrices_hermitian_psd(self, rng):
         dep = generate_deployment(ScenarioConfig(num_aps=5, num_users=3,
                                                  num_antennas=2, seed=9))
         stats = channel_stats(dep, LargeScaleModelConfig(), rng)
-        assert np.allclose(stats.R, np.conj(np.swapaxes(stats.R, -1, -2)))
+        assert np.array_equal(stats.R, np.conj(np.swapaxes(stats.R, -1, -2)))
         w = np.linalg.eigvalsh(stats.R)
         assert np.all(w >= -1e-12 * stats.beta[..., None])
 

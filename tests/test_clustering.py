@@ -239,6 +239,22 @@ class TestProperties:
             assert batch.clusters[k] == single.clusters[0]
             assert batch.groups[k] == single.groups[0]
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("mode", TRANSMISSION_MODES)
+    @given(instance=instances())
+    @settings(max_examples=25, deadline=None)
+    def test_handed_over_links_equal_derived_links(self, algorithm, mode, instance):
+        beta, owner, q, params = instance
+        serving = build_serving_structure(beta, owner, q,
+                                          replace(params, algorithm=algorithm),
+                                          0.5, mode)
+        assert "links" in vars(serving)          # set, not yet derived
+        derived = replace(serving).links          # a copy derives its own
+        for name in ("ap", "user", "group_start", "group_user"):
+            got, want = getattr(serving.links, name), getattr(derived, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
 
 class TestBuildServingStructure:
     def test_modes_share_clusters(self, rng):

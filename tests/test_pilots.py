@@ -222,6 +222,24 @@ class TestMmseEstimate:
             assert np.allclose(h_hat[s, m, k], per_link, rtol=1e-10, atol=1e-14)
 
 
+class TestEstimationTerms:
+    @pytest.mark.parametrize("num_antennas", [1, 2, 4])
+    def test_matches_solved_covariance(self, num_antennas, rng):
+        # sqrt(p^p tau_p) coef R and est_trace against p^p tau_p R Psi^-1 R
+        # formed with np.linalg.solve, users 0, 2 and 4 on one pilot.
+        stats = random_stats(5, 6, num_antennas, rng)
+        a = PilotAssignment(tau_p=3, t=np.array([0, 1, 0, 2, 0, 1]))
+        powers = PowerConfig()
+        est = estimation_terms(stats, a, powers)
+        target = solved_estimate_covariance(stats, a, powers)
+        amp = np.sqrt(powers.pilot_power * a.tau_p)
+        assert est.coef.shape == stats.R.shape
+        assert np.allclose(amp * est.coef @ stats.R, target, rtol=1e-12, atol=0)
+        assert np.allclose(est.est_trace,
+                           np.trace(target, axis1=-2, axis2=-1).real,
+                           rtol=1e-12, atol=0)
+
+
 class TestErrorCovariance:
     """The error covariance R - p^p tau_p R Psi^-1 R of the MMSE estimator."""
 

@@ -47,6 +47,15 @@ class TestWrapDistance:
         expected = min(np.linalg.norm(a - c) for c in copies)
         assert wrap_distance(a, b, 1000.0) == pytest.approx(expected, abs=1e-9)
 
+    points = st.lists(st.tuples(coord, coord), min_size=1, max_size=6)
+
+    @given(x=points, y=points)
+    @settings(max_examples=100)
+    def test_matrix_is_wrap_distance_bit_for_bit(self, x, y):
+        x, y = np.array(x), np.array(y)
+        assert np.array_equal(wrap_distance_matrix(x, y, 1000.0),
+                              wrap_distance(x[:, None], y[None], 1000.0))
+
 
 class TestGenerateDeployment:
     def test_cpu_map_is_partition(self):
