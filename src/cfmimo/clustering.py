@@ -14,6 +14,7 @@ toward the lowest index so results are reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,7 @@ from .errors import ConfigurationError
 
 ALGORITHMS = ("legacy_largest_lsf", "lsf_threshold", "fixed_aps", "power_fraction")
 THRESHOLD_MODES = ("over_noise", "raw_linear")
+TRANSMISSION_MODES = ("coherent", "non_coherent", "mixed")
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,9 @@ class ServingStructure:
 
     groups[k] is a list of (cpu_index, ap_tuple) pairs; the tuples are
     disjoint, each lies within a single CPU's AP pool, and their union is
-    clusters[k].
+    clusters[k]. A stack of P points over the same K users (see
+    build_serving_structure) holds P*K users, user k of point p at index
+    p*K + k.
     """
     clusters: tuple[tuple[int, ...], ...]
     groups: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
@@ -147,8 +151,9 @@ def _segments(items: list, cuts: np.ndarray) -> tuple[tuple, ...]:
 
 
 def build_serving_structure(beta: np.ndarray, ap_to_cpu: np.ndarray, num_cpus: int,
-                            params: ClusteringParams, noise_power: float = 1.0,
-                            mode: str = "mixed") -> ServingStructure:
+                            params: ClusteringParams | Sequence[ClusteringParams],
+                            noise_power: float = 1.0,
+                            mode: str | Sequence[str] = "mixed") -> ServingStructure:
     """Cluster every user and form groups per the transmission mode.
 
     mode: "mixed" one group per (user, CPU), in CPU-index order; "coherent"
@@ -156,20 +161,34 @@ def build_serving_structure(beta: np.ndarray, ap_to_cpu: np.ndarray, num_cpus: i
     labeled with CPU -1 when the cluster spans several CPUs);
     "non_coherent" one single-AP group per serving link. The SIC decode
     order is applied later, once the desired-signal powers are known.
+
+    params and mode may also be sequences, one entry per point of a stack
+    of P points on the same beta (a mode string applies to every point):
+    user k of point p is then virtual user p*K + k of one structure over
+    P*K users. serving_mask runs once per distinct params, since the mode
+    does not enter the mask.
     """
-    if mode not in ("mixed", "coherent", "non_coherent"):
-        raise ConfigurationError(f"unknown transmission mode: {mode}")
-    user, ap = np.nonzero(serving_mask(beta, ap_to_cpu, num_cpus, params, noise_power).T)
+    if isinstance(params, ClusteringParams):
+        params = (params,)
+    modes = (mode,) * len(params) if isinstance(mode, str) else tuple(mode)
+    for m in modes:
+        if m not in TRANSMISSION_MODES:
+            raise ConfigurationError(f"unknown transmission mode: {m}")
+    if len(modes) != len(params):
+        raise ConfigurationError(f"{len(params)} clustering params for "
+                                 f"{len(modes)} transmission modes")
+    masks = {p: serving_mask(beta, ap_to_cpu, num_cpus, p, noise_power).T
+             for p in dict.fromkeys(params)}
+    point, user, ap = np.nonzero(np.stack([masks[p] for p in params]))  # (P, K, M)
+    user += point * beta.shape[1]                               # virtual users
     clusters = _segments(ap.tolist(), np.flatnonzero(np.diff(user)) + 1)
     cpu = ap_to_cpu[ap]
-    if mode == "mixed":
-        order = np.lexsort((ap, cpu, user))
-        user, ap, cpu = user[order], ap[order], cpu[order]
-        new_group = (np.diff(user) != 0) | (np.diff(cpu) != 0)
-    elif mode == "coherent":
-        new_group = np.diff(user) != 0
-    else:
-        new_group = np.ones(ap.size - 1, dtype=bool)
+    mixed = np.array([m == "mixed" for m in modes])[point]
+    single = np.array([m == "non_coherent" for m in modes])[point]
+    # Mixed links go CPU by CPU within their user; the others keep AP order.
+    order = np.lexsort((ap, np.where(mixed, cpu, 0), user))
+    user, ap, cpu, mixed, single = (x[order] for x in (user, ap, cpu, mixed, single))
+    new_group = (np.diff(user) != 0) | single[1:] | (mixed[1:] & (np.diff(cpu) != 0))
     start = np.flatnonzero(np.concatenate(([True], new_group)))
     low, high = np.minimum.reduceat(cpu, start), np.maximum.reduceat(cpu, start)
     groups = list(zip(np.where(low == high, low, -1).tolist(),

@@ -13,6 +13,14 @@ stages once per distinct key, then clustering and the closed form for
 every sweep point with that key. The rows are regrouped per point, in grid
 order, before aggregation. With jobs > 1 one process pool of
 min(jobs, drops) workers spreads the drops of the whole grid.
+
+The points of a key that also share powers and frame run as one stack:
+point p's user k is virtual user p*K + k of one serving structure, and one
+compute_terms and one user_rates call cover them all. Each point's terms
+come from the same operations as on its own, so its rates are bit-identical
+to run_drop's, which runs a stack of one. When a stack raises a
+CfMimoError, the key's points run again one at a time, in grid order, and
+the first that fails raises with its own point, drop and user.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ import numpy as np
 from . import __version__
 from .channel import (ChannelStatistics, LargeScaleModelConfig, PathLossParams,
                       channel_stats)
-from .clustering import ClusteringParams, build_serving_structure
+from .clustering import (TRANSMISSION_MODES, ClusteringParams,
+                         build_serving_structure)
 from .errors import CfMimoError, ConfigurationError
 from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
                      assign_pilots, estimation_terms)
@@ -41,7 +50,12 @@ from .scenario import Deployment, ScenarioConfig, generate_deployment
 from .spectral_efficiency import (FrameConfig, compute_terms, mc_oracle,
                                   user_rates)
 
-TRANSMISSION_MODES = ("coherent", "non_coherent", "mixed")
+# compute_terms holds a (links, users) array for the co-pilot amplitudes of
+# a stack, and a point of M APs and K users has at most M*K links. Stacks
+# of at most max(1, STACK_ENTRIES // (M*K*K)) points bound that array at
+# STACK_ENTRIES complex entries (64 MiB); the stack size does not change
+# the results.
+STACK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -184,12 +198,22 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _from_mapping(ExperimentConfig, data, "config")
 
 
+def _plain(value):
+    """value with its dataclasses as dicts and its tuples as lists, built
+    afresh; other values, all immutable, are shared rather than copied."""
+    fields = getattr(value, "__dataclass_fields__", None)
+    if fields is not None:
+        return {name: _plain(getattr(value, name)) for name in fields}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["scenario"]["cpu_positions"] = [list(p) for p in config.scenario.cpu_positions]
-    if config.sweep is not None:
-        out["sweep"] = {k: list(v) for k, v in config.sweep.items()}
-    return out
+    """The config as the JSON document that config_from_dict reads."""
+    return _plain(config)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -279,17 +303,44 @@ def _upstream(config: ExperimentConfig, drop_index: int) -> _Upstream:
                      estimation_terms(stats, assignment, config.powers))
 
 
-def _downstream(config: ExperimentConfig, up: _Upstream):
-    """Clustering and closed-form terms of config on a drop's upstream.
+def _downstream(configs: list[ExperimentConfig], up: _Upstream):
+    """Clustering and closed-form terms, on a drop's upstream, of a stack
+    of configs that share powers and frame: config p's user k is virtual
+    user p*K + k.
 
     Returns (serving, terms).
     """
     serving = build_serving_structure(up.stats.beta, up.deployment.ap_to_cpu,
-                                      up.deployment.num_cpus, config.clustering,
+                                      up.deployment.num_cpus,
+                                      [c.clustering for c in configs],
                                       up.stats.noise_power,
-                                      mode=config.transmission_mode)
+                                      mode=[c.transmission_mode for c in configs])
     return serving, compute_terms(serving, up.stats, up.assignment,
-                                  config.powers, up.estimation)
+                                  configs[0].powers, up.estimation)
+
+
+def _run_stack(configs: list[ExperimentConfig], up: _Upstream,
+               drop_index: int) -> list[DropResult]:
+    """The drop results of a stack of configs (see _downstream), one per
+    config: the rates of its K virtual users and their sum."""
+    _, terms = _downstream(configs, up)
+    rates = user_rates(terms, configs[0].frame, up.stats.noise_power).user_rate
+    points = rates.reshape(len(configs), up.stats.num_users)
+    return [DropResult(drop_index=drop_index, seed=up.seed,
+                       user_rate=array("d", r), sum_rate=float(r.sum()))
+            for r in points]
+
+
+def _stacks(configs: list[ExperimentConfig], num_entries: int) -> list[list[int]]:
+    """The indices of configs, which share an upstream key, cut into stacks
+    of equal powers and frame, in order of first appearance. A stack holds
+    at most max(1, STACK_ENTRIES // num_entries) configs."""
+    size = max(1, STACK_ENTRIES // num_entries)
+    same = {}     # powers and frame hold scalars only, so they hash
+    for i, config in enumerate(configs):
+        same.setdefault((config.powers, config.frame), []).append(i)
+    return [stack[lo:lo + size] for stack in same.values()
+            for lo in range(0, len(stack), size)]
 
 
 def _run_drop_grid(grid: list[tuple[dict, ExperimentConfig]],
@@ -297,23 +348,30 @@ def _run_drop_grid(grid: list[tuple[dict, ExperimentConfig]],
     """Drop drop_index of every (sweep point, config) in grid, in grid order.
 
     The upstream stages run once per distinct _upstream_key, and only one
-    key's upstream is held at a time.
+    key's upstream is held at a time. The key's points then run in stacks
+    (see _stacks). When a stack raises a CfMimoError, the key's points run
+    again one at a time, in grid order, so that the error names the point,
+    and the user within it, as if every point had run on its own.
     """
     out = [None] * len(grid)
     todo = [(i, _upstream_key(config)) for i, (_, config) in enumerate(grid)]
     while todo:
         key = todo[0][1]
-        up = None
-        for i in [i for i, k in todo if k == key]:
-            point, config = grid[i]
-            with _naming(point, drop_index):
-                if up is None:
-                    up = _upstream(config, drop_index)
-                _, terms = _downstream(config, up)
-                rates = user_rates(terms, config.frame, up.stats.noise_power)
-            out[i] = DropResult(drop_index=drop_index, seed=up.seed,
-                                user_rate=array("d", rates.user_rate),
-                                sum_rate=rates.sum_rate)
+        entries = [i for i, k in todo if k == key]
+        point, config = grid[entries[0]]
+        with _naming(point, drop_index):
+            up = _upstream(config, drop_index)
+        configs = [grid[i][1] for i in entries]
+        try:
+            for stack in _stacks(configs, up.stats.num_aps * up.stats.num_users ** 2):
+                results = _run_stack([configs[j] for j in stack], up, drop_index)
+                for j, result in zip(stack, results):
+                    out[entries[j]] = result
+        except CfMimoError:
+            for i in entries:
+                point, config = grid[i]
+                with _naming(point, drop_index):
+                    out[i], = _run_stack([config], up, drop_index)
         todo = [(i, k) for i, k in todo if k != key]
     return out
 
@@ -393,22 +451,23 @@ def run_experiment(config: ExperimentConfig,
 
 
 def run_oracle_check(config: ExperimentConfig, drop_index: int = 0,
-                     jobs: int = 1):
+                     jobs: int = 1, pool=None):
     """Closed form vs Monte Carlo oracle on one drop; returns both results.
 
-    The oracle's blocks run over at most jobs worker processes; the result
-    does not depend on jobs.
+    The oracle's blocks run over at most jobs worker processes, those of
+    pool when given (see spectral_efficiency.oracle_pool); the result does
+    not depend on jobs.
     """
     if jobs < 1:    # checked here so that the message names no drop
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     with _naming({}, drop_index):
         up = _upstream(config, drop_index)
-        serving, terms = _downstream(config, up)
+        serving, terms = _downstream([config], up)
         oracle_rng = np.random.default_rng(
             np.random.SeedSequence(config.base_seed, spawn_key=(drop_index, 1)))
         oracle = mc_oracle(serving, up.stats, up.assignment, config.powers,
                            config.frame, config.oracle.num_samples, oracle_rng,
-                           terms=terms, jobs=jobs)
+                           terms=terms, jobs=jobs, pool=pool)
     return terms, oracle, up.stats.noise_power
 
 

@@ -18,6 +18,7 @@ independent check of the closed form.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,24 +90,28 @@ def mr_scale(rho: np.ndarray, est_trace: np.ndarray) -> np.ndarray:
     return scale
 
 
-def effective_data_powers(serving: ServingStructure, powers: PowerConfig) -> np.ndarray:
-    """(M, K) per-link data powers; zero on non-serving links.
+def effective_data_powers(serving: ServingStructure, powers: PowerConfig,
+                          num_users: int | None = None) -> np.ndarray:
+    """(M, P*K) per-link data powers of a stack of P points over num_users
+    users each (default: one point); zero on non-serving links.
 
-    Per-AP budget handling: "ignore" uses the nominal power as-is, "rescale"
-    shrinks all of an overloaded AP's links uniformly, "error" raises.
+    Per-AP budget handling, point by point: "ignore" uses the nominal power
+    as-is, "rescale" shrinks all of an overloaded AP's links uniformly,
+    "error" raises.
     """
     rho = np.zeros((serving.num_aps, len(serving.groups)))
     rho[serving.links.ap, serving.links.user] = powers.data_power
     if powers.ap_power_budget is None or powers.power_budget_mode == "ignore":
         return rho
-    totals = rho.sum(axis=1)
+    per_point = rho.reshape(serving.num_aps, -1, num_users or rho.shape[1])
+    totals = per_point.sum(axis=2)                              # (M, P)
     over = totals > powers.ap_power_budget
     if not np.any(over):
         return rho
     if powers.power_budget_mode == "error":
-        raise ConfigurationError(
-            f"AP power budget exceeded at APs {np.flatnonzero(over).tolist()}")
-    rho[over] *= (powers.ap_power_budget / totals[over])[:, None]
+        raise ConfigurationError(f"AP power budget exceeded at APs "
+                                 f"{np.flatnonzero(over.any(axis=1)).tolist()}")
+    per_point[over] *= (powers.ap_power_budget / totals[over])[:, None]
     return rho
 
 
@@ -116,7 +121,10 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     """Evaluate D_k^c, E_k and F_k for every user and coherent group.
 
     estimation is estimation_terms(stats, assignment, powers), which every
-    serving structure and data power of the drop can share.
+    serving structure and data power of the drop can share. serving may be
+    a stack of P points over the drop's K users (build_serving_structure);
+    the terms are then those of its P*K virtual users, each point's
+    computed apart from the others' by the same operations as on its own.
 
     The sums run over the serving links l = (m, i) of serving.links, with
     MR scale s_l, a = sqrt(p^p tau_p) and the MMSE estimator
@@ -134,30 +142,46 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     SIC order: descending D, ties by index.
     """
     links = serving.links
-    ap, user, start = links.ap, links.user, links.group_start
-    est_trace = estimation.est_trace
-    scale = mr_scale(effective_data_powers(serving, powers), est_trace)
-    s, a = scale[ap, user], np.sqrt(powers.pilot_power * assignment.tau_p)
+    ap, start = links.ap, links.group_start
     R = planes.planes(stats.R)                                  # (N, N, M, K)
     n, _, num_aps, num_users = R.shape
+    stack, rest = divmod(len(serving.groups), num_users)
+    if rest:
+        raise ConfigurationError(f"{len(serving.groups)} served users is not a "
+                                 f"whole number of points of {num_users} users")
+    point, user = np.divmod(links.user, num_users)    # physical user of a link
+    est_trace = estimation.est_trace
+    scale = mr_scale(effective_data_powers(serving, powers, num_users),
+                     np.tile(est_trace, stack))
+    s, a = scale[ap, links.user], np.sqrt(powers.pilot_power * assignment.tau_p)
     # np.take keeps the gathered planes contiguous; indexing the trailing
     # axes with index arrays would not.
     R_flat, link = R.reshape(n, n, -1), ap * num_users + user
     A = np.take(planes.planes(estimation.coef).reshape(n, n, -1), link, axis=-1)
-    # W by bincounts of the links' planes, then E as one product of W with
-    # the (N*N*M, K) planes of R.
+    # W of every (point, AP) by bincounts of the links' planes, then E of
+    # each point as the product of its W with the (N*N*M, K) planes of R.
+    # A batched matmul makes one vector-matrix product per point, as a
+    # single point's would; one matrix product of the stacked W would
+    # change the last bits of E.
     B = ((s ** 2 * a) * planes.product(A, np.take(R_flat, link, axis=-1))).ravel()
-    into = (np.arange(n * n)[:, None] * num_aps + ap).ravel()   # (entry, AP)
-    W = (np.bincount(into, B.real, n * n * num_aps)
-         + 1j * np.bincount(into, B.imag, n * n * num_aps)).reshape(n, n, num_aps)
-    E = (W.swapaxes(0, 1).ravel() @ R.reshape(-1, num_users)).real
-    # Co-pilot (link, user) pairs; every other cross amplitude is zero.
+    bins = stack * n * n * num_aps
+    into = ((point * n * n + np.arange(n * n)[:, None]) * num_aps + ap).ravel()
+    W = (np.bincount(into, B.real, bins)
+         + 1j * np.bincount(into, B.imag, bins)).reshape(stack, n, n, num_aps)
+    E = np.matmul(W.swapaxes(1, 2).reshape(stack, 1, -1),
+                  R.reshape(-1, num_users)).real.ravel()
+    # Co-pilot (link, user) pairs within the link's point; every other
+    # cross amplitude is zero.
     pair_l, pair_k = np.nonzero(assignment.t[user][:, None] == assignment.t)
     amp = np.zeros((ap.size, num_users), dtype=complex)
     amp[pair_l, pair_k] = s[pair_l] * a * planes.trace_product(
         np.take(A, pair_l, axis=-1),
         np.take(R_flat, ap[pair_l] * num_users + pair_k, axis=-1))
-    F = np.sum(np.abs(np.add.reduceat(amp, start)) ** 2, axis=0)
+    # np.sum over each point's groups, as on a point alone: np.add.reduceat
+    # adds in another order and would change the last bits of F.
+    power = np.abs(np.add.reduceat(amp, start)) ** 2            # (groups, K)
+    firsts = np.searchsorted(point[start], np.arange(1, stack))   # first groups
+    F = np.concatenate([np.sum(part, axis=0) for part in np.split(power, firsts)])
     d = np.add.reduceat(s * est_trace[ap, user], start) ** 2
 
     order = np.lexsort((-d, links.group_user))
@@ -291,10 +315,25 @@ def _add_in_order(blocks):
     return total
 
 
+def oracle_pool(jobs: int, num_samples: int):
+    """A process pool for the blocks of mc_oracle calls of at most
+    num_samples samples at jobs workers: min(jobs, blocks) workers started
+    with "spawn", or a null context (None) when that is fewer than two.
+    """
+    workers = min(jobs, -(-num_samples // ORACLE_BLOCK))
+    if workers < 2:
+        return nullcontext()
+    # Imported here, as in harness._run_grid: serial calls never need the
+    # pool machinery.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+
+
 def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
               assignment: PilotAssignment, powers: PowerConfig,
               frame: FrameConfig, num_samples: int, rng: np.random.Generator,
-              terms: SETerms, jobs: int = 1) -> OracleResult:
+              terms: SETerms, jobs: int = 1, pool=None) -> OracleResult:
     """Estimate the SINR expectations by direct simulation.
 
     For every sample: draw channels, simulate the pilot phase with noise,
@@ -311,9 +350,11 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     `terms`, the closed-form terms of the same inputs.
 
     The samples are drawn in blocks of ORACLE_BLOCK, block b from the b-th
-    generator of rng.spawn. With jobs > 1 the blocks run in a pool of
-    min(jobs, blocks) worker processes; their sums are added in block order
-    either way, so the result does not depend on jobs.
+    generator of rng.spawn. With jobs > 1 the blocks run in runs of
+    consecutive blocks, about four per worker of min(jobs, blocks), in pool,
+    an oracle_pool that several calls can share, or else in an oracle_pool
+    of the call's own. Their sums are added in block order either way, so
+    the result does not depend on jobs.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
@@ -334,17 +375,12 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     rngs = rng.spawn(len(sizes))
     workers = min(jobs, len(sizes))
     if workers > 1:
-        # Imported here, as in harness._run_grid: serial calls never need
-        # the pool machinery. Runs of consecutive blocks, about four per
-        # worker, balance the load.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
         per_run = -(-len(sizes) // (4 * workers))
         runs = [slice(lo, lo + per_run) for lo in range(0, len(sizes), per_run)]
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            parts = pool.map(_block_run, [plan] * len(runs),
-                             [rngs[r] for r in runs], [sizes[r] for r in runs])
+        with (nullcontext(pool) if pool is not None
+              else oracle_pool(jobs, num_samples)) as executor:
+            parts = executor.map(_block_run, [plan] * len(runs),
+                                 [rngs[r] for r in runs], [sizes[r] for r in runs])
             sums = _add_in_order(b for part in parts for b in part)
     else:
         sums = _add_in_order(_block_moments(plan, rngs, sizes))

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import cluster_of, fixed, legacy, power, random_cpu_map, threshold
 
+from cfmimo import clustering
 from cfmimo.clustering import (ALGORITHMS, THRESHOLD_MODES, ClusteringParams,
-                               build_serving_structure)
+                               build_serving_structure, serving_mask)
 from cfmimo.errors import ConfigurationError
 from cfmimo.harness import TRANSMISSION_MODES
 
@@ -238,6 +239,54 @@ class TestProperties:
             single = build_serving_structure(beta[:, [k]], owner, q, params, 0.5, mode)
             assert batch.clusters[k] == single.clusters[0]
             assert batch.groups[k] == single.groups[0]
+
+    @given(instance=instances(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_stack_is_its_points_in_turn(self, instance, data):
+        # Point p's user k is virtual user p*K + k of the stack, with the
+        # clusters, groups and links of the point built on its own.
+        beta, owner, q, params = instance
+        choices = [params, replace(params, n_ap=1),
+                   replace(params, algorithm="legacy_largest_lsf")]
+        points = data.draw(st.lists(st.tuples(st.sampled_from(choices),
+                                              st.sampled_from(TRANSMISSION_MODES)),
+                                    min_size=1, max_size=4))
+        stack = build_serving_structure(beta, owner, q, [p for p, _ in points],
+                                        0.5, [m for _, m in points])
+        singles = [build_serving_structure(beta, owner, q, p, 0.5, m)
+                   for p, m in points]
+        assert stack.clusters == sum((s.clusters for s in singles), ())
+        assert stack.groups == sum((s.groups for s in singles), ())
+        k = beta.shape[1]
+        first_link = np.cumsum([0] + [s.links.ap.size for s in singles])
+        want = {"ap": [s.links.ap for s in singles],
+                "user": [s.links.user + p * k for p, s in enumerate(singles)],
+                "group_start": [s.links.group_start + first_link[p]
+                                for p, s in enumerate(singles)],
+                "group_user": [s.links.group_user + p * k
+                               for p, s in enumerate(singles)]}
+        for name, parts in want.items():
+            assert np.array_equal(getattr(stack.links, name), np.concatenate(parts))
+
+    def test_stack_clusters_once_per_distinct_params(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return serving_mask(*args)
+
+        monkeypatch.setattr(clustering, "serving_mask", counting)
+        beta = np.random.default_rng(0).uniform(0.1, 1.0, (6, 3))
+        params = [fixed(2, 2), fixed(2, 3), fixed(2, 2)]
+        stack = build_serving_structure(beta, np.arange(6) % 2, 2, params * 3,
+                                        mode=["coherent"] * 3 + ["mixed"] * 6)
+        assert calls == [fixed(2, 2), fixed(2, 3)]
+        assert len(stack.clusters) == 9 * 3
+
+    def test_stack_needs_a_mode_per_point(self):
+        with pytest.raises(ConfigurationError, match="2 clustering params for 3"):
+            build_serving_structure(np.ones((2, 1)), np.zeros(2, dtype=int), 1,
+                                    [fixed(1, 1)] * 2, mode=["mixed"] * 3)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("mode", TRANSMISSION_MODES)

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -15,12 +16,36 @@ from hypothesis import strategies as st
 from cfmimo import channel_stats, cli, harness
 from cfmimo.cli import main
 from cfmimo.clustering import ClusteringParams
-from cfmimo.errors import ConfigurationError
+from cfmimo.errors import ConfigurationError, NumericalError
 from cfmimo.harness import (ExperimentConfig, apply_sweep_point,
                             config_from_dict, config_to_dict, emit_results,
                             load_config, run_drop, run_experiment, run_single)
+from cfmimo.pilots import PowerConfig
 from cfmimo.scenario import ScenarioConfig, generate_deployment
-from cfmimo.spectral_efficiency import FrameConfig
+from cfmimo.spectral_efficiency import FrameConfig, compute_terms
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts of the process pools opened, each replaced by one
+    that runs its tasks in this process."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
 
 
 def _tiny_config(**kwargs) -> ExperimentConfig:
@@ -146,6 +171,98 @@ class TestSweep:
         assert run_experiment(config, jobs=2) == run_experiment(config, jobs=1)
 
 
+class TestStacks:
+    """The points of a drop that share its upstream, powers and frame run
+    as one stack; every row is still that of the point run on its own."""
+
+    def test_fig3_6_rows_are_single_drops(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return compute_terms(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "compute_terms", counting)
+        outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+        for jobs, out in zip((1, 2), outs):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["fig3-6", "--drops", "2", "--jobs", str(jobs),
+                             "--out", str(out)]) == 0
+        assert len(calls) == 2                # one stack of 27 points per drop
+        assert ((outs[0] / "fig3-6.csv").read_bytes()
+                == (outs[1] / "fig3-6.csv").read_bytes())
+        with open(outs[0] / "fig3-6.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 27 * 2
+        base = replace(cli._preset("fig3-6", 0), num_drops=2)
+        by_point = {}
+        for row in rows:
+            point = {"transmission_mode": row["transmission_mode"],
+                     "clustering.algorithm": row["clustering.algorithm"],
+                     "clustering.n_cpu": int(row["clustering.n_cpu"])}
+            single = run_drop(apply_sweep_point(base, point), int(row["drop"]))
+            want = [repr(r) for r in single.user_rate] + [repr(single.sum_rate)]
+            got = [row[f"user_rate_{k}"] for k in range(10)] + [row["sum_rate"]]
+            assert got == want and row["seed"] == str(single.seed)
+            by_point[tuple(point.values()) + (row["drop"],)] = got[:-1]
+        for algorithm in ("power_fraction", "fixed_aps", "lsf_threshold"):
+            for drop in ("0", "1"):
+                assert (by_point["mixed", algorithm, 1, drop]
+                        == by_point["coherent", algorithm, 1, drop])
+
+    def test_stack_size_does_not_change_the_rows(self, monkeypatch):
+        config = replace(cli._preset("fig1", 0), num_drops=2)
+        whole = run_experiment(config)
+        # M = 40 and K = 10: stacks of two points, then one.
+        monkeypatch.setattr(harness, "STACK_ENTRIES", 2 * 40 * 10 * 10)
+        assert harness._stacks([config] * 3, 40 * 10 * 10) == [[0, 1], [2]]
+        assert run_experiment(config) == whole
+
+    def test_budget_rescales_per_point(self):
+        # A per-AP budget that binds: each point's rescale is its own.
+        config = _tiny_config(
+            powers=PowerConfig(ap_power_budget=0.25, power_budget_mode="rescale"),
+            sweep={"clustering.n_ap": [2, 6], "transmission_mode": ["mixed",
+                                                                   "coherent"]})
+        for point, result in run_experiment(config):
+            single = apply_sweep_point(config, point)
+            assert result.drops == tuple(run_drop(single, d)
+                                         for d in range(single.num_drops))
+
+    def test_configuration_error_names_the_point(self, tmp_path, capsys):
+        # Both points share the drop's upstream key and one stack.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "scenario": {"num_aps": 40, "num_users": 10}, "num_drops": 1,
+            "clustering": {"algorithm": "fixed_aps"},
+            "sweep": {"clustering.n_cpu": [2, 9]}}))
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path)]) == 1
+        assert ("sweep point clustering.n_cpu=9, drop 0: n_cpu exceeds"
+                in capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numerical_error_names_the_point_and_its_user(self, tmp_path, capsys):
+        # At a pilot power of 1e-300 clusters of one AP give finite rates
+        # and clusters of two do not. The failing user is virtual user
+        # 10 + k of the stack and user k of its point.
+        doc = {"scenario": {"num_aps": 40, "num_users": 10}, "num_drops": 1,
+               "powers": {"pilot_power": 1e-300}}
+        alone = config_from_dict(dict(doc, clustering={"legacy_cluster_size": 2}))
+        with pytest.raises(NumericalError) as single:
+            run_drop(alone, 0)
+        assert run_drop(replace(alone, clustering=ClusteringParams(
+            legacy_cluster_size=1)), 0).sum_rate >= 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(
+            doc, sweep={"clustering.legacy_cluster_size": [1, 2]})))
+        assert main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        message = f"sweep point clustering.legacy_cluster_size=2, {single.value}"
+        assert re.search(r"drop 0: user \d has rate nan", message)
+        assert message in capsys.readouterr().err
+
+
 class TestRunDrop:
     def test_deterministic(self):
         config = _tiny_config()
@@ -238,27 +355,10 @@ class TestRunSingle:
          [2]),                                            # one per experiment
         (1, None, []),
     ])
-    def test_pool_size(self, monkeypatch, jobs, sweep, workers):
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InProcessPool)
+    def test_pool_size(self, pool_sizes, jobs, sweep, workers):
         config = _tiny_config(sweep=sweep)
         run_experiment(config, jobs)
-        assert sizes == workers
+        assert pool_sizes == workers
 
     def test_percentiles_present(self):
         res = run_single(_tiny_config(num_drops=5))
@@ -475,7 +575,7 @@ class TestCli:
                                                use_config, flags, expected):
         seen = []
 
-        def first_check_only(config, drop_index=0, jobs=1):
+        def first_check_only(config, drop_index=0, jobs=1, pool=None):
             seen.append((config.base_seed, config.oracle.num_samples))
             raise ConfigurationError("checked the first config")
 
@@ -486,6 +586,15 @@ class TestCli:
         config = ["--config", str(path)] if use_config else []
         assert main(["validate", *config, *flags]) == 1
         assert seen == [expected]
+
+    def test_validate_opens_one_pool(self, pool_sizes, capsys):
+        # Two instances of three oracle blocks each share one pool of two
+        # workers, and print what a serial run prints.
+        assert main(["validate", "--samples", "2500", "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["validate", "--samples", "2500", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert pool_sizes == [2]
 
     def test_validate_compares_sinr(self, capsys):
         main(["validate", "--samples", "2000"])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -207,6 +208,70 @@ class TestComputeTerms:
                 rtol=1e-10, atol=0)
         np.testing.assert_allclose(terms.E, E, rtol=1e-10, atol=0)
         np.testing.assert_allclose(terms.F, F, rtol=1e-10, atol=0)
+
+
+class TestStack:
+    """A stack of P points over the same drop is the P points in turn,
+    bit for bit: point p's user k is virtual user p*K + k."""
+
+    POINTS = [(ClusteringParams(algorithm="fixed_aps", n_cpu=2, n_ap=4), "mixed"),
+              (ClusteringParams(algorithm="fixed_aps", n_cpu=1, n_ap=6), "coherent"),
+              (ClusteringParams(algorithm="legacy_largest_lsf",
+                                legacy_cluster_size=3), "non_coherent"),
+              (ClusteringParams(algorithm="fixed_aps", n_cpu=2, n_ap=4), "coherent")]
+
+    @pytest.mark.parametrize("budget", [None, 0.25])
+    def test_terms_and_rates_are_the_points(self, budget):
+        # A per-AP budget of 2.5 links' power rescales per (point, AP): the
+        # stack's AP serves more links over all points than within one.
+        stats, assignment, _, _, powers, frame = small_instance(12, 4, 2, 2, 2, seed=3)
+        powers = replace(powers, ap_power_budget=budget, power_budget_mode="rescale")
+        owner = np.arange(12) % 2
+        estimation = estimation_terms(stats, assignment, powers)
+
+        def terms_of(params, modes):
+            serving = build_serving_structure(stats.beta, owner, 2, params,
+                                              stats.noise_power, modes)
+            return compute_terms(serving, stats, assignment, powers, estimation)
+
+        stack = terms_of([p for p, _ in self.POINTS], [m for _, m in self.POINTS])
+        singles = [terms_of(p, m) for p, m in self.POINTS]
+        if budget is not None:
+            rho = effective_data_powers(build_serving_structure(
+                stats.beta, owner, 2, self.POINTS[0][0], stats.noise_power), powers)
+            assert rho.sum(axis=1).max() == pytest.approx(budget)
+        np.testing.assert_array_equal(stack.E, np.concatenate([t.E for t in singles]))
+        np.testing.assert_array_equal(stack.F, np.concatenate([t.F for t in singles]))
+        assert stack.group_order == sum((t.group_order for t in singles), ())
+        for got, want in zip(stack.D, [d for t in singles for d in t.D]):
+            np.testing.assert_array_equal(got, want)
+        rates = user_rates(stack, frame, stats.noise_power).user_rate
+        np.testing.assert_array_equal(rates, np.concatenate(
+            [user_rates(t, frame, stats.noise_power).user_rate for t in singles]))
+
+    def test_budget_error_names_the_aps_over_budget_in_any_point(self):
+        stats, assignment, _, _, powers, _ = small_instance(12, 4, 2, 2, 2, seed=3)
+        owner, noise = np.arange(12) % 2, stats.noise_power
+        over = set()
+        for params, mode in self.POINTS:
+            single = build_serving_structure(stats.beta, owner, 2, params, noise, mode)
+            rho = effective_data_powers(single, powers)
+            over |= set(np.flatnonzero(rho.sum(axis=1) > 0.25).tolist())
+        stack = build_serving_structure(stats.beta, owner, 2,
+                                        [p for p, _ in self.POINTS], noise,
+                                        [m for _, m in self.POINTS])
+        powers = replace(powers, ap_power_budget=0.25, power_budget_mode="error")
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"at APs {sorted(over)}")):
+            effective_data_powers(stack, powers, 4)
+
+    def test_partial_point_rejected(self):
+        stats, assignment, serving, _, powers, _ = small_instance(12, 4, 2, 2, 2, seed=3)
+        part = ServingStructure(clusters=serving.clusters[:3],
+                                groups=serving.groups[:3], num_aps=12)
+        with pytest.raises(ConfigurationError, match="3 served users"):
+            compute_terms(part, stats, assignment, powers,
+                          estimation_terms(stats, assignment, powers))
 
 
 class TestSinr:
