@@ -192,8 +192,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     sweep = data.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict) or not all(
-                isinstance(v, (list, tuple)) for v in sweep.values()):
-            raise ConfigurationError("sweep must map parameter names to value lists")
+                isinstance(v, (list, tuple)) and v for v in sweep.values()):
+            raise ConfigurationError(
+                "sweep must map parameter names to non-empty value lists")
         data["sweep"] = {k: tuple(v) for k, v in sweep.items()}
     return _from_mapping(ExperimentConfig, data, "config")
 
@@ -241,6 +242,10 @@ def apply_sweep_point(config: ExperimentConfig, point: dict) -> ExperimentConfig
         kinds = {f.name: f.type for f in dataclasses.fields(section)}
         if parts[-1] not in kinds:
             raise ConfigurationError(f"unknown sweep parameter: {path}")
+        # Only fields with a type check are values; the others are the
+        # sections and the sweep itself.
+        if kinds[parts[-1]] not in _TYPE_CHECKS:
+            raise ConfigurationError(f"sweep {path}: not a sweepable parameter")
         _check_type(kinds[parts[-1]], value, f"sweep {path}")
         section = replace(section, **{parts[-1]: value})
         out = section if len(parts) == 1 else replace(out, **{parts[0]: section})

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -193,6 +194,17 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
                                      for lo, hi in cuts))
 
 
+def _sic_partial_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per group, the sum of values over its user's groups up to and
+    including it, SIC order: values is flat over the users' groups, user k
+    having sizes[k] of them. The cumsum runs within each user only, which
+    keeps the sums exact at any number of users."""
+    decoded = np.arange(sizes.max()) < sizes[:, None]      # (K, most groups)
+    padded = np.zeros(decoded.shape)
+    padded[decoded] = values
+    return np.cumsum(padded, axis=1)[decoded]
+
+
 def user_rates(terms: SETerms, frame: FrameConfig,
                noise_power: float) -> RateResult:
     """Per-user spectral efficiencies with the pilot prelog.
@@ -204,13 +216,8 @@ def user_rates(terms: SETerms, frame: FrameConfig,
     sizes = np.array([d.size for d in terms.D])
     first = np.cumsum(sizes) - sizes
     d = np.concatenate(terms.D)
-    # Each user's decoded-D partial sums, from a cumsum within that user
-    # only, which keeps them exact at any number of users.
-    decoded = np.arange(sizes.max()) < sizes[:, None]      # (K, most groups)
-    padded = np.zeros(decoded.shape)
-    padded[decoded] = d
     denom = (np.repeat(terms.E + terms.F, sizes)
-             - np.cumsum(padded, axis=1)[decoded] + noise_power)
+             - _sic_partial_sums(d, sizes) + noise_power)
     bad = np.flatnonzero(denom <= 0.0)
     if bad.size:
         k = int(np.searchsorted(first, bad[0], side="right")) - 1
@@ -264,9 +271,10 @@ class _OraclePlan:
     step: int                     # samples per transform chunk
 
 
-def _block_moments(plan: _OraclePlan, rngs, sizes):
-    """Yield the moment sums of each block in turn: block b draws sizes[b]
-    samples from rngs[b], into two buffers that the blocks share.
+def _block_moments(plan: _OraclePlan, rngs, sizes) -> list:
+    """The moment sums of each block of a run, in block order: block b draws
+    sizes[b] samples from rngs[b], into two buffers that the run's blocks
+    share.
 
     The sums, per (group, observing user), are those of a, |a|^2, Re(a)^2,
     Im(a)^2 and |a|^4.
@@ -276,6 +284,7 @@ def _block_moments(plan: _OraclePlan, rngs, sizes):
     G = links.group_start.size
     g_buf = np.empty(2 * max(sizes) * M * K * N)
     z_buf = np.empty(2 * max(sizes) * tau_p * M * N)
+    blocks = []
     for rng, n in zip(rngs, sizes):
         g = _normals_into(g_buf, (2, n, M, K, N), rng)
         z = _normals_into(z_buf, (2, n, tau_p, M, N), rng)
@@ -297,12 +306,8 @@ def _block_moments(plan: _OraclePlan, rngs, sizes):
             for total, part in zip(sums, (a, p, a.real ** 2, a.imag ** 2,
                                           p ** 2)):
                 total += part.sum(axis=0)
-        yield sums
-
-
-def _block_run(plan: _OraclePlan, rngs, sizes) -> list:
-    """The moment sums of a run of blocks, as a list a worker can return."""
-    return list(_block_moments(plan, rngs, sizes))
+        blocks.append(sums)
+    return blocks
 
 
 def _add_in_order(blocks):
@@ -345,49 +350,51 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
         F_k   = sum over co-pilot (i, b) of |mean a_{i,k}^b|^2,
         E_k   = sum over all (i, b) of mean |a_{i,k}^b|^2  -  F_k,
 
-    with |mean|^2 debiased by the variance of the mean. SINRs are assembled
-    exactly as the SIC chain structures them, using the group order of
-    `terms`, the closed-form terms of the same inputs.
+    with |mean|^2 debiased by the variance of the mean. The SINRs follow the
+    SIC chain of user_rates in the group order of `terms`, the closed-form
+    terms of the same inputs, with the same within-user partial sums of D:
+    D_k^c / (sum_{i,b} mean |a_{i,k}^b|^2 - sum_{b<=c} D_k^b + sigma^2).
 
     The samples are drawn in blocks of ORACLE_BLOCK, block b from the b-th
-    generator of rng.spawn. With jobs > 1 the blocks run in runs of
-    consecutive blocks, about four per worker of min(jobs, blocks), in pool,
-    an oracle_pool that several calls can share, or else in an oracle_pool
-    of the call's own. Their sums are added in block order either way, so
-    the result does not depend on jobs.
+    generator of rng.spawn. The blocks run in runs of consecutive blocks,
+    about four per worker of min(jobs, blocks), one after another at one
+    worker and otherwise in pool, an oracle_pool that several calls can
+    share, or else in an oracle_pool of the call's own. Their sums are added
+    in block order either way, so the result does not depend on jobs.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     estimation = estimation_terms(stats, assignment, powers)
-    K = len(serving.clusters)
+    K = stats.num_users
     w_scale = mr_scale(effective_data_powers(serving, powers),
                        estimation.est_trace)
     links = serving.links
+    sizes = np.fromiter(map(len, terms.group_order), dtype=int,
+                        count=len(terms.group_order))    # groups per user
+    if not np.array_equal(sizes, np.bincount(links.group_user, minlength=K)):
+        raise NumericalError("group count mismatch between terms and serving")
     plan = _OraclePlan(
         sqrt_R=correlation_sqrt(stats.R),
         w_coef=w_scale[..., None, None] * estimation.coef, links=links,
         assignment=assignment, powers=powers, noise_power=stats.noise_power,
         step=max(1, ORACLE_CHUNK_SIZE // (links.ap.size * K * stats.num_antennas)))
-    sizes = [min(ORACLE_BLOCK, num_samples - lo)
-             for lo in range(0, num_samples, ORACLE_BLOCK)]
-    rngs = rng.spawn(len(sizes))
-    workers = min(jobs, len(sizes))
-    if workers > 1:
-        per_run = -(-len(sizes) // (4 * workers))
-        runs = [slice(lo, lo + per_run) for lo in range(0, len(sizes), per_run)]
-        with (nullcontext(pool) if pool is not None
-              else oracle_pool(jobs, num_samples)) as executor:
-            parts = executor.map(_block_run, [plan] * len(runs),
-                                 [rngs[r] for r in runs], [sizes[r] for r in runs])
-            sums = _add_in_order(b for part in parts for b in part)
-    else:
-        sums = _add_in_order(_block_moments(plan, rngs, sizes))
+    samples = [min(ORACLE_BLOCK, num_samples - lo)
+               for lo in range(0, num_samples, ORACLE_BLOCK)]
+    rngs = rng.spawn(len(samples))
+    workers = min(jobs, len(samples))
+    per_run = -(-len(samples) // (4 * workers))
+    runs = [slice(lo, lo + per_run) for lo in range(0, len(samples), per_run)]
+    with (nullcontext(pool) if pool is not None
+          else oracle_pool(jobs, num_samples)) as executor:
+        parts = (map if workers < 2 else executor.map)(
+            _block_moments, [plan] * len(runs), [rngs[r] for r in runs],
+            [samples[r] for r in runs])
+        sums = _add_in_order(b for part in parts for b in part)
     sum_a, sum_a2, sum_re2, sum_im2, sum_p2 = sums
     # Does group g contaminate user k?
     copilot_mask = assignment.t[links.group_user][:, None] == assignment.t
-    noise = stats.noise_power
 
     S = float(num_samples)
     mean_a = sum_a / S
@@ -408,34 +415,21 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     E_hat = total - F_hat
     E_se = np.sqrt(total_se2 + F_se ** 2)
 
-    # Per-user desired groups, mapped into the SIC order recorded in `terms`.
-    D_hat: list[np.ndarray] = []
-    D_se: list[np.ndarray] = []
-    sinr: list[np.ndarray] = []
-    sinr_se: list[np.ndarray] = []
-    for k in range(K):
-        order = list(terms.group_order[k])
-        rows = np.flatnonzero(links.group_user == k)
-        if len(order) != rows.size:
-            raise NumericalError("group count mismatch between terms and serving")
-        d = coh[rows[order], k]
-        d_se = coh_se[rows[order], k]
-        D_hat.append(d)
-        D_se.append(d_se)
-        g = np.empty(d.size)
-        g_se = np.empty(d.size)
-        for c in range(d.size):
-            denom = total[k] - np.sum(d[: c + 1]) + noise
-            g[c] = d[c] / denom
-            # Absolute form: stays finite when a clipped d is 0.
-            g_se[c] = np.sqrt((d_se[c] / denom) ** 2 + g[c] ** 2
-                              * (total_se2[k] + np.sum(d_se[: c + 1] ** 2))
-                              / denom ** 2)
-        sinr.append(g)
-        sinr_se.append(g_se)
-
-    return OracleResult(
-        D=tuple(D_hat), D_se=tuple(D_se), E=E_hat, E_se=E_se,
-        F=F_hat, F_se=F_se, sinr=tuple(sinr), sinr_se=tuple(sinr_se),
-        num_samples=num_samples,
-    )
+    # Each user's groups in the SIC order of `terms`, as flat group indices.
+    first = np.cumsum(sizes) - sizes
+    sic = np.fromiter(chain.from_iterable(terms.group_order), dtype=int,
+                      count=sizes.sum()) + np.repeat(first, sizes)
+    user = links.group_user[sic]
+    d, d_se = coh[sic, user], coh_se[sic, user]
+    denom = (np.repeat(total, sizes) - _sic_partial_sums(d, sizes)
+             + stats.noise_power)
+    g = d / denom
+    # Absolute form: stays finite when a clipped d is 0.
+    g_se = np.sqrt((d_se / denom) ** 2 + g ** 2
+                   * (np.repeat(total_se2, sizes)
+                      + _sic_partial_sums(d_se ** 2, sizes)) / denom ** 2)
+    D_hat, D_se, sinr, sinr_se = (tuple(np.split(x, first[1:]))
+                                  for x in (d, d_se, g, g_se))
+    return OracleResult(D=D_hat, D_se=D_se, E=E_hat, E_se=E_se, F=F_hat,
+                        F_se=F_se, sinr=sinr, sinr_se=sinr_se,
+                        num_samples=num_samples)

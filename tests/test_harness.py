@@ -458,6 +458,11 @@ class TestCli:
         {"clustering": {"n_cpu": "2"}},
         {"powers": {"data_power": float("nan")}},
         {"sweep": {"clustering.n_cpu": ["2"]}},
+        {"sweep": {"clustering.n_cpu": []}},
+        {"sweep": {"powers": [{"pilot_power": 0.1}]}},
+        {"sweep": {"large_scale.path_loss": [{"d0": 5.0}]}},
+        {"sweep": {"oracle": [1]}},
+        {"sweep": {"sweep": [1]}},
     ])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, section):
         path = tmp_path / "config.json"

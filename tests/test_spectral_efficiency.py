@@ -510,6 +510,38 @@ class TestOracle:
             for closed, est, se in pairs:
                 assert abs(closed - est) <= max(0.02 * abs(closed), 3.0 * se)
 
+    def test_sinrs_follow_the_sic_chain_at_many_groups(self):
+        # Desk non-coherent with legacy clusters of 10: every user decodes
+        # ten single-AP groups, enough for the order of the partial sums
+        # of D to show in the last bits.
+        config = ExperimentConfig(
+            scenario=ScenarioConfig(num_aps=40, num_users=10, num_antennas=2),
+            clustering=ClusteringParams(algorithm="legacy_largest_lsf",
+                                        legacy_cluster_size=10),
+            transmission_mode="non_coherent",
+            oracle=OracleConfig(num_samples=1_000))
+        _, oracle, noise = run_oracle_check(config)
+        for k in range(10):
+            d = oracle.D[k]
+            assert d.size == 10
+            np.testing.assert_allclose(
+                oracle.sinr[k],
+                d / (oracle.E[k] + oracle.F[k] - np.cumsum(d) + noise),
+                rtol=1e-12, atol=0)
+            assert np.all(np.isfinite(oracle.sinr_se[k]))
+
+    def test_terms_of_another_structure_rejected(self):
+        # The mixed terms of a drop with the non-coherent structure of the
+        # same drop, in which users have more groups.
+        stats, assignment, _, terms, powers, frame = small_instance(
+            12, 4, 2, 4, 4, seed=0)
+        serving = small_instance(12, 4, 2, 4, 4, seed=0,
+                                 mode="non_coherent")[2]
+        assert serving.links.group_start.size > sum(map(len, terms.group_order))
+        with pytest.raises(NumericalError, match="group count mismatch"):
+            mc_oracle(serving, stats, assignment, powers, frame, 100,
+                      np.random.default_rng(0), terms=terms)
+
     def test_peak_memory_is_one_batch_of_normals(self):
         # One 100 000-sample call at (M, K, Q, tau_p) = (12, 4, 4, 4) holds
         # one 1 000-sample block of standard normals (3.1 MB) and
