@@ -6,13 +6,16 @@ clustering -> closed-form rates. Per-drop random streams are split from the
 base seed with numpy's SeedSequence (spawn_key = drop index), so serial and
 parallel executions produce identical results.
 
-The stages up to the estimation terms read only a config's upstream key,
-(scenario, large_scale, frame.tau_p, powers.pilot_power, base_seed), and
-the drop index. A sweep therefore runs drop-major: each drop runs those
-stages once per distinct key, then clustering and the closed form for
-every sweep point with that key. The rows are regrouped per point, in grid
-order, before aggregation. With jobs > 1 one process pool of
-min(jobs, drops) workers spreads the drops of the whole grid.
+Every experiment runs as a grid of sweep points; without a sweep the grid
+is one empty point. The stages up to the estimation terms read only a
+config's upstream key, (scenario, large_scale, frame.tau_p,
+powers.pilot_power, base_seed), and the drop index. A grid therefore runs
+drop-major: each drop groups the grid's points by key in one dict pass
+(every config section hashes), runs those stages once per key, then
+clustering and the closed form for every point with that key. The rows are
+regrouped per point, in grid order, before aggregation. With jobs > 1 one
+process pool of min(jobs, drops) workers spreads the drops of the whole
+grid.
 
 The points of a key that also share powers and frame run as one stack:
 point p's user k is virtual user p*K + k of one serving structure, and one
@@ -138,7 +141,6 @@ def _is_float(value) -> bool:
         isinstance(value, int) or (isinstance(value, float) and math.isfinite(value)))
 
 
-_POSITIONS = "tuple[tuple[float, float], ...]"
 # Parse-time checks by declared field type. Annotations are postponed, so a
 # field's type is its annotation string; fields of other types pass as given.
 _TYPE_CHECKS = {
@@ -146,7 +148,7 @@ _TYPE_CHECKS = {
     "float": _is_float,
     "float | None": lambda v: v is None or _is_float(v),
     "str": lambda v: isinstance(v, str),
-    _POSITIONS: lambda v: isinstance(v, (list, tuple)) and all(
+    "tuple[tuple[float, float], ...]": lambda v: isinstance(v, (list, tuple)) and all(
         isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_float, p))
         for p in v),
 }
@@ -177,8 +179,6 @@ def _from_mapping(cls, data: dict, context: str):
             value = _from_mapping(_SECTIONS[kind], value, where)
         else:
             _check_type(kind, value, where)
-            if kind == _POSITIONS:
-                value = tuple(tuple(p) for p in value)
         kwargs[name] = value
     return cls(**kwargs)
 
@@ -282,8 +282,7 @@ def _naming(point: dict, drop_index: int):
 
 
 def _upstream_key(config: ExperimentConfig) -> tuple:
-    """Everything that _upstream reads from config. Keys are compared by
-    equality, not by hash: a swept value may be a list."""
+    """Everything that _upstream reads from config."""
     return (config.scenario, config.large_scale, config.frame.tau_p,
             config.powers.pilot_power, config.base_seed)
 
@@ -359,10 +358,10 @@ def _run_drop_grid(grid: list[tuple[dict, ExperimentConfig]],
     and the user within it, as if every point had run on its own.
     """
     out = [None] * len(grid)
-    todo = [(i, _upstream_key(config)) for i, (_, config) in enumerate(grid)]
-    while todo:
-        key = todo[0][1]
-        entries = [i for i, k in todo if k == key]
+    keys = {}     # upstream key -> grid indices, in order of first appearance
+    for i, (_, config) in enumerate(grid):
+        keys.setdefault(_upstream_key(config), []).append(i)
+    for entries in keys.values():
         point, config = grid[entries[0]]
         with _naming(point, drop_index):
             up = _upstream(config, drop_index)
@@ -377,7 +376,6 @@ def _run_drop_grid(grid: list[tuple[dict, ExperimentConfig]],
                 point, config = grid[i]
                 with _naming(point, drop_index):
                     out[i], = _run_stack([config], up, drop_index)
-        todo = [(i, k) for i, k in todo if k != key]
     return out
 
 
@@ -438,19 +436,15 @@ def run_single(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
 
 def run_experiment(config: ExperimentConfig,
                    jobs: int = 1) -> list[tuple[dict, ExperimentResult]]:
-    """Run the experiment, expanding the sweep grid if one is configured.
+    """Run the experiment over its sweep grid; without a sweep the grid is
+    one empty point.
 
-    Returns (sweep_point, result) pairs in grid order; a single pair with an
-    empty point when there is no sweep. All points run in one drop-major
-    pass (see the module docstring).
+    Returns (sweep_point, result) pairs in grid order. All points run in one
+    drop-major pass (see the module docstring).
     """
-    if not config.sweep:
-        return [({}, run_single(config, jobs))]
-    names = list(config.sweep)
-    grid = []
-    for values in product(*(config.sweep[n] for n in names)):
-        point = dict(zip(names, values))
-        grid.append((point, apply_sweep_point(config, point)))
+    sweep = config.sweep or {}
+    points = [dict(zip(sweep, values)) for values in product(*sweep.values())]
+    grid = [(point, apply_sweep_point(config, point)) for point in points]
     return [(point, result)
             for (point, _), result in zip(grid, _run_grid(grid, jobs))]
 

@@ -33,6 +33,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Lists and arrays become a tuple of tuples, so that every config hashes.
+        object.__setattr__(self, "cpu_positions",
+                           tuple(map(tuple, self.cpu_positions)))
         if self.num_aps < 1 or self.num_users < 1 or self.num_antennas < 1:
             raise ConfigurationError("num_aps, num_users and num_antennas must be >= 1")
         if self.area_side <= 0:

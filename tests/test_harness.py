@@ -19,7 +19,8 @@ from cfmimo.clustering import ClusteringParams
 from cfmimo.errors import ConfigurationError, NumericalError
 from cfmimo.harness import (ExperimentConfig, apply_sweep_point,
                             config_from_dict, config_to_dict, emit_results,
-                            load_config, run_drop, run_experiment, run_single)
+                            load_config, run_drop, run_experiment,
+                            run_oracle_check, run_single)
 from cfmimo.pilots import PowerConfig
 from cfmimo.scenario import ScenarioConfig, generate_deployment
 from cfmimo.spectral_efficiency import FrameConfig, compute_terms
@@ -156,13 +157,22 @@ class TestSweep:
             return channel_stats(*args, **kwargs)
 
         monkeypatch.setattr(harness, "channel_stats", counting)
-        run_experiment(replace(cli._preset("fig3-6", 0), num_drops=2))
+        run_experiment(replace(cli._preset("fig3-6"), num_drops=2))
         assert len(calls) == 2            # 27 points share each drop's
         calls.clear()
         run_experiment(_tiny_config(num_drops=3, sweep={
             "powers.pilot_power": (0.2, 0.1),
             "transmission_mode": ("mixed", "coherent")}))
         assert len(calls) == 3 * 2        # once per (drop, pilot power)
+        calls.clear()
+        # Positions given as JSON lists hash once stored: the two equal
+        # values of this axis share each drop's statistics.
+        a, b = [[250.0, 0.0], [-250.0, 0.0]], [[0.0, 250.0], [0.0, -250.0]]
+        run_experiment(config_from_dict({
+            **config_to_dict(_tiny_config(num_drops=2)),
+            "sweep": {"scenario.cpu_positions": [a, b, a],
+                      "transmission_mode": ["mixed", "coherent"]}}))
+        assert len(calls) == 2 * 2        # once per (drop, distinct positions)
 
     def test_parallel_sweep_matches_serial(self):
         config = _tiny_config(num_drops=4, sweep={
@@ -194,7 +204,7 @@ class TestStacks:
         with open(outs[0] / "fig3-6.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 27 * 2
-        base = replace(cli._preset("fig3-6", 0), num_drops=2)
+        base = replace(cli._preset("fig3-6"), num_drops=2)
         by_point = {}
         for row in rows:
             point = {"transmission_mode": row["transmission_mode"],
@@ -211,7 +221,7 @@ class TestStacks:
                         == by_point["coherent", algorithm, 1, drop])
 
     def test_stack_size_does_not_change_the_rows(self, monkeypatch):
-        config = replace(cli._preset("fig1", 0), num_drops=2)
+        config = replace(cli._preset("fig1"), num_drops=2)
         whole = run_experiment(config)
         # M = 40 and K = 10: stacks of two points, then one.
         monkeypatch.setattr(harness, "STACK_ENTRIES", 2 * 40 * 10 * 10)
@@ -533,6 +543,7 @@ class TestCli:
         ["run", "--bogus"],
         ["run", "--jobs", "abc"],
         ["fig1", "--drops", "1.5"],
+        ["fig1", "--config", "x.json"],
         ["validate", "--drops", "5"],
         ["validate", "--jobs", "abc"],
         ["validate", "--out", "DIR"],
@@ -605,7 +616,22 @@ class TestCli:
         main(["validate", "--samples", "2000"])
         out = capsys.readouterr().out
         assert "user 0 SINR[0]: closed" in out
-        assert "worst normalized deviation" in out
+        assert "worst deviation: " in out
+
+    @pytest.mark.parametrize("skew, code", [(1.0, 0), (1.5, 2)])
+    def test_validate_worst_deviation_is_share_of_tolerance(
+            self, monkeypatch, capsys, skew, code):
+        # The printed worst deviation is on the scale of the pass rule: a
+        # term passes iff its share of max(2 %, 3 SE) is at most 1.
+        def skewed_check(*args, **kwargs):
+            terms, oracle, noise = run_oracle_check(*args, **kwargs)
+            return terms, replace(oracle, E=oracle.E * skew), noise
+
+        monkeypatch.setattr(cli, "run_oracle_check", skewed_check)
+        assert main(["validate", "--samples", "3000"]) == code
+        worst = float(re.search(r"worst deviation: (\S+) of its tolerance",
+                                capsys.readouterr().out).group(1))
+        assert (worst > 1.0) == (code == 2)
 
     def test_sweep_requires_sweep_section(self, tmp_path):
         path = tmp_path / "config.json"

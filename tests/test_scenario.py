@@ -84,8 +84,16 @@ class TestGenerateDeployment:
 
     def test_same_seed_bit_identical(self):
         cfg = ScenarioConfig(num_aps=30, num_users=5, seed=99)
+        # CPU positions given as lists or as an array are stored as the
+        # tuple form, so the configs are equal and hash alike.
+        for given in ([list(p) for p in DEFAULT_CPU_POSITIONS],
+                      np.array(DEFAULT_CPU_POSITIONS)):
+            same = ScenarioConfig(num_aps=30, num_users=5,
+                                  cpu_positions=given, seed=99)
+            assert same == cfg and hash(same) == hash(cfg)
+            assert same.cpu_positions == DEFAULT_CPU_POSITIONS
         a = generate_deployment(cfg)
-        b = generate_deployment(cfg)
+        b = generate_deployment(same)
         assert np.array_equal(a.ap_positions, b.ap_positions)
         assert np.array_equal(a.ue_positions, b.ue_positions)
         assert a.cpu_map == b.cpu_map
