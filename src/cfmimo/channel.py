@@ -65,6 +65,8 @@ class LargeScaleModelConfig:
             raise ConfigurationError("shadow_std_db must be >= 0")
         if not 0.0 <= self.shadow_weight <= 1.0:
             raise ConfigurationError("shadow_weight must lie in [0, 1]")
+        if self.decorrelation_distance <= 0:
+            raise ConfigurationError("decorrelation_distance must be positive")
         if self.bandwidth_hz <= 0:
             raise ConfigurationError("bandwidth_hz must be positive")
         try:

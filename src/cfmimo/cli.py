@@ -25,7 +25,7 @@ from .harness import (ExperimentConfig, OracleConfig, emit_results,
                       load_config, point_label, run_experiment,
                       run_oracle_check, validation_config)
 from .scenario import ScenarioConfig
-from .spectral_efficiency import oracle_pool, user_rates
+from .spectral_efficiency import user_rates
 
 
 def _desk_scale() -> ExperimentConfig:
@@ -94,6 +94,9 @@ def _cmd_validate(args) -> int:
     on small instances or on the --config experiment."""
     if args.config:
         configs = [load_config(args.config)]
+        if configs[0].sweep:
+            raise ConfigurationError("validate checks one config; "
+                                     "remove its sweep section")
     else:
         configs = [validation_config(m, k, q, tau_p)
                    for m, k, q, tau_p in ((8, 3, 2, 2), (12, 4, 4, 4))]
@@ -101,29 +104,26 @@ def _cmd_validate(args) -> int:
 
     worst = 0.0   # the largest deviation, as a share of its tolerance
     ok = True
-    # One pool of worker processes serves the oracle of every config.
-    samples = max(cfg.oracle.num_samples for cfg in configs)
-    with oracle_pool(args.jobs, samples) as pool:
-        for cfg in configs:
-            terms, oracle, noise = run_oracle_check(cfg, jobs=args.jobs, pool=pool)
-            sinr = user_rates(terms, cfg.frame, noise).sinr
-            for k in range(len(terms.D)):
-                groups = range(terms.D[k].size)
-                pairs = ([("E", terms.E[k], oracle.E[k], oracle.E_se[k]),
-                          ("F", terms.F[k], oracle.F[k], oracle.F_se[k])]
-                         + [(f"D[{c}]", terms.D[k][c], oracle.D[k][c],
-                             oracle.D_se[k][c]) for c in groups]
-                         + [(f"SINR[{c}]", sinr[k][c], oracle.sinr[k][c],
-                             oracle.sinr_se[k][c]) for c in groups])
-                for name, closed, est, se in pairs:
-                    tol = max(0.02 * abs(closed), 3.0 * se)
-                    err = abs(closed - est)
-                    passed = err <= tol
-                    worst = max(worst, err / tol if tol > 0
-                                else (0.0 if passed else math.inf))
-                    ok &= passed
-                    print(f"user {k} {name}: closed {closed:.6e} oracle {est:.6e} "
-                          f"se {se:.1e} [{'ok' if passed else 'FAIL'}]")
+    for cfg in configs:
+        terms, oracle, noise = run_oracle_check(cfg, jobs=args.jobs)
+        sinr = user_rates(terms, cfg.frame, noise).sinr
+        for k in range(len(terms.D)):
+            groups = range(terms.D[k].size)
+            pairs = ([("E", terms.E[k], oracle.E[k], oracle.E_se[k]),
+                      ("F", terms.F[k], oracle.F[k], oracle.F_se[k])]
+                     + [(f"D[{c}]", terms.D[k][c], oracle.D[k][c],
+                         oracle.D_se[k][c]) for c in groups]
+                     + [(f"SINR[{c}]", sinr[k][c], oracle.sinr[k][c],
+                         oracle.sinr_se[k][c]) for c in groups])
+            for name, closed, est, se in pairs:
+                tol = max(0.02 * abs(closed), 3.0 * se)
+                err = abs(closed - est)
+                passed = err <= tol
+                worst = max(worst, err / tol if tol > 0
+                            else (0.0 if passed else math.inf))
+                ok &= passed
+                print(f"user {k} {name}: closed {closed:.6e} oracle {est:.6e} "
+                      f"se {se:.1e} [{'ok' if passed else 'FAIL'}]")
     print(f"worst deviation: {worst:.4f} of its tolerance")
     if not ok:
         print("validation FAILED", file=sys.stderr)

@@ -15,7 +15,7 @@ drop-major: each drop groups the grid's points by key in one dict pass
 clustering and the closed form for every point with that key. The rows are
 regrouped per point, in grid order, before aggregation. With jobs > 1 one
 process pool of min(jobs, drops) workers spreads the drops of the whole
-grid.
+grid, in runs of consecutive drops (see spectral_efficiency.map_in_runs).
 
 The points of a key that also share powers and frame run as one stack:
 point p's user k is virtual user p*K + k of one serving structure, and one
@@ -50,8 +50,8 @@ from .errors import CfMimoError, ConfigurationError
 from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
                      assign_pilots, estimation_terms)
 from .scenario import Deployment, ScenarioConfig, generate_deployment
-from .spectral_efficiency import (FrameConfig, compute_terms, mc_oracle,
-                                  user_rates)
+from .spectral_efficiency import (FrameConfig, compute_terms, map_in_runs,
+                                  mc_oracle, user_rates)
 
 # compute_terms holds a (links, users) array for the co-pilot amplitudes of
 # a stack, and a point of M APs and K users has at most M*K links. Stacks
@@ -379,6 +379,11 @@ def _run_drop_grid(grid: list[tuple[dict, ExperimentConfig]],
     return out
 
 
+def _run_drop_grids(run) -> list[list[DropResult]]:
+    """_run_drop_grid of each (grid, drop index) pair of a run."""
+    return [_run_drop_grid(grid, drop_index) for grid, drop_index in run]
+
+
 def run_drop(config: ExperimentConfig, drop_index: int) -> DropResult:
     """Execute one deployment drop; pure function of (config, drop_index)."""
     return _run_drop_grid([({}, config)], drop_index)[0]
@@ -405,25 +410,13 @@ def _run_grid(grid: list[tuple[dict, ExperimentConfig]],
               jobs: int) -> list[ExperimentResult]:
     """Run every (sweep point, config) of grid drop-major, over at most
     jobs worker processes, and aggregate each point's drops."""
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     num_drops = max(config.num_drops for _, config in grid)
     # Drop d evaluates the grid entries that have more than d drops.
     active = [[i for i, (_, config) in enumerate(grid) if config.num_drops > d]
               for d in range(num_drops)]
-    tasks = [[grid[i] for i in entries] for entries in active]
-    workers = min(jobs, num_drops)
-    if workers > 1:
-        # Imported here: the pool machinery adds about 2 MB to the resident
-        # size of every process that loads it, and serial runs never need it.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_drop_grid, tasks, range(num_drops),
-                                 chunksize=max(1, num_drops // (4 * workers))))
-    else:
-        rows = list(map(_run_drop_grid, tasks, range(num_drops)))
+    tasks = [([grid[i] for i in entries], d) for d, entries in enumerate(active)]
     drops = [[] for _ in grid]
-    for entries, row in zip(active, rows):
+    for entries, row in zip(active, map_in_runs(_run_drop_grids, tasks, jobs)):
         for i, result in zip(entries, row):
             drops[i].append(result)
     return [_summarize(config, d) for (_, config), d in zip(grid, drops)]
@@ -450,23 +443,25 @@ def run_experiment(config: ExperimentConfig,
 
 
 def run_oracle_check(config: ExperimentConfig, drop_index: int = 0,
-                     jobs: int = 1, pool=None):
-    """Closed form vs Monte Carlo oracle on one drop; returns both results.
+                     jobs: int = 1):
+    """Closed form vs Monte Carlo oracle on one drop; returns the closed-form
+    terms, the oracle's result and the noise power.
 
-    The oracle's blocks run over at most jobs worker processes, those of
-    pool when given (see spectral_efficiency.oracle_pool); the result does
-    not depend on jobs.
+    The closed-form rates are formed, and so checked, before the oracle
+    runs. The oracle's blocks run over at most jobs worker processes; the
+    result does not depend on jobs.
     """
     if jobs < 1:    # checked here so that the message names no drop
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     with _naming({}, drop_index):
         up = _upstream(config, drop_index)
         serving, terms = _downstream([config], up)
+        user_rates(terms, config.frame, up.stats.noise_power)
         oracle_rng = np.random.default_rng(
             np.random.SeedSequence(config.base_seed, spawn_key=(drop_index, 1)))
         oracle = mc_oracle(serving, up.stats, up.assignment, config.powers,
                            config.frame, config.oracle.num_samples, oracle_rng,
-                           terms=terms, jobs=jobs, pool=pool)
+                           terms=terms, jobs=jobs)
     return terms, oracle, up.stats.noise_power
 
 

@@ -18,8 +18,8 @@ independent check of the closed form.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -271,9 +271,9 @@ class _OraclePlan:
     step: int                     # samples per transform chunk
 
 
-def _block_moments(plan: _OraclePlan, rngs, sizes) -> list:
-    """The moment sums of each block of a run, in block order: block b draws
-    sizes[b] samples from rngs[b], into two buffers that the run's blocks
+def _block_moments(plan: _OraclePlan, run) -> list:
+    """The moment sums of each (rng, n) block of a run, in block order: the
+    block draws n samples from rng, into two buffers that the run's blocks
     share.
 
     The sums, per (group, observing user), are those of a, |a|^2, Re(a)^2,
@@ -282,10 +282,11 @@ def _block_moments(plan: _OraclePlan, rngs, sizes) -> list:
     M, K, N = plan.sqrt_R.shape[:3]
     tau_p, links = plan.assignment.tau_p, plan.links
     G = links.group_start.size
-    g_buf = np.empty(2 * max(sizes) * M * K * N)
-    z_buf = np.empty(2 * max(sizes) * tau_p * M * N)
+    most = max(n for _, n in run)
+    g_buf = np.empty(2 * most * M * K * N)
+    z_buf = np.empty(2 * most * tau_p * M * N)
     blocks = []
-    for rng, n in zip(rngs, sizes):
+    for rng, n in run:
         g = _normals_into(g_buf, (2, n, M, K, N), rng)
         z = _normals_into(z_buf, (2, n, tau_p, M, N), rng)
         sums = (np.zeros((G, K), dtype=complex), *np.zeros((4, G, K)))
@@ -320,25 +321,32 @@ def _add_in_order(blocks):
     return total
 
 
-def oracle_pool(jobs: int, num_samples: int):
-    """A process pool for the blocks of mc_oracle calls of at most
-    num_samples samples at jobs workers: min(jobs, blocks) workers started
-    with "spawn", or a null context (None) when that is fewer than two.
-    """
-    workers = min(jobs, -(-num_samples // ORACLE_BLOCK))
+def map_in_runs(fn, items, jobs: int):
+    """Stream fn's results for items, one per item, in item order.
+
+    fn maps a run of consecutive items to the list of their results. The
+    runs hold ceil(n / 4w) of the n items each, w = min(jobs, n), and run in
+    this process at w = 1, else over one pool of w worker processes started
+    with the platform's default method."""
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(items))
+    per_run = -(-len(items) // (4 * workers))
+    runs = [items[lo:lo + per_run] for lo in range(0, len(items), per_run)]
     if workers < 2:
-        return nullcontext()
-    # Imported here, as in harness._run_grid: serial calls never need the
-    # pool machinery.
-    import multiprocessing
+        yield from chain.from_iterable(map(fn, runs))
+        return
+    # Imported here: the pool machinery adds about 2 MB to the resident
+    # size of every process that loads it, and serial runs never need it.
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    with ProcessPoolExecutor(workers) as pool:
+        yield from chain.from_iterable(pool.map(fn, runs))
 
 
 def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
               assignment: PilotAssignment, powers: PowerConfig,
               frame: FrameConfig, num_samples: int, rng: np.random.Generator,
-              terms: SETerms, jobs: int = 1, pool=None) -> OracleResult:
+              terms: SETerms, jobs: int = 1) -> OracleResult:
     """Estimate the SINR expectations by direct simulation.
 
     For every sample: draw channels, simulate the pilot phase with noise,
@@ -356,16 +364,12 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     D_k^c / (sum_{i,b} mean |a_{i,k}^b|^2 - sum_{b<=c} D_k^b + sigma^2).
 
     The samples are drawn in blocks of ORACLE_BLOCK, block b from the b-th
-    generator of rng.spawn. The blocks run in runs of consecutive blocks,
-    about four per worker of min(jobs, blocks), one after another at one
-    worker and otherwise in pool, an oracle_pool that several calls can
-    share, or else in an oracle_pool of the call's own. Their sums are added
-    in block order either way, so the result does not depend on jobs.
+    generator of rng.spawn. The blocks run through map_in_runs over at
+    most jobs worker processes, and their sums are added in block order, so
+    the result does not depend on jobs.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     estimation = estimation_terms(stats, assignment, powers)
     K = stats.num_users
     w_scale = mr_scale(effective_data_powers(serving, powers),
@@ -382,17 +386,9 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
         step=max(1, ORACLE_CHUNK_SIZE // (links.ap.size * K * stats.num_antennas)))
     samples = [min(ORACLE_BLOCK, num_samples - lo)
                for lo in range(0, num_samples, ORACLE_BLOCK)]
-    rngs = rng.spawn(len(samples))
-    workers = min(jobs, len(samples))
-    per_run = -(-len(samples) // (4 * workers))
-    runs = [slice(lo, lo + per_run) for lo in range(0, len(samples), per_run)]
-    with (nullcontext(pool) if pool is not None
-          else oracle_pool(jobs, num_samples)) as executor:
-        parts = (map if workers < 2 else executor.map)(
-            _block_moments, [plan] * len(runs), [rngs[r] for r in runs],
-            [samples[r] for r in runs])
-        sums = _add_in_order(b for part in parts for b in part)
-    sum_a, sum_a2, sum_re2, sum_im2, sum_p2 = sums
+    blocks = list(zip(rng.spawn(len(samples)), samples))
+    sum_a, sum_a2, sum_re2, sum_im2, sum_p2 = _add_in_order(
+        map_in_runs(partial(_block_moments, plan), blocks, jobs))
     # Does group g contaminate user k?
     copilot_mask = assignment.t[links.group_user][:, None] == assignment.t
 

@@ -23,7 +23,7 @@ from cfmimo.harness import (ExperimentConfig, apply_sweep_point,
                             run_oracle_check, run_single)
 from cfmimo.pilots import PowerConfig
 from cfmimo.scenario import ScenarioConfig, generate_deployment
-from cfmimo.spectral_efficiency import FrameConfig, compute_terms
+from cfmimo.spectral_efficiency import FrameConfig, compute_terms, map_in_runs
 
 
 @pytest.fixture
@@ -375,6 +375,30 @@ class TestRunSingle:
         assert set(res.percentiles) == {"p5", "p25", "p50", "p75", "p95"}
 
 
+class TestMapInRuns:
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    @pytest.mark.parametrize("num_items", range(1, 10))
+    def test_results_in_item_order(self, pool_sizes, jobs, num_items):
+        # Every result comes back once, in item order, from runs of
+        # consecutive items over at most min(jobs, items) workers.
+        runs = []
+
+        def squares(run):
+            runs.append(run)
+            return [x * x for x in run]
+
+        items = list(range(num_items))
+        assert list(map_in_runs(squares, items, jobs)) == [x * x for x in items]
+        assert [x for run in runs for x in run] == items
+        workers = min(jobs, num_items)
+        assert pool_sizes == ([workers] if workers > 1 else [])
+        assert len(runs) <= 4 * workers
+        runs.clear()
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            list(map_in_runs(squares, items, 0))
+        assert runs == []
+
+
 class TestEmitResults:
     def test_csv_row_count_and_header(self, tmp_path):
         config = _tiny_config(num_drops=2, sweep={"clustering.n_ap": (2, 4)})
@@ -486,7 +510,10 @@ class TestCli:
         ({}, ["--seed", "-1"]),
         ({"scenario": {"seed": -1}}, []),
         ({"large_scale": {"noise_figure_db": 4000}}, []),
-    ], ids=["base_seed", "seed_flag", "scenario_seed", "noise_figure_db"])
+        ({"large_scale": {"decorrelation_distance": 0.0}}, []),
+        ({"large_scale": {"decorrelation_distance": -5.0}}, []),
+    ], ids=["base_seed", "seed_flag", "scenario_seed", "noise_figure_db",
+            "zero_decorrelation_distance", "negative_decorrelation_distance"])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, section, flags):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"num_drops": 1, **section}))
@@ -591,7 +618,7 @@ class TestCli:
                                                use_config, flags, expected):
         seen = []
 
-        def first_check_only(config, drop_index=0, jobs=1, pool=None):
+        def first_check_only(config, drop_index=0, jobs=1):
             seen.append((config.base_seed, config.oracle.num_samples))
             raise ConfigurationError("checked the first config")
 
@@ -604,13 +631,43 @@ class TestCli:
         assert seen == [expected]
 
     def test_validate_opens_one_pool(self, pool_sizes, capsys):
-        # Two instances of three oracle blocks each share one pool of two
-        # workers, and print what a serial run prints.
+        # Each of two instances of three oracle blocks opens one pool of two
+        # workers, and together they print what a serial run prints.
         assert main(["validate", "--samples", "2500", "--jobs", "1"]) == 0
         serial = capsys.readouterr().out
         assert main(["validate", "--samples", "2500", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
-        assert pool_sizes == [2]
+        assert pool_sizes == [2, 2]
+
+    def test_validate_rejects_sweep_section(self, tmp_path, capsys):
+        # validate checks one config, so a sweep section would go unchecked.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "scenario": {"num_aps": 8, "num_users": 3},
+            "clustering": {"algorithm": "fixed_aps", "n_ap": 4, "n_cpu": 2},
+            "sweep": {"transmission_mode": ["coherent", "non_coherent"]}}))
+        assert main(["validate", "--config", str(path),
+                     "--samples", "2000"]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: validate checks one config" in captured.err
+        assert "validation passed" not in captured.out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_validate_rate_failure_names_drop(self, tmp_path, monkeypatch,
+                                              capsys):
+        # The closed-form rates are checked, inside the drop's naming,
+        # before any oracle sample is drawn.
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(harness, "mc_oracle", no_oracle)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "scenario": {"num_aps": 8, "num_users": 3},
+            "large_scale": {"path_loss": {"d0": 1e-300, "d1": 1e300}}}))
+        assert main(["validate", "--config", str(path),
+                     "--samples", "100"]) == 2
+        assert "error: drop 0: user" in capsys.readouterr().err
 
     def test_validate_compares_sinr(self, capsys):
         main(["validate", "--samples", "2000"])
