@@ -25,17 +25,18 @@ from itertools import chain
 import numpy as np
 
 from . import planes
-from .channel import ChannelStatistics, correlate_channel, correlation_sqrt
-from .clustering import ServingLinks, ServingStructure
+from .channel import ChannelStatistics, correlation_sqrt
+from .clustering import ServingStructure
 from .errors import ConfigurationError, DegenerateLinkError, NumericalError
 from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
-                     estimation_terms, mmse_estimate, pilot_observations)
+                     estimation_terms)
 
 # The oracle samples in blocks of ORACLE_BLOCK samples, each drawn from a
 # generator of its own, which fixes its random stream and bounds its memory
 # at one block of normals at any scale. It transforms each block in chunks
-# of as many samples as keep the (chunk, L, K, N) link-by-user channel
-# gather, the largest temporary, near ORACLE_CHUNK_SIZE complex entries
+# of as many samples as keep its largest temporary, the (L, K, chunk)
+# link-by-user amplitudes, the (N, S, K, chunk) channel or the
+# (N, S, tau_p, chunk) pilot sums, near ORACLE_CHUNK_SIZE complex entries
 # (3.2 MB); the chunk length does not change the result.
 ORACLE_BLOCK = 1_000
 ORACLE_CHUNK_SIZE = 200_000
@@ -252,61 +253,167 @@ class OracleResult:
     num_samples: int
 
 
-def _normals_into(buf: np.ndarray, shape: tuple[int, ...],
-                  rng: np.random.Generator) -> np.ndarray:
-    """Standard normals of the given shape, drawn into the leading entries of
-    the flat buffer buf: the stream of rng.standard_normal(shape)."""
-    return rng.standard_normal(out=buf[:math.prod(shape)].reshape(shape))
+class _Scratch:
+    """Flat buffers that the chunks of a run of blocks share, by name.
+
+    scratch(name, shape, dtype) is a C-contiguous view of the leading
+    entries of the named buffer, which grows only when a view needs more.
+    The first block and its first chunk are the largest of a run, so each
+    buffer is allocated once per run.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...],
+                 dtype=complex) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
 class _OraclePlan:
-    """What every oracle block reads; mc_oracle builds it once per call."""
-    sqrt_R: np.ndarray            # (M, K, N, N) R^(1/2)
-    w_coef: np.ndarray            # (M, K, N, N) MR-scaled estimator, s coef
-    links: ServingLinks
-    assignment: PilotAssignment
-    powers: PowerConfig
-    noise_power: float
+    """What every oracle block reads; mc_oracle builds it once per call.
+
+    S counts the served APs (those of some serving link) and P the read
+    (AP, pilot) pairs (m, t_i) of the serving links (m, i): the only
+    channels and pilot observations that an estimate or an amplitude reads.
+    The N x N matrices are held as entry planes (cfmimo.planes), so that a
+    chunk's arrays, samples last, take them by broadcasting.
+    """
+    sqrt_R: np.ndarray            # (N, N, S, K) planes of R^(1/2) / sqrt(2)
+    w_coef: np.ndarray            # (N, N, L) planes of s A, the MR-scaled estimator
+    link_ap: np.ndarray           # (L,) each link's index into the served APs
+    link_pair: np.ndarray         # (L,) each link's index into the read pairs
+    pair: np.ndarray              # (P,) index s tau_p + t of pair (S[s], t)
+    pilots: np.ndarray            # (tau_p, K) sqrt(p^p tau_p) 1{t_k == t}
+    groups: np.ndarray            # (G, L) 1{link l belongs to group g}
+    noise_scale: float            # sqrt(sigma^2 / 2)
     step: int                     # samples per transform chunk
 
 
-def _block_moments(plan: _OraclePlan, run) -> list:
-    """The moment sums of each (rng, n) block of a run, in block order: the
-    block draws n samples from rng, into two buffers that the run's blocks
-    share.
+def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
+                 assignment: PilotAssignment, powers: PowerConfig) -> _OraclePlan:
+    """The plan of mc_oracle's blocks at serving.links."""
+    estimation = estimation_terms(stats, assignment, powers)
+    w_scale = mr_scale(effective_data_powers(serving, powers),
+                       estimation.est_trace)
+    links = serving.links
+    K, N, tau_p = stats.num_users, stats.num_antennas, assignment.tau_p
+    served, link_ap = np.unique(links.ap, return_inverse=True)
+    pair, link_pair = np.unique(link_ap * tau_p + assignment.t[links.user],
+                                return_inverse=True)
+    num_links, num_served = links.ap.size, served.size
+    sqrt_R = planes.planes(correlation_sqrt(stats.R[served]) / np.sqrt(2.0))
+    link = links.ap * K + links.user
+    w_coef = (w_scale[links.ap, links.user]
+              * np.take(planes.planes(estimation.coef).reshape(N, N, -1), link,
+                        axis=-1))
+    num_groups = links.group_start.size
+    groups = np.zeros((num_groups, num_links))
+    groups[np.repeat(np.arange(num_groups),
+                     np.diff(links.group_start, append=num_links)),
+           np.arange(num_links)] = 1.0
+    pilots = np.sqrt(powers.pilot_power * tau_p) * (
+        np.arange(tau_p)[:, None] == assignment.t)
+    widest = max(num_links * K, N * num_served * max(K, tau_p))
+    return _OraclePlan(
+        sqrt_R=sqrt_R, w_coef=w_coef, link_ap=link_ap, link_pair=link_pair,
+        pair=pair, pilots=pilots, groups=groups,
+        noise_scale=math.sqrt(stats.noise_power / 2.0),
+        step=max(1, ORACLE_CHUNK_SIZE // widest))
 
-    The sums, per (group, observing user), are those of a, |a|^2, Re(a)^2,
-    Im(a)^2 and |a|^4.
+
+def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
+                      scratch: _Scratch) -> np.ndarray:
+    """(G, K, c) group amplitudes conj(a) of a chunk of c samples.
+
+    g: (N, S, K, c) complex channel normals at the served APs; z: (N, P, c)
+    complex pilot-noise normals at the read pairs; both have unit-variance
+    real and imaginary parts. For every group b of user i and observing
+    user k, a = sum over the links (m, i) of b of H[m, k]^H W[m, i], and
+    only its conjugate is formed: the oracle reads |mean a|^2, Re(a)^2,
+    Im(a)^2 and |a|^2, which the sign of Im(a) does not change. The result
+    is a view into scratch, valid until its next chunk.
     """
-    M, K, N = plan.sqrt_R.shape[:3]
-    tau_p, links = plan.assignment.tau_p, plan.links
-    G = links.group_start.size
-    most = max(n for _, n in run)
-    g_buf = np.empty(2 * most * M * K * N)
-    z_buf = np.empty(2 * most * tau_p * M * N)
+    N, _, S, K = plan.sqrt_R.shape
+    L, P, c = plan.link_ap.size, plan.pair.size, g.shape[-1]
+    tau_p = plan.pilots.shape[0]
+    # H = R^(1/2) g at the served APs, N^2 products.
+    H = scratch("H", (N, S, K, c))
+    term = scratch("term", (S, K, c))
+    for i in range(N):
+        np.multiply(plan.sqrt_R[i, 0, ..., None], g[0], out=H[i])
+        for j in range(1, N):
+            H[i] += np.multiply(plan.sqrt_R[i, j, ..., None], g[j], out=term)
+    # Pilot sums sqrt(p^p tau_p) sum_{t_i = t} H[m, i] by one real product on
+    # the float view, then the noisy observations at the read pairs. Every
+    # index is in range, and mode="clip" lets np.take write into out
+    # directly, where the default mode would buffer a copy.
+    sums = np.matmul(plan.pilots, H.view(float).reshape(N * S, K, 2 * c),
+                     out=scratch("sums", (N * S, tau_p, 2 * c), float))
+    y = np.multiply(z, plan.noise_scale, out=scratch("y", (N, P, c)))
+    y += np.take(sums.view(complex).reshape(N, S * tau_p, c), plan.pair,
+                 axis=1, out=scratch("y_sums", (N, P, c)), mode="clip")
+    # conj(W) = conj(s A y) at the links, N^2 products.
+    y_l = np.take(y, plan.link_pair, axis=1, out=scratch("y_l", (N, L, c)),
+                  mode="clip")
+    W = scratch("W", (N, L, c))
+    term = scratch("term_l", (L, c))
+    for i in range(N):
+        np.multiply(plan.w_coef[i, 0, :, None], y_l[0], out=W[i])
+        for j in range(1, N):
+            W[i] += np.multiply(plan.w_coef[i, j, :, None], y_l[j], out=term)
+    np.conjugate(W, out=W)
+    # conj(a) at every link and user, sum_n H[m, k, n] conj(W[l, n]), then
+    # summed over each group's links by one real product on the float view.
+    amp = scratch("amp", (L, K, c))
+    term = scratch("term_lk", (L, K, c))
+    for n in range(N):
+        part = np.take(H[n], plan.link_ap, axis=0, out=amp if n == 0 else term,
+                       mode="clip")
+        part *= W[n, :, None, :]
+        if n:
+            amp += part
+    G = plan.groups.shape[0]
+    return np.matmul(plan.groups, amp.view(float).reshape(L, 2 * K * c),
+                     out=scratch("a", (G, 2 * K * c), float)
+                     ).view(complex).reshape(G, K, c)
+
+
+def _block_moments(plan: _OraclePlan, run) -> list:
+    """The moment sums of each (rng, n) block of a run, in block order.
+
+    A block draws (N, S, K, n, 2) standard normals, the real and imaginary
+    parts of the channel normals at the served APs, then (N, P, n, 2), those
+    of the pilot noise at the read pairs, into buffers that the run's
+    blocks share. The sums, per (group, observing user), are those of
+    conj(a), |a|^2, Re(a)^2, Im(a)^2 and |a|^4.
+    """
+    N, _, S, K = plan.sqrt_R.shape
+    P, G = plan.pair.size, plan.groups.shape[0]
+    scratch = _Scratch()
     blocks = []
     for rng, n in run:
-        g = _normals_into(g_buf, (2, n, M, K, N), rng)
-        z = _normals_into(z_buf, (2, n, tau_p, M, N), rng)
-        sums = (np.zeros((G, K), dtype=complex), *np.zeros((4, G, K)))
+        g = rng.standard_normal(out=scratch("g", (N, S, K, n, 2), float))
+        z = rng.standard_normal(out=scratch("z", (N, P, n, 2), float))
+        g, z = g.view(complex)[..., 0], z.view(complex)[..., 0]
+        sums = [np.zeros((G, K), dtype=complex), *np.zeros((4, G, K))]
         for lo in range(0, n, plan.step):
             chunk = slice(lo, lo + plan.step)
-            H = correlate_channel(plan.sqrt_R, g[:, chunk])         # (c,M,K,N)
-            y = pilot_observations(H, z[:, chunk], plan.assignment,
-                                   plan.powers, plan.noise_power)
-            W = mmse_estimate(y, plan.w_coef, plan.assignment, links)  # (c,L,N)
-            # a at every link and user, sum_n conj(H[m,k,n]) W[l,n], as the
-            # conjugate of N broadcast products (faster than einsum here).
-            H_l, W_c = H[:, links.ap], np.conj(W)[:, :, None, :]    # (c,L,K,N)
-            amp = H_l[..., 0] * W_c[..., 0]
-            for i in range(1, N):
-                amp += H_l[..., i] * W_c[..., i]
-            a = np.conj(np.add.reduceat(amp, links.group_start, axis=1))  # (c,G,K)
-            p = np.abs(a) ** 2
-            for total, part in zip(sums, (a, p, a.real ** 2, a.imag ** 2,
-                                          p ** 2)):
-                total += part.sum(axis=0)
+            a = _chunk_amplitudes(plan, g[..., chunk], z[..., chunk], scratch)
+            c = a.shape[-1]
+            sq = np.square(a.view(float), out=scratch("sq", (G, K, 2 * c), float))
+            re2, im2 = sq[..., 0::2], sq[..., 1::2]
+            p = np.add(re2, im2, out=scratch("p", (G, K, c), float))
+            sums[0] += a.sum(axis=-1)
+            sums[1] += p.sum(axis=-1)
+            sums[2] += re2.sum(axis=-1)
+            sums[3] += im2.sum(axis=-1)
+            sums[4] += np.square(p, out=p).sum(axis=-1)
         blocks.append(sums)
     return blocks
 
@@ -352,7 +459,10 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     For every sample: draw channels, simulate the pilot phase with noise,
     form MMSE estimates and MR precoders at the serving links, then
     accumulate the received amplitude a_{i,k}^b = sum_{m in A_i^b} H[m,k]^H W[m,i]
-    of every group b of every user i at every user k. The estimators are
+    of every group b of every user i at every user k. Only what these read
+    is drawn: the channels at the S served APs and the pilot noise at the P
+    (AP, pilot) pairs (m, t_i) of the serving links (m, i). The estimators
+    are
 
         D_k^c = |mean a_{k,k}^c|^2            (coherent desired power),
         F_k   = sum over co-pilot (i, b) of |mean a_{i,k}^b|^2,
@@ -364,26 +474,21 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     D_k^c / (sum_{i,b} mean |a_{i,k}^b|^2 - sum_{b<=c} D_k^b + sigma^2).
 
     The samples are drawn in blocks of ORACLE_BLOCK, block b from the b-th
-    generator of rng.spawn. The blocks run through map_in_runs over at
-    most jobs worker processes, and their sums are added in block order, so
-    the result does not depend on jobs.
+    generator of rng.spawn: n samples as (N, S, K, n, 2) standard normals,
+    then (N, P, n, 2). Each block is transformed in chunks, with its samples
+    on the last axis of every array (see ORACLE_CHUNK_SIZE). The blocks run
+    through map_in_runs over at most jobs worker processes, and their sums
+    are added in block order, so the result does not depend on jobs.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
-    estimation = estimation_terms(stats, assignment, powers)
     K = stats.num_users
-    w_scale = mr_scale(effective_data_powers(serving, powers),
-                       estimation.est_trace)
     links = serving.links
     sizes = np.fromiter(map(len, terms.group_order), dtype=int,
                         count=len(terms.group_order))    # groups per user
     if not np.array_equal(sizes, np.bincount(links.group_user, minlength=K)):
         raise NumericalError("group count mismatch between terms and serving")
-    plan = _OraclePlan(
-        sqrt_R=correlation_sqrt(stats.R),
-        w_coef=w_scale[..., None, None] * estimation.coef, links=links,
-        assignment=assignment, powers=powers, noise_power=stats.noise_power,
-        step=max(1, ORACLE_CHUNK_SIZE // (links.ap.size * K * stats.num_antennas)))
+    plan = _oracle_plan(serving, stats, assignment, powers)
     samples = [min(ORACLE_BLOCK, num_samples - lo)
                for lo in range(0, num_samples, ORACLE_BLOCK)]
     blocks = list(zip(rng.spawn(len(samples)), samples))

@@ -7,14 +7,14 @@ import pytest
 
 from conftest import random_stats, small_instance, solved_estimate_covariance
 
-from cfmimo.channel import channel_normals, sample_channel
+from cfmimo.channel import correlate_channel, correlation_sqrt, sample_channel
 from cfmimo.clustering import ServingStructure, build_serving_structure, \
     ClusteringParams
 from cfmimo.errors import ConfigurationError, DegenerateLinkError, NumericalError
 from cfmimo.harness import (ExperimentConfig, OracleConfig, run_oracle_check,
                             validation_config)
 from cfmimo.pilots import (PilotAssignment, PowerConfig, estimation_terms,
-                           mmse_estimate, pilot_normals, psi_stack,
+                           mmse_estimate, pilot_observations, psi_stack,
                            simulate_pilot_phase)
 from cfmimo.scenario import ScenarioConfig
 from cfmimo import spectral_efficiency
@@ -440,12 +440,18 @@ class TestOracle:
 
     def test_batches_draw_the_stream_of_fresh_normals(self, monkeypatch):
         # Drawn into the reused buffers, block b, the partial last one
-        # included, holds the normals that channel_normals and pilot_normals
-        # draw into arrays of their own from the b-th generator spawned from
-        # the oracle's rng.
+        # included, holds the (N, S, K, n, 2) channel normals at the S
+        # served APs, then the (N, P, n, 2) pilot-noise normals at the P
+        # read (AP, pilot) pairs, that fresh arrays would hold when drawn
+        # from the b-th generator spawned from the oracle's rng.
         monkeypatch.setattr(spectral_efficiency, "ORACLE_BLOCK", 700)
         stats, assignment, serving, terms, powers, frame = small_instance(
             8, 3, 2, 2, 3, seed=4)
+        links = serving.links
+        served = np.unique(links.ap).size
+        pairs = len(set(zip(links.ap.tolist(),
+                            assignment.t[links.user].tolist())))
+        assert served < stats.num_aps and pairs < served * assignment.tau_p
         drawn = []
 
         class Recorder:
@@ -462,13 +468,55 @@ class TestOracle:
 
         mc_oracle(serving, stats, assignment, powers, frame, 1_500,
                   Recorder(np.random.default_rng(3)), terms=terms)
+        N, K = stats.num_antennas, stats.num_users
         expected = []
         for block, n in zip(np.random.default_rng(3).spawn(3), (700, 700, 100)):
-            g = channel_normals(stats, block, n)
-            expected += [g, pilot_normals(g.shape[1:], assignment, block)]
+            expected += [block.standard_normal((N, served, K, n, 2)),
+                         block.standard_normal((N, pairs, n, 2))]
         assert len(drawn) == len(expected)
         for got, want in zip(drawn, expected):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("num_antennas", [1, 2, 3])
+    def test_chunk_kernel_is_the_public_estimation_chain(self, num_antennas):
+        # The oracle's chunk kernel on normals at the served APs and the
+        # read pairs gives the group amplitudes that correlate_channel,
+        # pilot_observations and mmse_estimate give on the same normals
+        # scattered into full arrays, zero elsewhere, up to their conjugate.
+        stats, assignment, serving, _, powers, _ = small_instance(
+            12, 4, num_antennas, 4, 4, seed=0)
+        links = serving.links
+        M, K, N = stats.num_aps, stats.num_users, num_antennas
+        tau_p, c = assignment.tau_p, 7
+        served = np.unique(links.ap)
+        pair = np.unique(links.ap * tau_p + assignment.t[links.user])
+        # An unserved AP, and an unread pair at a served AP.
+        assert served.size < M and pair.size < served.size * tau_p
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((2, N, served.size, K, c))
+        z = rng.standard_normal((2, N, pair.size, c))
+        plan = spectral_efficiency._oracle_plan(serving, stats, assignment,
+                                                powers)
+        got = spectral_efficiency._chunk_amplitudes(
+            plan, g[0] + 1j * g[1], z[0] + 1j * z[1],
+            spectral_efficiency._Scratch())
+
+        g_full = np.zeros((2, c, M, K, N))
+        g_full[:, :, served] = g.transpose(0, 4, 2, 3, 1)
+        z_full = np.zeros((2, c, tau_p, M, N))
+        z_full[:, :, pair % tau_p, pair // tau_p] = z.transpose(0, 3, 2, 1)
+        H = correlate_channel(correlation_sqrt(stats.R), g_full)
+        y = pilot_observations(H, z_full, assignment, powers,
+                               stats.noise_power)
+        estimation = estimation_terms(stats, assignment, powers)
+        scale = mr_scale(effective_data_powers(serving, powers),
+                         estimation.est_trace)
+        W = mmse_estimate(y, scale[..., None, None] * estimation.coef,
+                          assignment, links)                       # (c, L, N)
+        amp = np.sum(H[:, links.ap] * np.conj(W)[:, :, None, :], axis=-1)
+        a = np.conj(np.add.reduceat(amp, links.group_start, axis=1))
+        np.testing.assert_allclose(got, np.conj(a).transpose(1, 2, 0),
+                                   rtol=1e-12, atol=0)
 
     def test_jobs_do_not_change_the_result(self):
         # Three blocks, the last one partial, over two worker processes:
@@ -544,9 +592,9 @@ class TestOracle:
 
     def test_peak_memory_is_one_batch_of_normals(self):
         # One 100 000-sample call at (M, K, Q, tau_p) = (12, 4, 4, 4) holds
-        # one 1 000-sample block of standard normals (3.1 MB) and
-        # chunk-sized temporaries: the (chunk, L, K, N) channel gather
-        # (3.2 MB) and a few arrays of its size.
+        # one 1 000-sample block of standard normals (2.1 MB here) and
+        # chunk-sized buffers: the (L, K, chunk) amplitudes (1.5 MB) and a
+        # few arrays of their size.
         stats, assignment, serving, terms, powers, frame = small_instance(
             12, 4, 2, 4, 4, seed=0)
         tracemalloc.start()
