@@ -33,13 +33,22 @@ from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
 
 # The oracle samples in blocks of ORACLE_BLOCK samples, each drawn from a
 # generator of its own, which fixes its random stream and bounds its memory
-# at one block of normals at any scale. It transforms each block in chunks
-# of as many samples as keep its largest temporary, the (L, K, chunk)
-# link-by-user amplitudes, the (N, S, K, chunk) channel or the
-# (N, S, tau_p, chunk) pilot sums, near ORACLE_CHUNK_SIZE complex entries
-# (3.2 MB); the chunk length does not change the result.
+# at one block of normals at any scale. Each complex normal takes one raw
+# 64-bit word of that generator (_complex_normals), and the words are turned
+# into normals in pieces of at most ORACLE_PIECE, which bounds the pieces'
+# temporaries at 128 KB each. It transforms each block in chunks of as many
+# samples as keep its largest temporary, the (L, K, chunk) link-by-user
+# amplitudes, the (N, S, K, chunk) channel or the (N, S, tau_p, chunk) pilot
+# sums, near ORACLE_CHUNK_SIZE complex entries (3.2 MB). Neither the piece
+# nor the chunk length changes the result.
 ORACLE_BLOCK = 1_000
+ORACLE_PIECE = 2 ** 14
 ORACLE_CHUNK_SIZE = 200_000
+
+# The 2048 roots of unity: the phases of the oracle's complex normals, on an
+# exact grid indexed by the low 11 bits of a word.
+_PHASE_BITS = 11
+_PHASES = np.exp(2j * np.pi * np.arange(2 ** _PHASE_BITS) / 2 ** _PHASE_BITS)
 
 
 @dataclass(frozen=True)
@@ -384,23 +393,55 @@ def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
                      ).view(complex).reshape(G, K, c)
 
 
-def _block_moments(plan: _OraclePlan, run) -> list:
-    """The moment sums of each (rng, n) block of a run, in block order.
+def _complex_normals(bit_generator, out: np.ndarray,
+                     scratch: _Scratch) -> np.ndarray:
+    """Fill the C-contiguous complex array out, in C order, with complex
+    normals of unit-variance real and imaginary parts, one per raw 64-bit
+    word w of bit_generator, and return it.
 
-    A block draws (N, S, K, n, 2) standard normals, the real and imaginary
-    parts of the channel normals at the served APs, then (N, P, n, 2), those
-    of the pilot noise at the read pairs, into buffers that the run's
-    blocks share. The sums, per (group, observing user), are those of
-    conj(a), |a|^2, Re(a)^2, Im(a)^2 and |a|^4.
+    Box-Muller with the phase on an exact grid: g = r T[w & 2047], with the
+    radius r = sqrt(-2 ln(1 - (w >> 11) 2^-53)) from the word's top 53 bits
+    and T = _PHASES. For a phase uniform on 2048 points, E[g^p conj(g)^q] is
+    the CN(0, 2) moment whenever |p - q| < 2048, so every mean and variance
+    that the oracle estimates, polynomials of degree at most 8 in the
+    normals, is that of Gaussian draws. The words are read in pieces of at
+    most ORACLE_PIECE, in order, so the piece length changes nothing.
+    """
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, ORACLE_PIECE):
+        words = bit_generator.random_raw(min(ORACLE_PIECE, flat.size - lo))
+        n = words.size
+        phase = np.bitwise_and(words, 2 ** _PHASE_BITS - 1,
+                               out=scratch("phase", (n,), np.intp))
+        # 1 - (w >> 11) 2^-53 is exact and in (0, 1], so its log is finite.
+        radius = np.multiply(np.right_shift(words, _PHASE_BITS, out=words),
+                             2.0 ** -53, out=scratch("radius", (n,), float))
+        np.subtract(1.0, radius, out=radius)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        piece = np.take(_PHASES, phase, out=flat[lo:lo + n], mode="clip")
+        np.multiply(piece, radius, out=piece)
+    return out
+
+
+def _block_moments(plan: _OraclePlan, run):
+    """Yield the moment sums of each (rng, n) block of a run, in block order.
+
+    A block draws N S K n complex normals (_complex_normals) from its rng's
+    bit generator, the channel normals at the served APs in C order of
+    (N, S, K, n), then N P n, the pilot noise at the read pairs in C order
+    of (N, P, n), into buffers that the run's blocks share. The sums, per
+    (group, observing user), are those of conj(a), |a|^2, Re(a)^2, Im(a)^2
+    and |a|^4.
     """
     N, _, S, K = plan.sqrt_R.shape
     P, G = plan.pair.size, plan.groups.shape[0]
     scratch = _Scratch()
-    blocks = []
     for rng, n in run:
-        g = rng.standard_normal(out=scratch("g", (N, S, K, n, 2), float))
-        z = rng.standard_normal(out=scratch("z", (N, P, n, 2), float))
-        g, z = g.view(complex)[..., 0], z.view(complex)[..., 0]
+        bits = rng.bit_generator
+        g = _complex_normals(bits, scratch("g", (N, S, K, n)), scratch)
+        z = _complex_normals(bits, scratch("z", (N, P, n)), scratch)
         sums = [np.zeros((G, K), dtype=complex), *np.zeros((4, G, K))]
         for lo in range(0, n, plan.step):
             chunk = slice(lo, lo + plan.step)
@@ -414,8 +455,7 @@ def _block_moments(plan: _OraclePlan, run) -> list:
             sums[2] += re2.sum(axis=-1)
             sums[3] += im2.sum(axis=-1)
             sums[4] += np.square(p, out=p).sum(axis=-1)
-        blocks.append(sums)
-    return blocks
+        yield sums
 
 
 def _add_in_order(blocks):
@@ -431,23 +471,29 @@ def _add_in_order(blocks):
 def map_in_runs(fn, items, jobs: int):
     """Stream fn's results for items, one per item, in item order.
 
-    fn maps a run of consecutive items to the list of their results. The
-    runs hold ceil(n / 4w) of the n items each, w = min(jobs, n), and run in
-    this process at w = 1, else over one pool of w worker processes started
-    with the platform's default method."""
+    fn maps a run of consecutive items to an iterable of their results.
+    With w = min(jobs, n) workers for the n items, one run of all items runs
+    in this process at w = 1, and its results stream as fn yields them; else
+    runs of ceil(n / 4w) items each run over one pool of w worker processes
+    started with the platform's default method."""
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(items))
+    if workers < 2:
+        yield from fn(items)
+        return
     per_run = -(-len(items) // (4 * workers))
     runs = [items[lo:lo + per_run] for lo in range(0, len(items), per_run)]
-    if workers < 2:
-        yield from chain.from_iterable(map(fn, runs))
-        return
     # Imported here: the pool machinery adds about 2 MB to the resident
     # size of every process that loads it, and serial runs never need it.
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) as pool:
-        yield from chain.from_iterable(pool.map(fn, runs))
+        yield from chain.from_iterable(pool.map(partial(_listed, fn), runs))
+
+
+def _listed(fn, run) -> list:
+    """fn's results for a run as a list, which a worker can send back."""
+    return list(fn(run))
 
 
 def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
@@ -474,11 +520,15 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     D_k^c / (sum_{i,b} mean |a_{i,k}^b|^2 - sum_{b<=c} D_k^b + sigma^2).
 
     The samples are drawn in blocks of ORACLE_BLOCK, block b from the b-th
-    generator of rng.spawn: n samples as (N, S, K, n, 2) standard normals,
-    then (N, P, n, 2). Each block is transformed in chunks, with its samples
-    on the last axis of every array (see ORACLE_CHUNK_SIZE). The blocks run
-    through map_in_runs over at most jobs worker processes, and their sums
-    are added in block order, so the result does not depend on jobs.
+    generator of rng.spawn: n samples take N S K n raw 64-bit words of its
+    bit generator for the channel normals, in C order of (N, S, K, n), then
+    N P n for the pilot noise, in C order of (N, P, n), one complex normal
+    per word (Box-Muller with a radius from the word's top 53 bits and a
+    phase on the 2048-point grid of its low 11, see _complex_normals). Each
+    block is transformed in chunks, with its samples on the last axis of
+    every array (see ORACLE_CHUNK_SIZE). The blocks run through map_in_runs
+    over at most jobs worker processes, and their sums are added in block
+    order, so the result does not depend on jobs.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")

@@ -380,7 +380,8 @@ class TestMapInRuns:
     @pytest.mark.parametrize("num_items", range(1, 10))
     def test_results_in_item_order(self, pool_sizes, jobs, num_items):
         # Every result comes back once, in item order, from runs of
-        # consecutive items over at most min(jobs, items) workers.
+        # consecutive items over at most min(jobs, items) workers; at one
+        # worker, from one run of all items.
         runs = []
 
         def squares(run):
@@ -393,6 +394,7 @@ class TestMapInRuns:
         workers = min(jobs, num_items)
         assert pool_sizes == ([workers] if workers > 1 else [])
         assert len(runs) <= 4 * workers
+        assert workers > 1 or runs == [items]
         runs.clear()
         with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
             list(map_in_runs(squares, items, 0))

@@ -349,6 +349,78 @@ class TestUserRates:
             FrameConfig(tau_c=10, tau_p=0)
 
 
+def _assert_closed_form_matches_oracle(config):
+    """Every D, E, F and SINR of drop 0 of config lies within
+    max(2 %, 3 SE) of the oracle's estimate."""
+    terms, oracle, noise = run_oracle_check(config)
+    sinr = user_rates(terms, config.frame, noise).sinr
+    for k in range(config.scenario.num_users):
+        pairs = [(terms.E[k], oracle.E[k], oracle.E_se[k]),
+                 (terms.F[k], oracle.F[k], oracle.F_se[k])]
+        pairs += [(terms.D[k][c], oracle.D[k][c], oracle.D_se[k][c])
+                  for c in range(terms.D[k].size)]
+        pairs += [(sinr[k][c], oracle.sinr[k][c], oracle.sinr_se[k][c])
+                  for c in range(terms.D[k].size)]
+        for closed, est, se in pairs:
+            assert abs(closed - est) <= max(0.02 * abs(closed), 3.0 * se)
+
+
+class TestComplexNormals:
+    def test_phases_are_the_roots_of_unity(self):
+        # The phase table's power moments vanish as those of a uniform
+        # phase do, up to p = 16 (the oracle's |a|^4 is of degree 8).
+        T = spectral_efficiency._PHASES
+        assert T.shape == (2048,)
+        np.testing.assert_allclose(np.abs(T), 1.0, rtol=0, atol=1e-15)
+        for p in range(1, 17):
+            assert abs(np.mean(T ** p)) < 1e-15, p
+
+    def test_moments_are_those_of_unit_normals(self):
+        # Re and Im of unit variance, E|g|^4 = 8, E g^2 = 0 and E Re^4 = 3,
+        # each within 4 standard errors over 10^6 draws.
+        g = spectral_efficiency._complex_normals(
+            np.random.default_rng(12).bit_generator, np.empty(10 ** 6, complex),
+            spectral_efficiency._Scratch())
+        square = g * g
+        for name, values, expected in [
+                ("Re^2", g.real ** 2, 1.0), ("Im^2", g.imag ** 2, 1.0),
+                ("|g|^4", np.abs(g) ** 4, 8.0), ("Re g^2", square.real, 0.0),
+                ("Im g^2", square.imag, 0.0), ("Re^4", g.real ** 4, 3.0)]:
+            se = values.std() / np.sqrt(values.size)
+            assert abs(values.mean() - expected) <= 4.0 * se, name
+
+    def test_pieces_change_nothing(self, monkeypatch):
+        # Two fills in pieces of 7 words give the normals of two whole
+        # fills bit for bit: the words are read in order.
+        def two_fills():
+            bit_generator = np.random.default_rng(2).bit_generator
+            return [spectral_efficiency._complex_normals(
+                        bit_generator, np.empty(shape, complex),
+                        spectral_efficiency._Scratch())
+                    for shape in ((3, 5, 11), (40,))]
+
+        whole = two_fills()
+        monkeypatch.setattr(spectral_efficiency, "ORACLE_PIECE", 7)
+        for got, want in zip(two_fills(), whole):
+            np.testing.assert_array_equal(got, want)
+
+    def test_stream_is_pinned(self):
+        # The first normals of default_rng(0), to an ulp of log and sqrt:
+        # every supported numpy draws the same stream.
+        g = spectral_efficiency._complex_normals(
+            np.random.default_rng(0).bit_generator, np.empty(8, complex),
+            spectral_efficiency._Scratch())
+        np.testing.assert_allclose(g, [
+            -0.409053396195621 + 1.3635135241339855j,
+            0.6145320620292376 - 0.5011861669215126j,
+            0.2443850372030039 + 0.1547551180670976j,
+            0.18184699865261614 + 0.016221914380082015j,
+            1.0410444571208541 + 1.5074521922079978j,
+            -2.1457007342460583 - 0.5234994220141098j,
+            -0.5188827764146053 + 1.263645242351935j,
+            -0.33976720793345816 + 1.5809804486016152j], rtol=1e-14, atol=0)
+
+
 class TestOracle:
     def test_single_link_scalar_agreement(self, rng):
         # N = 1, one AP, one user: closed forms are hand-computable and the
@@ -387,7 +459,7 @@ class TestOracle:
         terms = compute_terms(serving, stats, assignment, powers,
                               estimation_terms(stats, assignment, powers))
         oracle = mc_oracle(serving, stats, assignment, powers,
-                           FrameConfig(200, 2), num_samples=100_000,
+                           FrameConfig(200, 2), num_samples=400_000,
                            rng=np.random.default_rng(9), terms=terms)
         for k in range(2):
             for c in range(terms.D[k].size):
@@ -407,14 +479,14 @@ class TestOracle:
         assert all(np.all(se > 0) for se in oracle.D_se)
 
     def test_clipped_desired_power_keeps_finite_sinr_error(self):
-        # On this drop the oracle clips user 3's fourth-group D estimate to
+        # On this drop the oracle clips user 2's fourth-group D estimate to
         # 0; its SINR error must stay finite so that every SINR can be held
         # to max(2 %, 3 SE) of the closed form.
         config = replace(validation_config(12, 4, 4, 2), base_seed=41,
                          oracle=OracleConfig(num_samples=100_000))
         terms, oracle, noise = run_oracle_check(config, 4)
         sinr = user_rates(terms, config.frame, noise).sinr
-        assert oracle.D[3][3] == 0.0
+        assert oracle.D[2][3] == 0.0
         for k in range(4):
             assert np.all(np.isfinite(oracle.sinr_se[k]))
             for c in range(terms.D[k].size):
@@ -439,11 +511,12 @@ class TestOracle:
                     err_msg=f"{name}, chunk {chunk}")
 
     def test_batches_draw_the_stream_of_fresh_normals(self, monkeypatch):
-        # Drawn into the reused buffers, block b, the partial last one
-        # included, holds the (N, S, K, n, 2) channel normals at the S
-        # served APs, then the (N, P, n, 2) pilot-noise normals at the P
-        # read (AP, pilot) pairs, that fresh arrays would hold when drawn
-        # from the b-th generator spawned from the oracle's rng.
+        # Block b, the partial last one included, turns the next N S K n raw
+        # words of the b-th generator spawned from the oracle's rng into the
+        # channel normals at the S served APs, in C order of (N, S, K, n),
+        # then the next N P n words into the pilot noise at the P read
+        # (AP, pilot) pairs, in C order of (N, P, n): one complex normal
+        # sqrt(-2 ln(1 - (w >> 11) 2^-53)) T[w & 2047] per word w.
         monkeypatch.setattr(spectral_efficiency, "ORACLE_BLOCK", 700)
         stats, assignment, serving, terms, powers, frame = small_instance(
             8, 3, 2, 2, 3, seed=4)
@@ -453,26 +526,22 @@ class TestOracle:
                             assignment.t[links.user].tolist())))
         assert served < stats.num_aps and pairs < served * assignment.tau_p
         drawn = []
+        fill = spectral_efficiency._complex_normals
 
-        class Recorder:
-            def __init__(self, gen):
-                self.gen = gen
+        def recording(bit_generator, out, scratch):
+            drawn.append(fill(bit_generator, out, scratch).copy())
+            return out
 
-            def spawn(self, n):
-                return [Recorder(child) for child in self.gen.spawn(n)]
-
-            def standard_normal(self, *args, **kwargs):
-                out = self.gen.standard_normal(*args, **kwargs)
-                drawn.append(out.copy())
-                return out
-
+        monkeypatch.setattr(spectral_efficiency, "_complex_normals", recording)
         mc_oracle(serving, stats, assignment, powers, frame, 1_500,
-                  Recorder(np.random.default_rng(3)), terms=terms)
+                  np.random.default_rng(3), terms=terms)
         N, K = stats.num_antennas, stats.num_users
         expected = []
         for block, n in zip(np.random.default_rng(3).spawn(3), (700, 700, 100)):
-            expected += [block.standard_normal((N, served, K, n, 2)),
-                         block.standard_normal((N, pairs, n, 2))]
+            for shape in ((N, served, K, n), (N, pairs, n)):
+                w = block.bit_generator.random_raw(shape)
+                radius = np.sqrt(-2.0 * np.log(1.0 - (w >> 11) * 2.0 ** -53))
+                expected.append(radius * spectral_efficiency._PHASES[w & 2047])
         assert len(drawn) == len(expected)
         for got, want in zip(drawn, expected):
             np.testing.assert_array_equal(got, want)
@@ -541,22 +610,18 @@ class TestOracle:
         # The rates of the presets come from this scale (M=40, K=10, N=2,
         # legacy clusters of 10 APs over 4 CPUs): every D, E, F and SINR of
         # a drop agrees with 10 000 oracle samples within max(2 %, 3 SE).
-        config = ExperimentConfig(
+        _assert_closed_form_matches_oracle(ExperimentConfig(
             scenario=ScenarioConfig(num_aps=40, num_users=10, num_antennas=2),
             clustering=ClusteringParams(algorithm="legacy_largest_lsf",
                                         legacy_cluster_size=10),
-            oracle=OracleConfig(num_samples=10_000))
-        terms, oracle, noise = run_oracle_check(config)
-        sinr = user_rates(terms, config.frame, noise).sinr
-        for k in range(10):
-            pairs = [(terms.E[k], oracle.E[k], oracle.E_se[k]),
-                     (terms.F[k], oracle.F[k], oracle.F_se[k])]
-            pairs += [(terms.D[k][c], oracle.D[k][c], oracle.D_se[k][c])
-                      for c in range(terms.D[k].size)]
-            pairs += [(sinr[k][c], oracle.sinr[k][c], oracle.sinr_se[k][c])
-                      for c in range(terms.D[k].size)]
-            for closed, est, se in pairs:
-                assert abs(closed - est) <= max(0.02 * abs(closed), 3.0 * se)
+            oracle=OracleConfig(num_samples=10_000)))
+
+    def test_default_scale_closed_form_matches_oracle(self):
+        # The library default (M=100, K=20, N=2), base seed 0, drop 0: every
+        # D, E, F and SINR agrees with 2 000 oracle samples within
+        # max(2 %, 3 SE).
+        _assert_closed_form_matches_oracle(ExperimentConfig(
+            oracle=OracleConfig(num_samples=2_000)))
 
     def test_sinrs_follow_the_sic_chain_at_many_groups(self):
         # Desk non-coherent with legacy clusters of 10: every user decodes
