@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .channel import (ChannelStatistics, LargeScaleModelConfig, PathLossParams,
-                      channel_normals, channel_stats, correlate_channel,
+                      channel_stats, complex_normals, correlate_channel,
                       path_loss_db, sample_channel, shadowing_field,
                       spatial_correlation)
 from .clustering import (ClusteringParams, ServingLinks, ServingStructure,
@@ -12,8 +12,7 @@ from .errors import (CfMimoError, ConfigurationError, DegenerateLinkError,
                      NumericalError)
 from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
                      assign_pilots, estimation_terms, mmse_estimate,
-                     pilot_normals, pilot_observations, psi_stack,
-                     simulate_pilot_phase)
+                     pilot_observations, psi_stack, simulate_pilot_phase)
 from .scenario import (Deployment, ScenarioConfig, generate_deployment,
                        wrap_distance)
 from .spectral_efficiency import (FrameConfig, OracleResult, RateResult,

@@ -19,6 +19,14 @@ from .scenario import Deployment, wrap_displacement_planes, wrap_distance_matrix
 BOLTZMANN = 1.381e-23   # J/K
 NOISE_TEMPERATURE = 290.0  # K
 
+# complex_normals turns raw words into normals in pieces of at most
+# ORACLE_PIECE words, which bounds its temporaries at 128 KB each; the piece
+# length does not change the normals. Their phases lie on the exact grid of
+# the 2048 roots of unity, indexed by the low 11 bits of a word.
+ORACLE_PIECE = 2 ** 14
+_PHASE_BITS = 11
+_PHASES = np.exp(2j * np.pi * np.arange(2 ** _PHASE_BITS) / 2 ** _PHASE_BITS)
+
 
 def cost_hata_fixed_term_db(freq_mhz: float = 1900.0,
                             ap_height_m: float = 15.0,
@@ -214,34 +222,59 @@ def correlation_sqrt(R: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
-def channel_normals(stats: ChannelStatistics, rng: np.random.Generator,
-                    num_samples: int | None = None) -> np.ndarray:
-    """(2, [num_samples,] M, K, N) standard normals for sample_channel.
+def complex_normals(bit_generator: np.random.BitGenerator,
+                    out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous complex array out, in C order, with complex
+    normals of unit-variance real and imaginary parts, one per raw 64-bit
+    word w of bit_generator, and return it.
 
-    Index 0 holds the real and index 1 the imaginary parts, drawn in that
-    order; correlate_channel turns them into channel realizations.
+    Box-Muller with the phase on an exact grid: g = r T[w & 2047], with the
+    radius r = sqrt(-2 ln(1 - (w >> 11) 2^-53)) from the word's top 53 bits
+    and T = _PHASES. For a phase uniform on 2048 points, E[g^p conj(g)^q] is
+    the CN(0, 2) moment whenever |p - q| < 2048, so every mean and variance
+    that the oracle estimates, polynomials of degree at most 8 in the
+    normals, is that of Gaussian draws. The words are read in pieces of at
+    most ORACLE_PIECE, in order, so the piece length changes nothing.
     """
-    shape = (stats.num_aps, stats.num_users, stats.num_antennas)
-    if num_samples is not None:
-        shape = (num_samples,) + shape
-    return rng.standard_normal((2,) + shape)
+    flat = out.reshape(-1)
+    size = min(ORACLE_PIECE, flat.size)
+    phase, radius = np.empty(size, np.intp), np.empty(size)
+    for lo in range(0, flat.size, ORACLE_PIECE):
+        words = bit_generator.random_raw(min(ORACLE_PIECE, flat.size - lo))
+        n = words.size
+        np.bitwise_and(words, 2 ** _PHASE_BITS - 1, out=phase[:n])
+        # 1 - (w >> 11) 2^-53 is exact and in (0, 1], so its log is finite.
+        r = np.multiply(np.right_shift(words, _PHASE_BITS, out=words),
+                        2.0 ** -53, out=radius[:n])
+        np.subtract(1.0, r, out=r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        piece = np.take(_PHASES, phase[:n], out=flat[lo:lo + n], mode="clip")
+        np.multiply(piece, r, out=piece)
+    return out
 
 
 def correlate_channel(sqrt_R: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """H[..., m, k] = R[m, k]^(1/2) g, g = (normals[0] + j normals[1]) / sqrt(2).
+    """H[..., m, k] = R[m, k]^(1/2) g, g = normals / sqrt(2).
 
-    sqrt_R: (M, K, N, N) from correlation_sqrt; normals: (2, ..., M, K, N)
-    from channel_normals, or any slice of its sample axes.
+    sqrt_R: (M, K, N, N) from correlation_sqrt; normals: (..., M, K, N)
+    complex normals of unit-variance real and imaginary parts, as
+    complex_normals draws them.
     """
-    g = (normals[0] + 1j * normals[1]) / np.sqrt(2.0)
-    return np.einsum("mkab,...mkb->...mka", sqrt_R, g, optimize=True)
+    return np.einsum("mkab,...mkb->...mka", sqrt_R, normals / np.sqrt(2.0),
+                     optimize=True)
 
 
 def sample_channel(stats: ChannelStatistics, rng: np.random.Generator,
                    num_samples: int | None = None) -> np.ndarray:
     """Draw correlated Rayleigh realizations H[m, k] = R^(1/2) g, g ~ CN(0, I).
 
-    Returns (M, K, N), or (num_samples, M, K, N) when num_samples is given.
+    Returns (M, K, N), or (num_samples, M, K, N) when num_samples is given,
+    from one complex normal of rng (complex_normals) per entry, in C order.
     """
-    return correlate_channel(correlation_sqrt(stats.R),
-                             channel_normals(stats, rng, num_samples))
+    shape = (stats.num_aps, stats.num_users, stats.num_antennas)
+    if num_samples is not None:
+        shape = (num_samples,) + shape
+    return correlate_channel(correlation_sqrt(stats.R), complex_normals(
+        rng.bit_generator, np.empty(shape, complex)))

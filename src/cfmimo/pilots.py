@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import planes
-from .channel import ChannelStatistics
-from .clustering import ServingLinks
+from .channel import ChannelStatistics, complex_normals
 from .errors import ConfigurationError
 
 VALID_BUDGET_MODES = ("ignore", "rescale", "error")
@@ -110,18 +109,6 @@ def estimation_terms(stats: ChannelStatistics, assignment: PilotAssignment,
     return EstimationTerms(coef=planes.stacked(coef), est_trace=est_trace)
 
 
-def pilot_normals(realization_shape: tuple[int, ...], assignment: PilotAssignment,
-                  rng: np.random.Generator) -> np.ndarray:
-    """(2, ..., tau_p, M, N) standard normals of the pilot noise.
-
-    realization_shape is the (..., M, K, N) shape of the channel draws;
-    index 0 holds the real and index 1 the imaginary parts, drawn in that
-    order.
-    """
-    *lead, m, _, n = realization_shape
-    return rng.standard_normal((2, *lead, assignment.tau_p, m, n))
-
-
 def pilot_observations(realization: np.ndarray, normals: np.ndarray,
                        assignment: PilotAssignment, powers: PowerConfig,
                        noise_power: float) -> np.ndarray:
@@ -131,12 +118,11 @@ def pilot_observations(realization: np.ndarray, normals: np.ndarray,
     matrix never needs to be materialized:
     y_check[t, m] = sum over users i on pilot t of sqrt(p^p tau_p) H[m, i] + CN(0, sigma^2 I).
 
-    realization: (..., M, K, N); normals: (2, ..., tau_p, M, N) from
-    pilot_normals, or the matching slice of its sample axes. Returns
-    (..., tau_p, M, N).
+    realization: (..., M, K, N); normals: (..., tau_p, M, N) complex
+    normals of unit-variance real and imaginary parts, as complex_normals
+    draws them. Returns (..., tau_p, M, N).
     """
-    y = normals[0] + 1j * normals[1]
-    y *= np.sqrt(noise_power / 2.0)
+    y = normals * np.sqrt(noise_power / 2.0)
     amp = np.sqrt(powers.pilot_power * assignment.tau_p)
     for pilot in range(assignment.tau_p):
         users = assignment.users_on_pilot(pilot)
@@ -150,25 +136,22 @@ def simulate_pilot_phase(realization: np.ndarray, assignment: PilotAssignment,
                          rng: np.random.Generator) -> np.ndarray:
     """Draw the pilot noise and return pilot_observations of the draws.
 
-    realization: (..., M, K, N); returns (..., tau_p, M, N).
+    realization: (..., M, K, N); returns (..., tau_p, M, N). The noise takes
+    one complex normal of rng (complex_normals) per entry, in C order.
     """
-    return pilot_observations(
-        realization, pilot_normals(realization.shape, assignment, rng),
-        assignment, powers, noise_power)
+    *lead, m, _, n = realization.shape
+    normals = complex_normals(rng.bit_generator, np.empty(
+        (*lead, assignment.tau_p, m, n), complex))
+    return pilot_observations(realization, normals, assignment, powers,
+                              noise_power)
 
 
 def mmse_estimate(y_check: np.ndarray, coef: np.ndarray,
-                  assignment: PilotAssignment,
-                  links: ServingLinks | None = None) -> np.ndarray:
+                  assignment: PilotAssignment) -> np.ndarray:
     """MMSE estimates H_hat[..., m, k] = coef[m, k] y_check[..., t_k, m].
 
     y_check: (..., tau_p, M, N) from pilot_observations; coef from
-    estimation_terms. Returns (..., M, K, N), or (..., L, N) at the L
-    serving links (links.ap[l], links.user[l]) when links is given.
+    estimation_terms. Returns (..., M, K, N).
     """
-    if links is None:
-        return np.einsum("mkac,...kmc->...mka", coef,
-                         y_check[..., assignment.t, :, :], optimize=True)
-    return np.einsum("lac,...lc->...la", coef[links.ap, links.user],
-                     y_check[..., assignment.t[links.user], links.ap, :],
-                     optimize=True)
+    return np.einsum("mkac,...kmc->...mka", coef,
+                     y_check[..., assignment.t, :, :], optimize=True)

@@ -9,6 +9,7 @@ network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,14 @@ class ScenarioConfig:
                            tuple(map(tuple, self.cpu_positions)))
         if self.num_aps < 1 or self.num_users < 1 or self.num_antennas < 1:
             raise ConfigurationError("num_aps, num_users and num_antennas must be >= 1")
-        if self.area_side <= 0:
+        if not self.area_side > 0:
             raise ConfigurationError("area_side must be positive")
+        # The squared wrap-around distance dx^2 + dy^2 peaks at dx = dy = L/2.
+        half = self.area_side / 2.0
+        if not math.isfinite(half * half + half * half):
+            raise ConfigurationError(
+                f"area_side {self.area_side} is too large: its squared "
+                "wrap-around distances overflow")
         if len(self.cpu_positions) < 1:
             raise ConfigurationError("at least one CPU position is required")
         if self.seed < 0:

@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from . import planes
-from .channel import ChannelStatistics, correlation_sqrt
+from .channel import ChannelStatistics, complex_normals, correlation_sqrt
 from .clustering import ServingStructure
 from .errors import ConfigurationError, DegenerateLinkError, NumericalError
 from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
@@ -34,21 +34,13 @@ from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
 # The oracle samples in blocks of ORACLE_BLOCK samples, each drawn from a
 # generator of its own, which fixes its random stream and bounds its memory
 # at one block of normals at any scale. Each complex normal takes one raw
-# 64-bit word of that generator (_complex_normals), and the words are turned
-# into normals in pieces of at most ORACLE_PIECE, which bounds the pieces'
-# temporaries at 128 KB each. It transforms each block in chunks of as many
-# samples as keep its largest temporary, the (L, K, chunk) link-by-user
-# amplitudes, the (N, S, K, chunk) channel or the (N, S, tau_p, chunk) pilot
-# sums, near ORACLE_CHUNK_SIZE complex entries (3.2 MB). Neither the piece
-# nor the chunk length changes the result.
+# 64-bit word of that generator (channel.complex_normals). It transforms
+# each block in chunks of as many samples as keep its largest temporary, the
+# (L, K, chunk) link-by-user amplitudes, the (N, S, K, chunk) channel or the
+# (N, S, tau_p, chunk) pilot sums, near ORACLE_CHUNK_SIZE complex entries
+# (3.2 MB). The chunk length does not change the result.
 ORACLE_BLOCK = 1_000
-ORACLE_PIECE = 2 ** 14
 ORACLE_CHUNK_SIZE = 200_000
-
-# The 2048 roots of unity: the phases of the oracle's complex normals, on an
-# exact grid indexed by the low 11 bits of a word.
-_PHASE_BITS = 11
-_PHASES = np.exp(2j * np.pi * np.arange(2 ** _PHASE_BITS) / 2 ** _PHASE_BITS)
 
 
 @dataclass(frozen=True)
@@ -344,20 +336,17 @@ def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
     complex pilot-noise normals at the read pairs; both have unit-variance
     real and imaginary parts. For every group b of user i and observing
     user k, a = sum over the links (m, i) of b of H[m, k]^H W[m, i], and
-    only its conjugate is formed: the oracle reads |mean a|^2, Re(a)^2,
-    Im(a)^2 and |a|^2, which the sign of Im(a) does not change. The result
-    is a view into scratch, valid until its next chunk.
+    only its conjugate is formed: the oracle reads |mean a|^2, |a|^2 and
+    |a|^4, which the sign of Im(a) does not change. The result is a view
+    into scratch, valid until its next chunk.
     """
     N, _, S, K = plan.sqrt_R.shape
     L, P, c = plan.link_ap.size, plan.pair.size, g.shape[-1]
     tau_p = plan.pilots.shape[0]
-    # H = R^(1/2) g at the served APs, N^2 products.
-    H = scratch("H", (N, S, K, c))
-    term = scratch("term", (S, K, c))
-    for i in range(N):
-        np.multiply(plan.sqrt_R[i, 0, ..., None], g[0], out=H[i])
-        for j in range(1, N):
-            H[i] += np.multiply(plan.sqrt_R[i, j, ..., None], g[j], out=term)
+    # H = R^(1/2) g at the served APs, the planes' product with one column.
+    H = planes.product(plan.sqrt_R[..., None], g[:, None],
+                       out=scratch("H", (N, 1, S, K, c)),
+                       term=scratch("term", (S, K, c)))[:, 0]
     # Pilot sums sqrt(p^p tau_p) sum_{t_i = t} H[m, i] by one real product on
     # the float view, then the noisy observations at the read pairs. Every
     # index is in range, and mode="clip" lets np.take write into out
@@ -367,15 +356,12 @@ def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
     y = np.multiply(z, plan.noise_scale, out=scratch("y", (N, P, c)))
     y += np.take(sums.view(complex).reshape(N, S * tau_p, c), plan.pair,
                  axis=1, out=scratch("y_sums", (N, P, c)), mode="clip")
-    # conj(W) = conj(s A y) at the links, N^2 products.
+    # conj(W) = conj(s A y) at the links.
     y_l = np.take(y, plan.link_pair, axis=1, out=scratch("y_l", (N, L, c)),
                   mode="clip")
-    W = scratch("W", (N, L, c))
-    term = scratch("term_l", (L, c))
-    for i in range(N):
-        np.multiply(plan.w_coef[i, 0, :, None], y_l[0], out=W[i])
-        for j in range(1, N):
-            W[i] += np.multiply(plan.w_coef[i, j, :, None], y_l[j], out=term)
+    W = planes.product(plan.w_coef[..., None], y_l[:, None],
+                       out=scratch("W", (N, 1, L, c)),
+                       term=scratch("term_l", (L, c)))[:, 0]
     np.conjugate(W, out=W)
     # conj(a) at every link and user, sum_n H[m, k, n] conj(W[l, n]), then
     # summed over each group's links by one real product on the float view.
@@ -393,68 +379,34 @@ def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
                      ).view(complex).reshape(G, K, c)
 
 
-def _complex_normals(bit_generator, out: np.ndarray,
-                     scratch: _Scratch) -> np.ndarray:
-    """Fill the C-contiguous complex array out, in C order, with complex
-    normals of unit-variance real and imaginary parts, one per raw 64-bit
-    word w of bit_generator, and return it.
-
-    Box-Muller with the phase on an exact grid: g = r T[w & 2047], with the
-    radius r = sqrt(-2 ln(1 - (w >> 11) 2^-53)) from the word's top 53 bits
-    and T = _PHASES. For a phase uniform on 2048 points, E[g^p conj(g)^q] is
-    the CN(0, 2) moment whenever |p - q| < 2048, so every mean and variance
-    that the oracle estimates, polynomials of degree at most 8 in the
-    normals, is that of Gaussian draws. The words are read in pieces of at
-    most ORACLE_PIECE, in order, so the piece length changes nothing.
-    """
-    flat = out.reshape(-1)
-    for lo in range(0, flat.size, ORACLE_PIECE):
-        words = bit_generator.random_raw(min(ORACLE_PIECE, flat.size - lo))
-        n = words.size
-        phase = np.bitwise_and(words, 2 ** _PHASE_BITS - 1,
-                               out=scratch("phase", (n,), np.intp))
-        # 1 - (w >> 11) 2^-53 is exact and in (0, 1], so its log is finite.
-        radius = np.multiply(np.right_shift(words, _PHASE_BITS, out=words),
-                             2.0 ** -53, out=scratch("radius", (n,), float))
-        np.subtract(1.0, radius, out=radius)
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        piece = np.take(_PHASES, phase, out=flat[lo:lo + n], mode="clip")
-        np.multiply(piece, radius, out=piece)
-    return out
-
-
 def _block_moments(plan: _OraclePlan, run):
     """Yield the moment sums of each (rng, n) block of a run, in block order.
 
-    A block draws N S K n complex normals (_complex_normals) from its rng's
-    bit generator, the channel normals at the served APs in C order of
-    (N, S, K, n), then N P n, the pilot noise at the read pairs in C order
-    of (N, P, n), into buffers that the run's blocks share. The sums, per
-    (group, observing user), are those of conj(a), |a|^2, Re(a)^2, Im(a)^2
-    and |a|^4.
+    A block draws N S K n complex normals (channel.complex_normals) from
+    its rng's bit generator, the channel normals at the served APs in C
+    order of (N, S, K, n), then N P n, the pilot noise at the read pairs in
+    C order of (N, P, n), into buffers that the run's blocks share. The
+    sums, per (group, observing user), are those of conj(a), |a|^2 and
+    |a|^4.
     """
     N, _, S, K = plan.sqrt_R.shape
     P, G = plan.pair.size, plan.groups.shape[0]
     scratch = _Scratch()
     for rng, n in run:
         bits = rng.bit_generator
-        g = _complex_normals(bits, scratch("g", (N, S, K, n)), scratch)
-        z = _complex_normals(bits, scratch("z", (N, P, n)), scratch)
-        sums = [np.zeros((G, K), dtype=complex), *np.zeros((4, G, K))]
+        g = complex_normals(bits, scratch("g", (N, S, K, n)))
+        z = complex_normals(bits, scratch("z", (N, P, n)))
+        sums = [np.zeros((G, K), dtype=complex), *np.zeros((2, G, K))]
         for lo in range(0, n, plan.step):
             chunk = slice(lo, lo + plan.step)
             a = _chunk_amplitudes(plan, g[..., chunk], z[..., chunk], scratch)
             c = a.shape[-1]
             sq = np.square(a.view(float), out=scratch("sq", (G, K, 2 * c), float))
-            re2, im2 = sq[..., 0::2], sq[..., 1::2]
-            p = np.add(re2, im2, out=scratch("p", (G, K, c), float))
+            p = np.add(sq[..., 0::2], sq[..., 1::2],
+                       out=scratch("p", (G, K, c), float))
             sums[0] += a.sum(axis=-1)
             sums[1] += p.sum(axis=-1)
-            sums[2] += re2.sum(axis=-1)
-            sums[3] += im2.sum(axis=-1)
-            sums[4] += np.square(p, out=p).sum(axis=-1)
+            sums[2] += np.square(p, out=p).sum(axis=-1)
         yield sums
 
 
@@ -524,7 +476,8 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     bit generator for the channel normals, in C order of (N, S, K, n), then
     N P n for the pilot noise, in C order of (N, P, n), one complex normal
     per word (Box-Muller with a radius from the word's top 53 bits and a
-    phase on the 2048-point grid of its low 11, see _complex_normals). Each
+    phase on the 2048-point grid of its low 11, see
+    channel.complex_normals). Each
     block is transformed in chunks, with its samples on the last axis of
     every array (see ORACLE_CHUNK_SIZE). The blocks run through map_in_runs
     over at most jobs worker processes, and their sums are added in block
@@ -542,17 +495,15 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     samples = [min(ORACLE_BLOCK, num_samples - lo)
                for lo in range(0, num_samples, ORACLE_BLOCK)]
     blocks = list(zip(rng.spawn(len(samples)), samples))
-    sum_a, sum_a2, sum_re2, sum_im2, sum_p2 = _add_in_order(
+    sum_a, sum_a2, sum_p2 = _add_in_order(
         map_in_runs(partial(_block_moments, plan), blocks, jobs))
     # Does group g contaminate user k?
     copilot_mask = assignment.t[links.group_user][:, None] == assignment.t
 
     S = float(num_samples)
     mean_a = sum_a / S
-    var_re = np.maximum(sum_re2 / S - mean_a.real ** 2, 0.0)
-    var_im = np.maximum(sum_im2 / S - mean_a.imag ** 2, 0.0)
-    var_mean = (var_re + var_im) / S
     mean_p = sum_a2 / S
+    var_mean = np.maximum(mean_p - np.abs(mean_a) ** 2, 0.0) / S
     var_p = np.maximum(sum_p2 / S - mean_p ** 2, 0.0)
 
     coh = np.abs(mean_a) ** 2 - var_mean       # debiased |E{a}|^2

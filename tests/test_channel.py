@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfmimo.channel import (ChannelStatistics, LargeScaleModelConfig,
-                            PathLossParams, channel_normals, channel_stats,
+                            PathLossParams, channel_stats, complex_normals,
                             correlate_channel, correlation_sqrt,
                             cost_hata_fixed_term_db, path_loss_db,
                             sample_channel, shadowing_field,
@@ -192,19 +192,17 @@ class TestSampleChannel:
         power = (np.abs(h) ** 2).sum(axis=-1).mean(axis=0)
         assert np.allclose(power, 2.0 * stats.beta, rtol=0.02)
 
-    def test_draws_real_then_imaginary_block(self, rng):
-        # The stream is one real and then one imaginary standard-normal
-        # block; correlating any slice of the normals gives that slice of H.
+    def test_draws_one_complex_normal_per_entry(self, rng):
+        # The stream is one complex normal per entry of H, in C order;
+        # correlating any slice of the normals gives that slice of H.
         stats = self._unit_stats(rng, num_aps=3)
-        gen = np.random.default_rng(7)
-        re, im = gen.standard_normal((2, 5, 3, 2, 2))
-        g = (re + 1j * im) / np.sqrt(2.0)
+        g = complex_normals(np.random.default_rng(7).bit_generator,
+                            np.empty((5, 3, 2, 2), complex))
         h = sample_channel(stats, np.random.default_rng(7), num_samples=5)
-        expected = np.einsum("mkab,smkb->smka", correlation_sqrt(stats.R), g)
+        expected = np.einsum("mkab,smkb->smka", correlation_sqrt(stats.R),
+                             g / np.sqrt(2.0))
         assert np.allclose(h, expected, rtol=1e-14, atol=0)
-        normals = channel_normals(stats, np.random.default_rng(7), 5)
-        assert np.array_equal(normals, [re, im])
-        part = correlate_channel(correlation_sqrt(stats.R), normals[:, 1:3])
+        part = correlate_channel(correlation_sqrt(stats.R), g[1:3])
         assert np.allclose(part, h[1:3], rtol=1e-14, atol=0)
 
     def test_correlation_sqrt_squares_back(self, rng):

@@ -523,6 +523,20 @@ class TestCli:
                      *flags]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("area_side", [1e200, 1e300])
+    def test_overflowing_area_side_exit_code(self, tmp_path, capsys, command,
+                                             area_side):
+        # The squared wrap-around distances of such a square overflow: a
+        # configuration error that names the field, not an overflow warning
+        # and a numerical failure.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"num_drops": 1,
+                                    "scenario": {"area_side": area_side}}))
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        assert main([command, "--config", str(path), *out]) == 1
+        assert "configuration error: area_side" in capsys.readouterr().err
+
     def test_nonzero_scenario_seed_exit_code(self, tmp_path, capsys):
         # Every drop derives its deployment seed from base_seed, so a
         # scenario seed would be ignored.

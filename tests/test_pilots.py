@@ -3,12 +3,11 @@ import pytest
 
 from conftest import random_stats, solved_estimate_covariance
 
-from cfmimo.channel import ChannelStatistics, sample_channel
-from cfmimo.clustering import ServingStructure
+from cfmimo.channel import ChannelStatistics, complex_normals, sample_channel
 from cfmimo.errors import ConfigurationError
 from cfmimo.pilots import (PilotAssignment, PowerConfig, assign_pilots,
-                           estimation_terms, mmse_estimate, pilot_normals,
-                           pilot_observations, psi_stack, simulate_pilot_phase)
+                           estimation_terms, mmse_estimate, pilot_observations,
+                           psi_stack, simulate_pilot_phase)
 
 
 class TestAssignPilots:
@@ -119,20 +118,18 @@ class TestPilotPhase:
         y = simulate_pilot_phase(h, a, powers, noise_power=0.0, rng=rng)
         assert np.allclose(y[0, 0], 2.0 * np.sqrt(0.5))
 
-    def test_noise_drawn_real_then_imaginary(self, rng):
-        # simulate_pilot_phase = pilot_observations of pilot_normals, and the
-        # noise is one real and then one imaginary standard-normal block.
+    def test_noise_drawn_as_complex_normals(self, rng):
+        # simulate_pilot_phase = pilot_observations of one complex normal
+        # per entry of the noise, in C order.
         a = PilotAssignment(tau_p=3, t=np.array([0, 2]))
         powers = PowerConfig()
         h = rng.standard_normal((4, 2, 2, 2)) + 1j * rng.standard_normal((4, 2, 2, 2))
         y = simulate_pilot_phase(h, a, powers, 0.5, np.random.default_rng(5))
-        normals = pilot_normals(h.shape, a, np.random.default_rng(5))
-        assert normals.shape == (2, 4, 3, 2, 2)
-        re, im = np.random.default_rng(5).standard_normal((2, 4, 3, 2, 2))
-        assert np.array_equal(normals, [re, im])
+        normals = complex_normals(np.random.default_rng(5).bit_generator,
+                                  np.empty((4, 3, 2, 2), complex))
         assert np.array_equal(
             y, pilot_observations(h, normals, a, powers, 0.5))
-        assert np.allclose(y[:, 1], np.sqrt(0.25) * (re + 1j * im)[:, 1],
+        assert np.allclose(y[:, 1], np.sqrt(0.25) * normals[:, 1],
                            rtol=1e-15, atol=0)
 
     def test_observation_covariance_matches_psi(self, rng):
@@ -169,27 +166,6 @@ class TestMmseEstimate:
         coef = estimation_terms(stats, a, powers).coef
         y = np.ones((1, 1, 2), dtype=complex)
         assert np.allclose(mmse_estimate(y, coef, a), 0.0)
-
-    def test_estimate_at_serving_links(self, rng):
-        # With a link index the estimates are those of the full grid at
-        # (links.ap, links.user), in link order.
-        stats = random_stats(3, 2, 2, rng)
-        a = PilotAssignment(tau_p=2, t=np.array([1, 1]))
-        powers = PowerConfig()
-        serving = ServingStructure(clusters=((2, 0), (1,)),
-                                   groups=(((0, (2,)), (1, (0,))),
-                                           ((0, (1,)),)),
-                                   num_aps=3)
-        gen = np.random.default_rng(17)
-        y = simulate_pilot_phase(sample_channel(stats, gen, num_samples=4),
-                                 a, powers, stats.noise_power, gen)
-        coef = estimation_terms(stats, a, powers).coef
-        links = serving.links
-        at_links = mmse_estimate(y, coef, a, links)
-        assert at_links.shape == (4, 3, 2)
-        assert np.allclose(at_links,
-                           mmse_estimate(y, coef, a)[:, links.ap, links.user],
-                           rtol=1e-14, atol=0)
 
     def test_estimate_covariance_monte_carlo(self, rng):
         stats = random_stats(2, 3, 2, rng)

@@ -71,6 +71,19 @@ class TestProduct:
         assert got.shape == (7, 3, 2, 2)
         assert np.allclose(got, a @ b, rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_column_into_given_buffers(self, n, rng):
+        # Matrices times a stack of vectors, the planes b[:, None] of one
+        # column, written into the given out and term buffers.
+        a, b = complex_stack((4, 5, n, n), rng), complex_stack((4, 5, n), rng)
+        out, term = np.empty((n, 1, 4, 5), complex), np.empty((4, 5), complex)
+        got = planes.product(planes.planes(a), np.moveaxis(b, -1, 0)[:, None],
+                             out=out, term=term)
+        assert got is out
+        assert np.allclose(np.moveaxis(got[:, 0], 0, -1),
+                           np.einsum("...ij,...j->...i", a, b),
+                           rtol=1e-14, atol=1e-14)
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_trace_product(self, n, rng):
         a, b = complex_stack((9, n, n), rng), complex_stack((9, n, n), rng)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_stats, small_instance, solved_estimate_covariance
 
+from cfmimo import channel
 from cfmimo.channel import correlate_channel, correlation_sqrt, sample_channel
 from cfmimo.clustering import ServingStructure, build_serving_structure, \
     ClusteringParams
@@ -369,7 +370,7 @@ class TestComplexNormals:
     def test_phases_are_the_roots_of_unity(self):
         # The phase table's power moments vanish as those of a uniform
         # phase do, up to p = 16 (the oracle's |a|^4 is of degree 8).
-        T = spectral_efficiency._PHASES
+        T = channel._PHASES
         assert T.shape == (2048,)
         np.testing.assert_allclose(np.abs(T), 1.0, rtol=0, atol=1e-15)
         for p in range(1, 17):
@@ -378,9 +379,8 @@ class TestComplexNormals:
     def test_moments_are_those_of_unit_normals(self):
         # Re and Im of unit variance, E|g|^4 = 8, E g^2 = 0 and E Re^4 = 3,
         # each within 4 standard errors over 10^6 draws.
-        g = spectral_efficiency._complex_normals(
-            np.random.default_rng(12).bit_generator, np.empty(10 ** 6, complex),
-            spectral_efficiency._Scratch())
+        g = channel.complex_normals(
+            np.random.default_rng(12).bit_generator, np.empty(10 ** 6, complex))
         square = g * g
         for name, values, expected in [
                 ("Re^2", g.real ** 2, 1.0), ("Im^2", g.imag ** 2, 1.0),
@@ -394,22 +394,20 @@ class TestComplexNormals:
         # fills bit for bit: the words are read in order.
         def two_fills():
             bit_generator = np.random.default_rng(2).bit_generator
-            return [spectral_efficiency._complex_normals(
-                        bit_generator, np.empty(shape, complex),
-                        spectral_efficiency._Scratch())
+            return [channel.complex_normals(bit_generator,
+                                            np.empty(shape, complex))
                     for shape in ((3, 5, 11), (40,))]
 
         whole = two_fills()
-        monkeypatch.setattr(spectral_efficiency, "ORACLE_PIECE", 7)
+        monkeypatch.setattr(channel, "ORACLE_PIECE", 7)
         for got, want in zip(two_fills(), whole):
             np.testing.assert_array_equal(got, want)
 
     def test_stream_is_pinned(self):
         # The first normals of default_rng(0), to an ulp of log and sqrt:
         # every supported numpy draws the same stream.
-        g = spectral_efficiency._complex_normals(
-            np.random.default_rng(0).bit_generator, np.empty(8, complex),
-            spectral_efficiency._Scratch())
+        g = channel.complex_normals(
+            np.random.default_rng(0).bit_generator, np.empty(8, complex))
         np.testing.assert_allclose(g, [
             -0.409053396195621 + 1.3635135241339855j,
             0.6145320620292376 - 0.5011861669215126j,
@@ -466,15 +464,46 @@ class TestOracle:
                 err = abs(terms.D[k][c] - oracle.D[k][c])
                 assert err <= max(0.005 * terms.D[k][c], 3 * oracle.D_se[k][c])
 
-    def test_oracle_reports_standard_errors(self, rng):
-        stats, assignment, serving = _single_link_setup(rng)
-        powers = PowerConfig()
-        terms = compute_terms(serving, stats, assignment, powers,
-                              estimation_terms(stats, assignment, powers))
-        oracle = mc_oracle(serving, stats, assignment, powers,
-                           FrameConfig(200, 2), num_samples=2_000,
-                           rng=np.random.default_rng(10), terms=terms)
-        assert oracle.num_samples == 2_000
+    def test_oracle_reports_standard_errors(self, monkeypatch):
+        # Three blocks, the last one partial: D, E, F and their standard
+        # errors are those of the recorded group amplitudes by plain numpy
+        # means and variances.
+        stats, assignment, serving, terms, powers, frame = small_instance(
+            8, 3, 2, 2, 2, seed=0)
+        chunks, kernel = [], spectral_efficiency._chunk_amplitudes
+
+        def recording(*args):
+            a = kernel(*args)
+            chunks.append(a.copy())
+            return a
+
+        monkeypatch.setattr(spectral_efficiency, "_chunk_amplitudes", recording)
+        oracle = mc_oracle(serving, stats, assignment, powers, frame, 2_500,
+                           np.random.default_rng(10), terms=terms)
+        assert oracle.num_samples == 2_500
+        a = np.concatenate(chunks, axis=-1)                     # (G, K, S)
+        n = a.shape[-1]
+        assert n == 2_500
+        mean = a.mean(axis=-1)
+        var_mean = np.var(a, axis=-1) / n
+        coh = np.maximum(np.abs(mean) ** 2 - var_mean, 0.0)
+        coh_se = 2.0 * np.abs(mean) * np.sqrt(var_mean) + var_mean
+        power = np.abs(a) ** 2
+        links = serving.links
+        copilot = assignment.t[links.group_user][:, None] == assignment.t
+        F = np.where(copilot, coh, 0.0).sum(axis=0)
+        F_se = np.sqrt(np.where(copilot, coh_se ** 2, 0.0).sum(axis=0))
+        E = power.mean(axis=-1).sum(axis=0) - F
+        E_se = np.sqrt((np.var(power, axis=-1) / n).sum(axis=0) + F_se ** 2)
+        for got, want in [(oracle.E, E), (oracle.E_se, E_se),
+                          (oracle.F, F), (oracle.F_se, F_se)]:
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        for k, order in enumerate(terms.group_order):
+            sic = np.flatnonzero(links.group_user == k)[list(order)]
+            np.testing.assert_allclose(oracle.D[k], coh[sic, k],
+                                       rtol=1e-10, atol=0)
+            np.testing.assert_allclose(oracle.D_se[k], coh_se[sic, k],
+                                       rtol=1e-10, atol=0)
         assert np.all(oracle.E_se > 0)
         assert all(np.all(se > 0) for se in oracle.D_se)
 
@@ -526,13 +555,13 @@ class TestOracle:
                             assignment.t[links.user].tolist())))
         assert served < stats.num_aps and pairs < served * assignment.tau_p
         drawn = []
-        fill = spectral_efficiency._complex_normals
+        fill = channel.complex_normals
 
-        def recording(bit_generator, out, scratch):
-            drawn.append(fill(bit_generator, out, scratch).copy())
+        def recording(bit_generator, out):
+            drawn.append(fill(bit_generator, out).copy())
             return out
 
-        monkeypatch.setattr(spectral_efficiency, "_complex_normals", recording)
+        monkeypatch.setattr(spectral_efficiency, "complex_normals", recording)
         mc_oracle(serving, stats, assignment, powers, frame, 1_500,
                   np.random.default_rng(3), terms=terms)
         N, K = stats.num_antennas, stats.num_users
@@ -541,7 +570,7 @@ class TestOracle:
             for shape in ((N, served, K, n), (N, pairs, n)):
                 w = block.bit_generator.random_raw(shape)
                 radius = np.sqrt(-2.0 * np.log(1.0 - (w >> 11) * 2.0 ** -53))
-                expected.append(radius * spectral_efficiency._PHASES[w & 2047])
+                expected.append(radius * channel._PHASES[w & 2047])
         assert len(drawn) == len(expected)
         for got, want in zip(drawn, expected):
             np.testing.assert_array_equal(got, want)
@@ -561,19 +590,18 @@ class TestOracle:
         pair = np.unique(links.ap * tau_p + assignment.t[links.user])
         # An unserved AP, and an unread pair at a served AP.
         assert served.size < M and pair.size < served.size * tau_p
-        rng = np.random.default_rng(5)
-        g = rng.standard_normal((2, N, served.size, K, c))
-        z = rng.standard_normal((2, N, pair.size, c))
+        bits = np.random.default_rng(5).bit_generator
+        g = channel.complex_normals(bits, np.empty((N, served.size, K, c), complex))
+        z = channel.complex_normals(bits, np.empty((N, pair.size, c), complex))
         plan = spectral_efficiency._oracle_plan(serving, stats, assignment,
                                                 powers)
         got = spectral_efficiency._chunk_amplitudes(
-            plan, g[0] + 1j * g[1], z[0] + 1j * z[1],
-            spectral_efficiency._Scratch())
+            plan, g, z, spectral_efficiency._Scratch())
 
-        g_full = np.zeros((2, c, M, K, N))
-        g_full[:, :, served] = g.transpose(0, 4, 2, 3, 1)
-        z_full = np.zeros((2, c, tau_p, M, N))
-        z_full[:, :, pair % tau_p, pair // tau_p] = z.transpose(0, 3, 2, 1)
+        g_full = np.zeros((c, M, K, N), complex)
+        g_full[:, served] = g.transpose(3, 1, 2, 0)
+        z_full = np.zeros((c, tau_p, M, N), complex)
+        z_full[:, pair % tau_p, pair // tau_p] = z.transpose(2, 1, 0)
         H = correlate_channel(correlation_sqrt(stats.R), g_full)
         y = pilot_observations(H, z_full, assignment, powers,
                                stats.noise_power)
@@ -581,7 +609,7 @@ class TestOracle:
         scale = mr_scale(effective_data_powers(serving, powers),
                          estimation.est_trace)
         W = mmse_estimate(y, scale[..., None, None] * estimation.coef,
-                          assignment, links)                       # (c, L, N)
+                          assignment)[:, links.ap, links.user]    # (c, L, N)
         amp = np.sum(H[:, links.ap] * np.conj(W)[:, :, None, :], axis=-1)
         a = np.conj(np.add.reduceat(amp, links.group_start, axis=1))
         np.testing.assert_allclose(got, np.conj(a).transpose(1, 2, 0),
@@ -657,7 +685,7 @@ class TestOracle:
 
     def test_peak_memory_is_one_batch_of_normals(self):
         # One 100 000-sample call at (M, K, Q, tau_p) = (12, 4, 4, 4) holds
-        # one 1 000-sample block of standard normals (2.1 MB here) and
+        # one 1 000-sample block of complex normals (2.1 MB here) and
         # chunk-sized buffers: the (L, K, chunk) amplitudes (1.5 MB) and a
         # few arrays of their size.
         stats, assignment, serving, terms, powers, frame = small_instance(
