@@ -19,6 +19,8 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .clustering import ClusteringParams
 from .errors import CfMimoError, ConfigurationError
 from .harness import (ExperimentConfig, OracleConfig, emit_results,
@@ -107,14 +109,15 @@ def _cmd_validate(args) -> int:
     ok = True
     for cfg in configs:
         terms, oracle, noise = run_oracle_check(cfg, jobs=args.jobs)
-        sinr = user_rates(terms, cfg.frame, noise).sinr
-        for k in range(len(terms.D)):
-            groups = range(terms.D[k].size)
+        sinr = user_rates(terms, cfg.frame, noise).sinr_flat
+        first = np.cumsum(terms.group_count) - terms.group_count
+        for k, (lo, count) in enumerate(zip(first, terms.group_count)):
+            groups = range(count)      # user k's groups c, flat index lo + c
             pairs = ([("E", terms.E[k], oracle.E[k], oracle.E_se[k]),
                       ("F", terms.F[k], oracle.F[k], oracle.F_se[k])]
-                     + [(f"D[{c}]", terms.D[k][c], oracle.D[k][c],
+                     + [(f"D[{c}]", terms.D_flat[lo + c], oracle.D[k][c],
                          oracle.D_se[k][c]) for c in groups]
-                     + [(f"SINR[{c}]", sinr[k][c], oracle.sinr[k][c],
+                     + [(f"SINR[{c}]", sinr[lo + c], oracle.sinr[k][c],
                          oracle.sinr_se[k][c]) for c in groups])
             for name, closed, est, se in pairs:
                 tol = max(0.02 * abs(closed), 3.0 * se)

@@ -15,12 +15,12 @@ toward the lowest index so results are reproducible.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .views import TupleView, set_flat, views_given
 
 ALGORITHMS = ("legacy_largest_lsf", "lsf_threshold", "fixed_aps", "power_fraction")
 THRESHOLD_MODES = ("over_noise", "raw_linear")
@@ -55,43 +55,80 @@ class ServingLinks:
     """The (AP, user) serving links of every coherent group, user-major.
 
     Link l is AP ap[l] serving user user[l]. Group g holds the links from
-    group_start[g] up to the next group's start and serves group_user[g].
-    Users, their groups and each group's APs keep the order of
+    group_start[g] up to the next group's start, serves group_user[g] and
+    lies within the AP pool of CPU group_cpu[g], or -1 when it spans
+    several. Users, their groups and each group's APs keep the order of
     ServingStructure.groups.
     """
     ap: np.ndarray              # (L,)
     user: np.ndarray            # (L,)
     group_start: np.ndarray     # (G,)
     group_user: np.ndarray      # (G,)
+    group_cpu: np.ndarray       # (G,)
 
 
-@dataclass(frozen=True)
+def _segments(items: list, counts) -> tuple[tuple, ...]:
+    """items cut into consecutive tuples of counts[i] items each."""
+    bounds = [0, *np.cumsum(counts).tolist()]
+    return tuple(tuple(items[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+def _clusters(serving: ServingStructure) -> tuple[tuple[int, ...], ...]:
+    """Each user's APs in ascending order, from the links."""
+    links = serving.links
+    ap = links.ap[np.lexsort((links.ap, links.user))]
+    return _segments(ap.tolist(),
+                     np.bincount(links.user, minlength=serving.num_users))
+
+
+def _groups(serving: ServingStructure):
+    """Each user's (CPU label, AP tuple) groups, from the links."""
+    links = serving.links
+    aps = _segments(links.ap.tolist(), np.diff(links.group_start,
+                                               append=links.ap.size))
+    return _segments(list(zip(links.group_cpu.tolist(), aps)),
+                     np.bincount(links.group_user, minlength=serving.num_users))
+
+
+def _links(groups) -> ServingLinks:
+    """groups flattened into serving links."""
+    flat = [(k, cpu, aps) for k, user_groups in enumerate(groups)
+            for cpu, aps in user_groups]
+    sizes = [len(aps) for _, _, aps in flat]
+    group_user = np.array([k for k, _, _ in flat], dtype=int)
+    return ServingLinks(ap=np.array([m for *_, aps in flat for m in aps], dtype=int),
+                        user=np.repeat(group_user, sizes),
+                        group_start=np.cumsum(sizes) - sizes,
+                        group_user=group_user,
+                        group_cpu=np.array([cpu for _, cpu, _ in flat], dtype=int))
+
+
+@dataclass(frozen=True, kw_only=True)
 class ServingStructure:
     """Clusters A_k and their per-CPU coherent groups over num_aps APs.
 
-    groups[k] is a list of (cpu_index, ap_tuple) pairs; the tuples are
-    disjoint, each lies within a single CPU's AP pool, and their union is
-    clusters[k]. A stack of P points over the same K users (see
+    links holds every serving link and group of num_users users; the
+    stages read it alone. A stack of P points over the same K users (see
     build_serving_structure) holds P*K users, user k of point p at index
     p*K + k.
-    """
-    clusters: tuple[tuple[int, ...], ...]
-    groups: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    num_aps: int
 
-    @cached_property
-    def links(self) -> ServingLinks:
-        """groups flattened into serving links. build_serving_structure hands
-        them over; a structure made otherwise, such as a copy with other
-        groups (dataclasses.replace), derives its own on first use."""
-        flat = [(k, aps) for k, user_groups in enumerate(self.groups)
-                for _, aps in user_groups]
-        sizes = [len(aps) for _, aps in flat]
-        group_user = np.array([k for k, _ in flat], dtype=int)
-        return ServingLinks(ap=np.array([m for _, aps in flat for m in aps], dtype=int),
-                            user=np.repeat(group_user, sizes),
-                            group_start=np.cumsum(sizes) - sizes,
-                            group_user=group_user)
+    clusters[k] and groups[k] are views of the links (cfmimo.views):
+    groups[k] is a tuple of (cpu_index, ap_tuple) pairs, disjoint tuples
+    each within a single CPU's AP pool, and their union is clusters[k],
+    in ascending order. Given instead of links, as in
+    ServingStructure(clusters=..., groups=..., num_aps=...) or
+    dataclasses.replace(serving, groups=...), groups sets the links and
+    num_users.
+    """
+    clusters: tuple[tuple[int, ...], ...] = TupleView(_clusters)
+    groups: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = TupleView(_groups)
+    num_aps: int
+    links: ServingLinks = field(default=None, repr=False, compare=False)
+    num_users: int = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if views_given(self):
+            set_flat(self, links=_links(self.groups), num_users=len(self.groups))
 
 
 def _descending_rank(values: np.ndarray) -> np.ndarray:
@@ -144,12 +181,6 @@ def serving_mask(beta: np.ndarray, ap_to_cpu: np.ndarray, num_cpus: int,
     return rank < np.clip(count, 1, candidate.sum(axis=0))
 
 
-def _segments(items: list, cuts: np.ndarray) -> tuple[tuple, ...]:
-    """items cut into consecutive tuples before each index in cuts."""
-    bounds = [0, *cuts.tolist(), len(items)]
-    return tuple(tuple(items[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-
-
 def build_serving_structure(beta: np.ndarray, ap_to_cpu: np.ndarray, num_cpus: int,
                             params: ClusteringParams | Sequence[ClusteringParams],
                             noise_power: float = 1.0,
@@ -181,7 +212,6 @@ def build_serving_structure(beta: np.ndarray, ap_to_cpu: np.ndarray, num_cpus: i
              for p in dict.fromkeys(params)}
     point, user, ap = np.nonzero(np.stack([masks[p] for p in params]))  # (P, K, M)
     user += point * beta.shape[1]                               # virtual users
-    clusters = _segments(ap.tolist(), np.flatnonzero(np.diff(user)) + 1)
     cpu = ap_to_cpu[ap]
     mixed = np.array([m == "mixed" for m in modes])[point]
     single = np.array([m == "non_coherent" for m in modes])[point]
@@ -191,15 +221,8 @@ def build_serving_structure(beta: np.ndarray, ap_to_cpu: np.ndarray, num_cpus: i
     new_group = (np.diff(user) != 0) | single[1:] | (mixed[1:] & (np.diff(cpu) != 0))
     start = np.flatnonzero(np.concatenate(([True], new_group)))
     low, high = np.minimum.reduceat(cpu, start), np.maximum.reduceat(cpu, start)
-    groups = list(zip(np.where(low == high, low, -1).tolist(),
-                      _segments(ap.tolist(), start[1:])))
-    serving = ServingStructure(
-        clusters=clusters,
-        groups=_segments(groups, np.flatnonzero(np.diff(user[start])) + 1),
-        num_aps=beta.shape[0],
-    )
-    # The sorted arrays are the links that serving.links would derive from
-    # the groups; set in the instance, they take the cached property's place.
-    object.__setattr__(serving, "links", ServingLinks(
-        ap=ap, user=user, group_start=start, group_user=user[start]))
-    return serving
+    return ServingStructure(
+        num_aps=beta.shape[0], num_users=len(params) * beta.shape[1],
+        links=ServingLinks(ap=ap, user=user, group_start=start,
+                           group_user=user[start],
+                           group_cpu=np.where(low == high, low, -1)))

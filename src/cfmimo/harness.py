@@ -35,6 +35,7 @@ import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from typing import NamedTuple
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .channel import (ChannelStatistics, LargeScaleModelConfig, PathLossParams,
-                      channel_stats)
+                      channel_stats, path_loss_db)
 from .clustering import (TRANSMISSION_MODES, ClusteringParams,
                          build_serving_structure)
 from .errors import CfMimoError, ConfigurationError
@@ -59,6 +60,18 @@ from .spectral_efficiency import (FrameConfig, compute_terms, map_in_runs,
 # STACK_ENTRIES complex entries (64 MiB); the stack size does not change
 # the results.
 STACK_ENTRIES = 1 << 22
+# The smallest normal double, in dB.
+_SMALLEST_NORMAL_DB = 10.0 * math.log10(np.finfo(float).tiny)
+# The percentiles of the per-drop sum rates that a result reports.
+_PERCENTILES = (5, 25, 50, 75, 95)
+
+
+@lru_cache(maxsize=64)
+def _largest_path_loss_db(area_side: float, params: PathLossParams) -> float:
+    """The path loss over the largest wrap-around distance of a square of
+    side area_side; cached, since every copy of a config checks it."""
+    return float(path_loss_db(math.hypot(area_side / 2.0, area_side / 2.0),
+                              params))
 
 
 @dataclass(frozen=True)
@@ -94,6 +107,14 @@ class ExperimentConfig:
         if self.scenario.seed != 0:
             raise ConfigurationError("scenario.seed is derived from base_seed "
                                      "on every drop; set base_seed instead")
+        side = self.scenario.area_side
+        loss = _largest_path_loss_db(side, self.large_scale.path_loss)
+        if loss < _SMALLEST_NORMAL_DB:
+            raise ConfigurationError(
+                f"area_side {side} is too large for the path loss: over the "
+                f"largest wrap-around distance it reaches {loss:.0f} dB, and "
+                f"large-scale fading below {_SMALLEST_NORMAL_DB:.0f} dB "
+                "underflows")
 
 
 def validation_config(num_aps: int, num_users: int, num_cpus: int,
@@ -389,21 +410,31 @@ def run_drop(config: ExperimentConfig, drop_index: int) -> DropResult:
     return _run_drop_grid([({}, config)], drop_index)[0]
 
 
-def _summarize(config: ExperimentConfig,
-               drops: list[DropResult]) -> ExperimentResult:
-    """The result of one config from its drops, in drop order."""
-    sums = np.array([d.sum_rate for d in drops])
-    order = np.sort(sums)
-    probs = np.arange(1, sums.size + 1) / sums.size
-    pct = np.percentile(sums, [5, 25, 50, 75, 95])
-    return ExperimentResult(
-        drops=tuple(drops),
-        cdf_values=tuple(float(v) for v in order),
-        cdf_probs=tuple(float(p) for p in probs),
-        mean_sum_rate=float(sums.mean()),
-        percentiles={f"p{q}": float(v) for q, v in zip((5, 25, 50, 75, 95), pct)},
-        config=config_to_dict(config),
-    )
+def _summaries(grid: list[tuple[dict, ExperimentConfig]],
+               drops: list[list[DropResult]]) -> list[ExperimentResult]:
+    """The result of each config of grid from its drops, in drop order.
+
+    The sum rates of the points with the same number of drops form one
+    (points, drops) array, and its rows are sorted, averaged and cut into
+    percentiles at once, each row as on its own; their CDF probabilities
+    are formed once.
+    """
+    by_count = {}
+    for i, point_drops in enumerate(drops):
+        by_count.setdefault(len(point_drops), []).append(i)
+    out = [None] * len(grid)
+    for count, points in by_count.items():
+        sums = np.array([[d.sum_rate for d in drops[i]] for i in points])
+        probs = tuple((np.arange(1, count + 1) / count).tolist())
+        pct = np.percentile(sums, _PERCENTILES, axis=1).T.tolist()
+        for i, values, mean, p in zip(points, np.sort(sums, axis=1).tolist(),
+                                      sums.mean(axis=1).tolist(), pct):
+            out[i] = ExperimentResult(
+                drops=tuple(drops[i]), cdf_values=tuple(values), cdf_probs=probs,
+                mean_sum_rate=mean,
+                percentiles={f"p{q}": v for q, v in zip(_PERCENTILES, p)},
+                config=config_to_dict(grid[i][1]))
+    return out
 
 
 def _run_grid(grid: list[tuple[dict, ExperimentConfig]],
@@ -419,7 +450,7 @@ def _run_grid(grid: list[tuple[dict, ExperimentConfig]],
     for entries, row in zip(active, map_in_runs(_run_drop_grids, tasks, jobs)):
         for i, result in zip(entries, row):
             drops[i].append(result)
-    return [_summarize(config, d) for (_, config), d in zip(grid, drops)]
+    return _summaries(grid, drops)
 
 
 def run_single(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -513,8 +544,7 @@ def emit_results(results: list[tuple[dict, ExperimentResult]],
             ],
         }
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2) + "\n")
     except OSError as exc:
         raise CfMimoError(f"cannot write results under {out_dir}: {exc}") from exc
     return csv_path, json_path

@@ -18,7 +18,7 @@ independent check of the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 
@@ -30,6 +30,7 @@ from .clustering import ServingStructure
 from .errors import ConfigurationError, DegenerateLinkError, NumericalError
 from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
                      estimation_terms)
+from .views import TupleView, set_flat, views_given
 
 # The oracle samples in blocks of ORACLE_BLOCK samples, each drawn from a
 # generator of its own, which fixes its random stream and bounds its memory
@@ -57,23 +58,75 @@ class FrameConfig:
         return (self.tau_c - self.tau_p) / self.tau_c
 
 
-@dataclass(frozen=True)
+def _per_user(values: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """values, flat over the users' groups, cut into one array per user."""
+    return tuple(np.split(values, np.cumsum(counts)[:-1]))
+
+
+def _counts(per_user) -> np.ndarray:
+    """The length of each user's entry."""
+    return np.fromiter(map(len, per_user), dtype=int, count=len(per_user))
+
+
+def _group_order(terms: SETerms) -> tuple[tuple[int, ...], ...]:
+    """Each user's SIC permutation of its groups, from terms.sic."""
+    first = np.cumsum(terms.group_count) - terms.group_count
+    local = terms.sic - np.repeat(first, terms.group_count)
+    return tuple(tuple(o.tolist()) for o in _per_user(local, terms.group_count))
+
+
+def _sic_from(group_order) -> np.ndarray:
+    """The flat SIC permutation of per-user group orders."""
+    sizes = _counts(group_order)
+    first = np.cumsum(sizes) - sizes
+    return (np.fromiter(chain.from_iterable(group_order), dtype=int,
+                        count=sizes.sum()) + np.repeat(first, sizes))
+
+
+@dataclass(frozen=True, kw_only=True)
 class SETerms:
     """Closed-form SINR building blocks, with groups already in SIC order.
 
-    D[k] is an array over user k's groups.
+    The groups of user k are serving.links's groups g with group_user[g]
+    equal to k. D_flat[j] is the desired power of group sic[j]: the flat
+    groups in SIC order, user by user, group_count[k] of them for user k.
+
+    D[k] (an array over user k's groups) and group_order[k] (the SIC
+    permutation of serving.groups[k]) are views of the flat arrays
+    (cfmimo.views); given instead, as in SETerms(D=..., E=..., F=...,
+    group_order=...) or dataclasses.replace(terms, D=...), they set them.
     """
-    D: tuple[np.ndarray, ...]          # per-user desired powers, SIC order
+    D: tuple[np.ndarray, ...] = TupleView(
+        lambda t: _per_user(t.D_flat, t.group_count))
     E: np.ndarray                      # (K,) total average power
     F: np.ndarray                      # (K,) coherent co-pilot power
-    group_order: tuple[tuple[int, ...], ...]  # SIC permutation of serving.groups[k]
+    group_order: tuple[tuple[int, ...], ...] = TupleView(_group_order)
+    D_flat: np.ndarray = field(default=None, repr=False, compare=False)    # (G,)
+    sic: np.ndarray = field(default=None, repr=False, compare=False)       # (G,)
+    group_count: np.ndarray = field(default=None, repr=False, compare=False)  # (K,)
+
+    def __post_init__(self):
+        if views_given(self):
+            set_flat(self, D_flat=np.concatenate(self.D),
+                     group_count=_counts(self.D), sic=_sic_from(self.group_order))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RateResult:
-    sinr: tuple[np.ndarray, ...]       # per-user per-group, linear, SIC order
+    """User rates, and the linear SINR of every group in the SIC order of
+    SETerms.D_flat (sinr_flat), group_count[k] of them for user k. sinr[k],
+    user k's SINRs, is a view of sinr_flat (cfmimo.views)."""
+    sinr: tuple[np.ndarray, ...] = TupleView(
+        lambda r: _per_user(r.sinr_flat, r.group_count))
     user_rate: np.ndarray              # (K,) bits/s/Hz
     sum_rate: float
+    sinr_flat: np.ndarray = field(default=None, repr=False, compare=False)    # (G,)
+    group_count: np.ndarray = field(default=None, repr=False, compare=False)  # (K,)
+
+    def __post_init__(self):
+        if views_given(self):
+            set_flat(self, sinr_flat=np.concatenate(self.sinr),
+                     group_count=_counts(self.sinr))
 
 
 def mr_scale(rho: np.ndarray, est_trace: np.ndarray) -> np.ndarray:
@@ -102,7 +155,7 @@ def effective_data_powers(serving: ServingStructure, powers: PowerConfig,
     as-is, "rescale" shrinks all of an overloaded AP's links uniformly,
     "error" raises.
     """
-    rho = np.zeros((serving.num_aps, len(serving.groups)))
+    rho = np.zeros((serving.num_aps, serving.num_users))
     rho[serving.links.ap, serving.links.user] = powers.data_power
     if powers.ap_power_budget is None or powers.power_budget_mode == "ignore":
         return rho
@@ -148,9 +201,9 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     ap, start = links.ap, links.group_start
     R = planes.planes(stats.R)                                  # (N, N, M, K)
     n, _, num_aps, num_users = R.shape
-    stack, rest = divmod(len(serving.groups), num_users)
+    stack, rest = divmod(serving.num_users, num_users)
     if rest:
-        raise ConfigurationError(f"{len(serving.groups)} served users is not a "
+        raise ConfigurationError(f"{serving.num_users} served users is not a "
                                  f"whole number of points of {num_users} users")
     point, user = np.divmod(links.user, num_users)    # physical user of a link
     est_trace = estimation.est_trace
@@ -188,12 +241,9 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     d = np.add.reduceat(s * est_trace[ap, user], start) ** 2
 
     order = np.lexsort((-d, links.group_user))
-    bounds = np.flatnonzero(np.diff(links.group_user, prepend=-1, append=-1)).tolist()
-    cuts = list(zip(bounds[:-1], bounds[1:]))              # each user's groups
-    d = d[order]
-    return SETerms(D=tuple(d[lo:hi] for lo, hi in cuts), E=E, F=F,
-                   group_order=tuple(tuple((order[lo:hi] - lo).tolist())
-                                     for lo, hi in cuts))
+    return SETerms(E=E, F=F, D_flat=d[order], sic=order,
+                   group_count=np.bincount(links.group_user,
+                                           minlength=serving.num_users))
 
 
 def _sic_partial_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -215,9 +265,9 @@ def user_rates(terms: SETerms, frame: FrameConfig,
     D_k^c / (E_k + F_k - sum_{b<=c} D_k^b + sigma^2), and user k the rate
     prelog * sum_c log2(1 + SINR_k^c).
     """
-    sizes = np.array([d.size for d in terms.D])
+    sizes = terms.group_count
     first = np.cumsum(sizes) - sizes
-    d = np.concatenate(terms.D)
+    d = terms.D_flat
     denom = (np.repeat(terms.E + terms.F, sizes)
              - _sic_partial_sums(d, sizes) + noise_power)
     bad = np.flatnonzero(denom <= 0.0)
@@ -231,9 +281,8 @@ def user_rates(terms: SETerms, frame: FrameConfig,
     if bad.size:
         raise NumericalError(f"user {bad[0]} has rate {user_rate[bad[0]]}, "
                              "not a finite non-negative number")
-    cuts = (*first.tolist(), sinr.size)
-    return RateResult(sinr=tuple(sinr[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])),
-                      user_rate=user_rate, sum_rate=float(user_rate.sum()))
+    return RateResult(user_rate=user_rate, sum_rate=float(user_rate.sum()),
+                      sinr_flat=sinr, group_count=sizes)
 
 
 @dataclass(frozen=True)
@@ -487,8 +536,7 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
         raise ConfigurationError("num_samples must be >= 1")
     K = stats.num_users
     links = serving.links
-    sizes = np.fromiter(map(len, terms.group_order), dtype=int,
-                        count=len(terms.group_order))    # groups per user
+    sizes = terms.group_count
     if not np.array_equal(sizes, np.bincount(links.group_user, minlength=K)):
         raise NumericalError("group count mismatch between terms and serving")
     plan = _oracle_plan(serving, stats, assignment, powers)
@@ -518,9 +566,7 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     E_se = np.sqrt(total_se2 + F_se ** 2)
 
     # Each user's groups in the SIC order of `terms`, as flat group indices.
-    first = np.cumsum(sizes) - sizes
-    sic = np.fromiter(chain.from_iterable(terms.group_order), dtype=int,
-                      count=sizes.sum()) + np.repeat(first, sizes)
+    sic = terms.sic
     user = links.group_user[sic]
     d, d_se = coh[sic, user], coh_se[sic, user]
     denom = (np.repeat(total, sizes) - _sic_partial_sums(d, sizes)
@@ -530,8 +576,7 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     g_se = np.sqrt((d_se / denom) ** 2 + g ** 2
                    * (np.repeat(total_se2, sizes)
                       + _sic_partial_sums(d_se ** 2, sizes)) / denom ** 2)
-    D_hat, D_se, sinr, sinr_se = (tuple(np.split(x, first[1:]))
-                                  for x in (d, d_se, g, g_se))
+    D_hat, D_se, sinr, sinr_se = (_per_user(x, sizes) for x in (d, d_se, g, g_se))
     return OracleResult(D=D_hat, D_se=D_se, E=E_hat, E_se=E_se, F=F_hat,
                         F_se=F_se, sinr=sinr, sinr_se=sinr_se,
                         num_samples=num_samples)

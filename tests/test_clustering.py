@@ -298,9 +298,10 @@ class TestProperties:
                                           replace(params, algorithm=algorithm),
                                           0.5, mode)
         assert "links" in vars(serving)          # set, not yet derived
-        derived = replace(serving).links          # a copy derives its own
-        for name in ("ap", "user", "group_start", "group_user"):
-            got, want = getattr(serving.links, name), getattr(derived, name)
+        copy = replace(serving)                   # a copy derives its own
+        assert copy.num_users == serving.num_users
+        for name in ("ap", "user", "group_start", "group_user", "group_cpu"):
+            got, want = getattr(serving.links, name), getattr(copy.links, name)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 

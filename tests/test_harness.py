@@ -122,6 +122,24 @@ class TestSweep:
         points = [p for p, _ in results]
         assert {"clustering.n_ap", "transmission_mode"} == set(points[0])
 
+    def test_summaries_equal_per_point_reference(self):
+        # Points with 1, 3 and 200 drops, two of each: each drop count's
+        # points are summarised as one array, and every summary equals the
+        # one of the point's sum rates alone, bit for bit. 200 drops take
+        # numpy's pairwise summation past its first block.
+        config = _tiny_config(sweep={"num_drops": (1, 3, 200),
+                                     "transmission_mode": ("mixed", "coherent")})
+        results = run_experiment(config)
+        assert [len(res.drops) for _, res in results] == [1, 1, 3, 3, 200, 200]
+        for _, res in results:
+            sums = np.array([d.sum_rate for d in res.drops])
+            assert res.cdf_values == tuple(float(v) for v in np.sort(sums))
+            assert res.cdf_probs == tuple(
+                float(p) for p in np.arange(1, sums.size + 1) / sums.size)
+            assert res.mean_sum_rate == float(np.mean(sums))
+            quantiles = (5, 25, 50, 75, 95)
+            assert res.percentiles == {f"p{q}": float(v) for q, v in zip(
+                quantiles, np.percentile(sums, quantiles))}
 
     def test_fan_out_matches_run_drop(self):
         # Upstream axes (pilot power, AP count, CPU positions given as JSON
@@ -524,12 +542,14 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("area_side", [1e200, 1e300])
+    @pytest.mark.parametrize("area_side", [1e90, 1e150, 1e200, 1e300])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_area_side_exit_code(self, tmp_path, capsys, command,
                                              area_side):
-        # The squared wrap-around distances of such a square overflow: a
-        # configuration error that names the field, not an overflow warning
-        # and a numerical failure.
+        # The path loss of such a square underflows its large-scale fading
+        # (1e90, 1e150), or its squared wrap-around distances overflow
+        # (1e200, 1e300): a configuration error that names the field, not a
+        # floating-point warning and a numerical failure.
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"num_drops": 1,
                                     "scenario": {"area_side": area_side}}))

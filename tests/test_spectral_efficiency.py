@@ -19,9 +19,9 @@ from cfmimo.pilots import (PilotAssignment, PowerConfig, estimation_terms,
                            simulate_pilot_phase)
 from cfmimo.scenario import ScenarioConfig
 from cfmimo import spectral_efficiency
-from cfmimo.spectral_efficiency import (FrameConfig, compute_terms,
-                                        effective_data_powers, mc_oracle,
-                                        mr_scale, user_rates)
+from cfmimo.spectral_efficiency import (FrameConfig, RateResult, SETerms,
+                                        compute_terms, effective_data_powers,
+                                        mc_oracle, mr_scale, user_rates)
 
 
 def _single_link_setup(rng, num_antennas=2, noise_power=0.5):
@@ -297,6 +297,93 @@ class TestSinr:
             assert all(d > 0 for d in denoms)
 
 
+class TestTupleViews:
+    """The stages hand each other flat arrays; the per-user tuples are
+    views of them, built on first read and then kept (cfmimo.views)."""
+
+    # APs 0, 1 belong to CPU 0 and APs 2, 3 to CPU 1. Clusters of the 3
+    # strongest APs serve user 0 from APs 0-2 and user 1 from APs 1-3. The
+    # stack holds one point per mode, users 2p and 2p + 1 of point p.
+    BETA = np.array([[4.0, 1.0], [3.0, 2.0], [2.0, 3.0], [1.0, 4.0]])
+    GROUPS = (((0, (0, 1)), (1, (2,))), ((0, (1,)), (1, (2, 3))),      # mixed
+              ((-1, (0, 1, 2)),), ((-1, (1, 2, 3)),),                  # coherent
+              ((0, (0,)), (0, (1,)), (1, (2,))),                       # non-coherent
+              ((0, (1,)), (1, (2,)), (1, (3,))))
+
+    def _stack(self):
+        return build_serving_structure(
+            self.BETA, np.array([0, 0, 1, 1]), 2,
+            [ClusteringParams(algorithm="fixed_aps", n_cpu=2, n_ap=3)] * 3,
+            mode=["mixed", "coherent", "non_coherent"])
+
+    def test_stages_build_no_view(self):
+        serving = self._stack()
+        stats = random_stats(4, 2, 2, np.random.default_rng(5))
+        assignment = PilotAssignment(tau_p=1, t=np.array([0, 0]))
+        powers = PowerConfig()
+        terms = compute_terms(serving, stats, assignment, powers,
+                              estimation_terms(stats, assignment, powers))
+        rates = user_rates(terms, FrameConfig(), stats.noise_power)
+        assert not {"clusters", "groups"} & set(vars(serving))
+        assert not {"D", "group_order"} & set(vars(terms))
+        assert "sinr" not in vars(rates)
+        np.testing.assert_array_equal(terms.group_count, [2, 2, 1, 1, 3, 3])
+        np.testing.assert_array_equal(rates.group_count, terms.group_count)
+
+    def test_serving_views_of_the_links(self):
+        serving = self._stack()
+        assert serving.num_users == 6
+        assert serving.clusters == ((0, 1, 2), (1, 2, 3)) * 3
+        assert serving.groups == self.GROUPS
+        assert serving.groups is serving.groups          # built once
+
+    def test_terms_and_rates_views_of_the_flat_arrays(self):
+        # User 0's groups 0 and 1 are decoded in the order 1, 0; user 1
+        # has one group, and user 2's three are decoded as 2, 0, 1.
+        terms = SETerms(E=np.ones(3), F=np.zeros(3),
+                        D_flat=np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5]),
+                        sic=np.array([1, 0, 2, 5, 3, 4]),
+                        group_count=np.array([2, 1, 3]))
+        assert terms.group_order == ((1, 0), (0,), (2, 0, 1))
+        assert [d.tolist() for d in terms.D] == [[5.0, 4.0], [3.0], [2.0, 1.0, 0.5]]
+        rates = RateResult(user_rate=np.ones(3), sum_rate=3.0,
+                           sinr_flat=np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]),
+                           group_count=np.array([2, 1, 3]))
+        assert [g.tolist() for g in rates.sinr] == [[6.0, 5.0], [4.0], [3.0, 2.0, 1.0]]
+
+    def test_replaced_groups_set_the_links(self):
+        # User 1 of the mixed point loses its CPU-0 group, and user 0 of
+        # the coherent point is served by APs 2 and 3 only.
+        groups = list(self.GROUPS)
+        groups[1] = ((1, (2, 3)),)
+        groups[2] = ((1, (2, 3)),)
+        serving = replace(self._stack(), groups=tuple(groups))
+        links = serving.links
+        assert serving.num_users == 6
+        assert links.ap.tolist() == [0, 1, 2, 2, 3, 2, 3, 1, 2, 3,
+                                     0, 1, 2, 1, 2, 3]
+        assert links.user.tolist() == [0, 0, 0, 1, 1, 2, 2, 3, 3, 3,
+                                       4, 4, 4, 5, 5, 5]
+        assert links.group_start.tolist() == [0, 2, 3, 5, 7, 10, 11, 12, 13, 14, 15]
+        assert links.group_user.tolist() == [0, 0, 1, 2, 3, 4, 4, 4, 5, 5, 5]
+        assert links.group_cpu.tolist() == [0, 1, 1, 1, -1, 0, 0, 1, 0, 1, 1]
+        assert serving.groups == tuple(groups)
+
+    def test_replaced_tuples_set_the_flat_arrays(self):
+        terms = SETerms(E=np.ones(2), F=np.zeros(2), D_flat=np.array([2.0, 1.0, 3.0]),
+                        sic=np.array([0, 1, 2]), group_count=np.array([2, 1]))
+        replaced = replace(terms, D=(np.array([7.0]), np.array([9.0, 8.0, 6.0])),
+                           group_order=((0,), (2, 0, 1)))
+        assert replaced.D_flat.tolist() == [7.0, 9.0, 8.0, 6.0]
+        assert replaced.sic.tolist() == [0, 3, 1, 2]
+        assert replaced.group_count.tolist() == [1, 3]
+        # A copy that changes neither keeps the flat arrays' values.
+        again = replace(terms, E=np.full(2, 2.0))
+        assert again.D_flat.tolist() == [2.0, 1.0, 3.0]
+        assert again.sic.tolist() == [0, 1, 2]
+        assert again.group_count.tolist() == [2, 1]
+
+
 class TestUserRates:
     def test_prelog_arithmetic(self):
         frame = FrameConfig(tau_c=200, tau_p=10)
@@ -304,7 +391,6 @@ class TestUserRates:
 
     def test_unit_sinr_rate(self):
         # gamma = 1 with tau_c = 200, tau_p = 10 gives 0.95 bits/s/Hz.
-        from cfmimo.spectral_efficiency import SETerms
         terms = SETerms(D=(np.array([2.0]),), E=np.array([1.0]),
                         F=np.array([1.0]), group_order=((0,),))
         # Denominator = 1 + 1 - 2 + 2 = 2, so gamma = 1.
@@ -312,7 +398,6 @@ class TestUserRates:
         assert result.user_rate[0] == pytest.approx(0.95, rel=1e-12)
 
     def test_numerical_failures_name_user_and_group(self):
-        from cfmimo.spectral_efficiency import SETerms
         # User 1's second group leaves 3 - 1 - 4 + 1 = -1 undecoded power.
         terms = SETerms(D=(np.array([1.0]), np.array([1.0, 4.0])),
                         E=np.array([3.0, 3.0]), F=np.zeros(2),
