@@ -150,7 +150,9 @@ class ExperimentResult:
     cdf_probs: tuple[float, ...]     # non-decreasing, ends at 1
     mean_sum_rate: float
     percentiles: dict[str, float]    # keys p5/p25/p50/p75/p95
-    config: dict                     # full config echo
+    # Full config echo, read-only: the results of one run share the dict of
+    # each section that their configs share.
+    config: dict
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,26 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return _plain(config)
 
 
+def _config_echoes(configs: list[ExperimentConfig]) -> list[dict]:
+    """config_to_dict of each config, with the dict of each section object
+    built once: configs that hold the same section object share its dict,
+    so the echoes are read-only."""
+    built = {}      # id of a section object -> its dict; configs holds them
+    echoes = []
+    for config in configs:
+        echo = {}
+        for name in config.__dataclass_fields__:
+            value = getattr(config, name)
+            if hasattr(value, "__dataclass_fields__"):
+                if id(value) not in built:
+                    built[id(value)] = _plain(value)
+                echo[name] = built[id(value)]
+            else:
+                echo[name] = _plain(value)
+        echoes.append(echo)
+    return echoes
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -248,16 +270,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def apply_sweep_point(config: ExperimentConfig, point: dict) -> ExperimentConfig:
-    """Return a copy of config with dotted-path parameters replaced.
+    """Return a copy of config with dotted-path parameters replaced, and no
+    sweep.
 
-    Example path: "clustering.n_cpu" or "transmission_mode".
+    Example path: "clustering.n_cpu" or "transmission_mode". Every path is
+    type-checked first; the point's values then apply together, one
+    replace per section that they touch, so that no section is validated
+    half-updated and the order of the paths does not matter. Sections that
+    the point does not touch stay the same objects.
     """
-    out = config
+    top, sections = {}, {}      # field -> value; section -> {field: value}
     for path, value in point.items():
         parts = path.split(".")
         if len(parts) > 2:
             raise ConfigurationError(f"sweep paths have at most two components: {path}")
-        section = out if len(parts) == 1 else getattr(out, parts[0], None)
+        section = config if len(parts) == 1 else getattr(config, parts[0], None)
         if not dataclasses.is_dataclass(section):
             raise ConfigurationError(f"unknown sweep section: {parts[0]}")
         kinds = {f.name: f.type for f in dataclasses.fields(section)}
@@ -268,9 +295,11 @@ def apply_sweep_point(config: ExperimentConfig, point: dict) -> ExperimentConfig
         if kinds[parts[-1]] not in _TYPE_CHECKS:
             raise ConfigurationError(f"sweep {path}: not a sweepable parameter")
         _check_type(kinds[parts[-1]], value, f"sweep {path}")
-        section = replace(section, **{parts[-1]: value})
-        out = section if len(parts) == 1 else replace(out, **{parts[0]: section})
-    return replace(out, sweep=None)
+        target = top if len(parts) == 1 else sections.setdefault(parts[0], {})
+        target[parts[-1]] = value
+    for name, values in sections.items():
+        top[name] = replace(getattr(config, name), **values)
+    return replace(config, **top, sweep=None)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +446,13 @@ def _summaries(grid: list[tuple[dict, ExperimentConfig]],
     The sum rates of the points with the same number of drops form one
     (points, drops) array, and its rows are sorted, averaged and cut into
     percentiles at once, each row as on its own; their CDF probabilities
-    are formed once.
+    are formed once. The config echoes share their sections' dicts (see
+    _config_echoes).
     """
     by_count = {}
     for i, point_drops in enumerate(drops):
         by_count.setdefault(len(point_drops), []).append(i)
+    echoes = _config_echoes([config for _, config in grid])
     out = [None] * len(grid)
     for count, points in by_count.items():
         sums = np.array([[d.sum_rate for d in drops[i]] for i in points])
@@ -433,7 +464,7 @@ def _summaries(grid: list[tuple[dict, ExperimentConfig]],
                 drops=tuple(drops[i]), cdf_values=tuple(values), cdf_probs=probs,
                 mean_sum_rate=mean,
                 percentiles={f"p{q}": v for q, v in zip(_PERCENTILES, p)},
-                config=config_to_dict(grid[i][1]))
+                config=echoes[i])
     return out
 
 
@@ -500,6 +531,72 @@ def run_oracle_check(config: ExperimentConfig, drop_index: int = 0,
 # Persistence
 # ---------------------------------------------------------------------------
 
+# The values that json.dumps(indent=2) writes over several lines, when not
+# empty.
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int):
+    """The encode of a JSONEncoder that writes a container without nested
+    containers at depth as json.dumps(indent=2) does, but for the line
+    breaks after its opening and before its closing bracket."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "),
+                            check_circular=False).encode
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: a string, or a scalar's JSON
+    text as a string."""
+    encode = _flat_encoder(0)
+    if isinstance(key, str):
+        return encode(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode(encode(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _indented(value, depth: int, done: dict) -> str:
+    """A dict, list or tuple as json.dumps(indent=2) writes it at depth.
+
+    done maps the (id, depth) of each container written so far to its
+    text, so that a container which the document holds more than once is
+    encoded once per depth; the document keeps each container, and so its
+    id, alive meanwhile. A container without nested containers takes one
+    _flat_encoder call.
+    """
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    text = done.get((id(value), depth))
+    if text is not None:
+        return text
+    is_dict = isinstance(value, dict)
+    items = value.values() if is_dict else value
+    encode = _flat_encoder(depth)
+    if any(isinstance(v, _CONTAINERS) for v in items):
+        texts = [_indented(v, depth + 1, done) if isinstance(v, _CONTAINERS)
+                 else encode(v) for v in items]
+        if is_dict:
+            texts = [f"{_key_text(k)}: {t}" for k, t in zip(value, texts)]
+        inner = (",\n" + "  " * (depth + 1)).join(texts)
+    else:
+        inner = encode(value)[1:-1]
+    opening, closing = "{}" if is_dict else "[]"
+    text = f"{opening}\n{'  ' * (depth + 1)}{inner}\n{'  ' * depth}{closing}"
+    done[(id(value), depth)] = text
+    return text
+
+
+def _json_text(doc) -> str:
+    """json.dumps(doc, indent=2), with a container that doc holds more than
+    once, such as a config section that several echoes share, encoded once
+    per depth."""
+    if isinstance(doc, _CONTAINERS):
+        return _indented(doc, 0, {})
+    return _flat_encoder(0)(doc)
+
+
 def emit_results(results: list[tuple[dict, ExperimentResult]],
                  out_dir: str | Path, stem: str = "results") -> tuple[Path, Path]:
     """Write a CSV of per-drop rows and a JSON sidecar with summaries.
@@ -544,7 +641,7 @@ def emit_results(results: list[tuple[dict, ExperimentResult]],
             ],
         }
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(_json_text(doc) + "\n")
     except OSError as exc:
         raise CfMimoError(f"cannot write results under {out_dir}: {exc}") from exc
     return csv_path, json_path

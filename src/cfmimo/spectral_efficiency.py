@@ -171,6 +171,70 @@ def effective_data_powers(serving: ServingStructure, powers: PowerConfig,
     return rho
 
 
+def _shared_link_sets(point: np.ndarray, link: np.ndarray, num_points: int,
+                      num_links: int):
+    """How the points of a stack share link sets, or None when no two
+    points serve the same set of links (or a point repeats a link).
+
+    Serving link l of the stack is physical link link[l] = m*K + k, AP m
+    serving user k, of point point[l]. Returns (of_point, set_index,
+    set_link, canon): the set of each point, numbered in order of first
+    appearance; the set and the physical link of each link of the sets,
+    set by set, each set's in ascending, i.e. (AP, user), order; and the
+    index of each serving link among those.
+    """
+    member = np.zeros((num_points, num_links), dtype=bool)
+    member[point, link] = True
+    if np.count_nonzero(member) != link.size:
+        return None
+    first = {}     # a point's membership row -> its set
+    of_point = np.array([first.setdefault(row.tobytes(), len(first))
+                         for row in member])
+    if len(first) == num_points:
+        return None
+    sets = member[np.unique(of_point, return_index=True)[1]]
+    set_index, set_link = np.nonzero(sets)
+    canon = (np.cumsum(sets) - 1).reshape(sets.shape)[of_point[point], link]
+    return of_point, set_index, set_link, canon
+
+
+def _link_terms(R: np.ndarray, coef: np.ndarray, ap: np.ndarray,
+                user: np.ndarray, point: np.ndarray, num_points: int,
+                s: np.ndarray, a: float, t: np.ndarray):
+    """E of each of num_points points, flat over their K users, and the
+    (links, K) co-pilot amplitudes of the serving links: link l is AP ap[l]
+    serving user user[l] of point point[l], with MR scale s[l]. R and coef
+    are the (N, N, M, K) and (N, N, M*K) planes of R and of the MMSE
+    estimator; see compute_terms.
+    """
+    n, _, num_aps, num_users = R.shape
+    link = ap * num_users + user
+    # np.take keeps the gathered planes contiguous; indexing the trailing
+    # axes with index arrays would not.
+    R_flat = R.reshape(n, n, -1)
+    A = np.take(coef, link, axis=-1)
+    # W of every (point, AP) by bincounts of the links' planes, then E of
+    # each point as the product of its W with the (N*N*M, K) planes of R.
+    # A batched matmul makes one vector-matrix product per point, as a
+    # single point's would; one matrix product of the stacked W would
+    # change the last bits of E.
+    B = ((s ** 2 * a) * planes.product(A, np.take(R_flat, link, axis=-1))).ravel()
+    bins = num_points * n * n * num_aps
+    into = ((point * n * n + np.arange(n * n)[:, None]) * num_aps + ap).ravel()
+    W = (np.bincount(into, B.real, bins)
+         + 1j * np.bincount(into, B.imag, bins)).reshape(num_points, n, n, num_aps)
+    E = np.matmul(W.swapaxes(1, 2).reshape(num_points, 1, -1),
+                  R.reshape(-1, num_users)).real.ravel()
+    # Co-pilot (link, user) pairs within the link's point; every other
+    # cross amplitude is zero.
+    pair_l, pair_k = np.nonzero(t[user][:, None] == t)
+    amp = np.zeros((link.size, num_users), dtype=complex)
+    amp[pair_l, pair_k] = s[pair_l] * a * planes.trace_product(
+        np.take(A, pair_l, axis=-1),
+        np.take(R_flat, ap[pair_l] * num_users + pair_k, axis=-1))
+    return E, amp
+
+
 def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
                   assignment: PilotAssignment, powers: PowerConfig,
                   estimation: EstimationTerms) -> SETerms:
@@ -196,6 +260,15 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     E is summed per AP first: E_k = sum_m tr(R[m,k] W_m), with W_m the sum
     of s_l^2 A_l R[m,i] a over AP m's links. Each user's groups are put in
     SIC order: descending D, ties by index.
+
+    Only the groups depend on the transmission mode; a point's set of
+    serving links, its cluster set, does not. When points of the stack
+    share cluster sets, found from the links, the per-link terms (the
+    gathered estimator and R planes, their products, W, E and the
+    co-pilot amplitudes) run once per distinct set, over its links in
+    (AP, user) order, and are gathered back to each point's links. A bin
+    of W then adds its AP's links in user order, as in each point's own
+    link order, so E is each point's own bit for bit.
     """
     links = serving.links
     ap, start = links.ap, links.group_start
@@ -210,29 +283,18 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     scale = mr_scale(effective_data_powers(serving, powers, num_users),
                      np.tile(est_trace, stack))
     s, a = scale[ap, links.user], np.sqrt(powers.pilot_power * assignment.tau_p)
-    # np.take keeps the gathered planes contiguous; indexing the trailing
-    # axes with index arrays would not.
-    R_flat, link = R.reshape(n, n, -1), ap * num_users + user
-    A = np.take(planes.planes(estimation.coef).reshape(n, n, -1), link, axis=-1)
-    # W of every (point, AP) by bincounts of the links' planes, then E of
-    # each point as the product of its W with the (N*N*M, K) planes of R.
-    # A batched matmul makes one vector-matrix product per point, as a
-    # single point's would; one matrix product of the stacked W would
-    # change the last bits of E.
-    B = ((s ** 2 * a) * planes.product(A, np.take(R_flat, link, axis=-1))).ravel()
-    bins = stack * n * n * num_aps
-    into = ((point * n * n + np.arange(n * n)[:, None]) * num_aps + ap).ravel()
-    W = (np.bincount(into, B.real, bins)
-         + 1j * np.bincount(into, B.imag, bins)).reshape(stack, n, n, num_aps)
-    E = np.matmul(W.swapaxes(1, 2).reshape(stack, 1, -1),
-                  R.reshape(-1, num_users)).real.ravel()
-    # Co-pilot (link, user) pairs within the link's point; every other
-    # cross amplitude is zero.
-    pair_l, pair_k = np.nonzero(assignment.t[user][:, None] == assignment.t)
-    amp = np.zeros((ap.size, num_users), dtype=complex)
-    amp[pair_l, pair_k] = s[pair_l] * a * planes.trace_product(
-        np.take(A, pair_l, axis=-1),
-        np.take(R_flat, ap[pair_l] * num_users + pair_k, axis=-1))
+    coef = planes.planes(estimation.coef).reshape(n, n, -1)
+    shared = stack > 1 and _shared_link_sets(point, ap * num_users + user,
+                                             stack, num_aps * num_users)
+    if not shared:
+        E, amp = _link_terms(R, coef, ap, user, point, stack, s, a, assignment.t)
+    else:
+        of_point, set_index, set_link, canon = shared
+        set_s = np.empty(set_link.size)
+        set_s[canon] = s          # equal on every point of a set
+        E, amp = _link_terms(R, coef, *np.divmod(set_link, num_users), set_index,
+                             of_point.max() + 1, set_s, a, assignment.t)
+        E, amp = E.reshape(-1, num_users)[of_point].ravel(), amp[canon]
     # np.sum over each point's groups, as on a point alone: np.add.reduceat
     # adds in another order and would change the last bits of F.
     power = np.abs(np.add.reduceat(amp, start)) ** 2            # (groups, K)

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import tempfile
 from dataclasses import replace
@@ -112,6 +113,47 @@ class TestSweep:
             apply_sweep_point(_tiny_config(), {"clustering.n_apz": 2})
         with pytest.raises(ConfigurationError):
             apply_sweep_point(_tiny_config(), {"a.b.c": 2})
+
+    def test_point_values_apply_together(self):
+        # tau_c = 8 is invalid next to the default tau_p = 10 and valid next
+        # to tau_p = 4: the point's values apply at once, in either order.
+        config = _tiny_config()
+        for point in ({"frame.tau_c": 8, "frame.tau_p": 4},
+                      {"frame.tau_p": 4, "frame.tau_c": 8}):
+            out = apply_sweep_point(config, {**point, "transmission_mode": "coherent"})
+            assert out.frame == FrameConfig(tau_c=8, tau_p=4)
+            assert out.sweep is None and out.transmission_mode == "coherent"
+            # Sections that the point does not touch stay the same objects.
+            for name in ("scenario", "large_scale", "powers", "clustering", "oracle"):
+                assert getattr(out, name) is getattr(config, name)
+        with pytest.raises(ConfigurationError, match="1 <= tau_p < tau_c"):
+            apply_sweep_point(config, {"frame.tau_c": 8, "frame.tau_p": 8})
+
+    def test_axis_order_does_not_change_the_rows(self, tmp_path, capsys):
+        outs = []
+        for name, sweep in (("c_first", {"frame.tau_c": [8], "frame.tau_p": [4]}),
+                            ("p_first", {"frame.tau_p": [4], "frame.tau_c": [8]}),
+                            ("invalid", {"frame.tau_c": [8], "frame.tau_p": [8]})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"scenario": {"num_aps": 8, "num_users": 2},
+                                        "sweep": sweep}))
+            outs.append(tmp_path / name)
+            code = main(["sweep", "--config", str(path), "--drops", "1",
+                         "--out", str(outs[-1])])
+            assert code == (1 if name == "invalid" else 0)
+        assert "frame requires 1 <= tau_p < tau_c" in capsys.readouterr().err
+        assert ((outs[0] / "results.csv").read_bytes()
+                == (outs[1] / "results.csv").read_bytes())
+
+    def test_echoes_share_unchanged_sections(self):
+        config = _tiny_config(num_drops=1, sweep={
+            "clustering.n_ap": (2, 4), "transmission_mode": ("mixed", "coherent")})
+        results = run_experiment(config)
+        for point, result in results:
+            assert result.config == config_to_dict(apply_sweep_point(config, point))
+        first, second = results[0][1].config, results[1][1].config
+        assert first["scenario"] is second["scenario"]
+        assert first["clustering"] == second["clustering"]
 
     def test_grid_size(self):
         config = _tiny_config(num_drops=1, sweep={
@@ -449,6 +491,55 @@ class TestEmitResults:
         assert entry["cdf"]["values"] == list(res.cdf_values)
         probs = entry["cdf"]["probs"]
         assert probs == sorted(probs)
+
+
+_json_texts = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "\U0001f600"])))
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _json_texts,
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308]))
+_json_docs = st.recursive(_json_scalars, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_json_texts, children, max_size=4)), max_leaves=10)
+
+
+class TestJsonText:
+    """results.json is written as json.dumps(doc, indent=2) writes it."""
+
+    @given(doc=_json_docs, shared=st.dictionaries(_json_texts, _json_docs,
+                                                   max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_json_dumps(self, doc, shared):
+        # shared sits at depths 1 and 3, and twice at depth 2.
+        nested = {"doc": doc, "shared": shared,
+                  "list": [shared, shared, {"again": shared}], "tuple": (doc,)}
+        for value in (doc, shared, nested):
+            assert harness._json_text(value) == json.dumps(value, indent=2)
+
+    def test_non_string_keys(self):
+        doc = {1: [2], 1.5: {"a": []}, True: None, None: [[]], math.nan: (3,),
+               -0.0: {"b": 1}, "c": {2: 3}}
+        assert harness._json_text(doc) == json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            harness._json_text({(1, 2): [3]})
+
+    @pytest.mark.parametrize("drops", [2, 200])
+    def test_fig3_6_document(self, tmp_path, monkeypatch, drops):
+        docs = []
+
+        def capturing(doc):
+            docs.append(doc)
+            return json_text(doc)
+
+        json_text = harness._json_text
+        monkeypatch.setattr(harness, "_json_text", capturing)
+        results = run_experiment(replace(cli._preset("fig3-6"), num_drops=drops))
+        _, json_path = emit_results(results, tmp_path, stem="fig3-6")
+        assert (json_path.read_text(encoding="utf-8")
+                == json.dumps(docs[0], indent=2) + "\n")
+        # The 27 echoes share the sections that the grid leaves alone.
+        configs = [entry["config"] for entry in docs[0]["results"]]
+        assert all(c["scenario"] is configs[0]["scenario"] for c in configs)
 
 
 _numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False),

@@ -250,6 +250,67 @@ class TestStack:
         np.testing.assert_array_equal(rates, np.concatenate(
             [user_rates(t, frame, stats.noise_power).user_rate for t in singles]))
 
+    def test_points_share_the_terms_of_their_cluster_set(self, monkeypatch):
+        # Every mode over repeated and distinct params, under a binding
+        # budget; the last point regroups the links of a fixed_aps point
+        # into groups no mode forms. Each point's terms and rates are its
+        # own bit for bit, and the per-link terms run once per cluster set.
+        stats, assignment, _, _, powers, frame = small_instance(16, 5, 2, 4, 3, seed=7)
+        powers = replace(powers, ap_power_budget=0.25, power_budget_mode="rescale")
+        owner, noise, K = np.arange(16) % 4, stats.noise_power, stats.num_users
+        estimation = estimation_terms(stats, assignment, powers)
+        params = ([ClusteringParams(legacy_cluster_size=a) for a in (1, 2, 4)]
+                  + [ClusteringParams(algorithm=algorithm, n_cpu=q, n_ap=3)
+                     for algorithm in ("fixed_aps", "power_fraction", "lsf_threshold")
+                     for q in (1, 2, 4)])
+        fixed = ClusteringParams(algorithm="fixed_aps", n_cpu=2, n_ap=3)
+        points = [(p, m) for m in ("coherent", "mixed", "non_coherent")
+                  for p in params + params[:2]] + [(fixed, "mixed")]
+        singles = [build_serving_structure(stats.beta, owner, 4, p, noise, m)
+                   for p, m in points]
+
+        def regroup(aps):        # the last AP alone, then the rest descending
+            return ((-1, aps[-1:]), (-1, aps[-2::-1])) if len(aps) > 1 else ((-1, aps),)
+
+        singles[-1] = replace(singles[-1], groups=tuple(
+            regroup(aps) for aps in singles[-1].clusters))
+        stack = build_serving_structure(stats.beta, owner, 4, [p for p, _ in points],
+                                        noise, [m for _, m in points])
+        stack = replace(stack, groups=stack.groups[:-K] + singles[-1].groups)
+        nominal = effective_data_powers(stack, replace(powers, ap_power_budget=None))
+        assert nominal.reshape(16, len(points), K).sum(axis=2).max() > 0.25
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[5])                   # points of distinct sets
+            return link_terms(*args)
+
+        link_terms = spectral_efficiency._link_terms
+        monkeypatch.setattr(spectral_efficiency, "_link_terms", counting)
+        terms = compute_terms(stack, stats, assignment, powers, estimation)
+        assert calls == [len({s.clusters for s in singles})] and calls[0] < len(points)
+        rates = user_rates(terms, frame, noise).user_rate
+        first = 0
+        for p, single in enumerate(singles):
+            want = compute_terms(single, stats, assignment, powers, estimation)
+            users, count = slice(p * K, (p + 1) * K), want.D_flat.size
+            groups = slice(first, first + count)
+            assert np.array_equal(terms.E[users], want.E)
+            assert np.array_equal(terms.F[users], want.F)
+            assert np.array_equal(terms.D_flat[groups], want.D_flat)
+            assert np.array_equal(terms.sic[groups] - first, want.sic)
+            assert np.array_equal(rates[users],
+                                  user_rates(want, frame, noise).user_rate)
+            first += count
+
+        # Points of distinct cluster sets only: nothing to share.
+        distinct = list({s.clusters: p for s, (p, _) in zip(singles, points)}.values())
+        calls.clear()
+        compute_terms(build_serving_structure(stats.beta, owner, 4, distinct, noise),
+                      stats, assignment, powers, estimation)
+        assert calls == [len(distinct)]
+
     def test_budget_error_names_the_aps_over_budget_in_any_point(self):
         stats, assignment, _, _, powers, _ = small_instance(12, 4, 2, 2, 2, seed=3)
         owner, noise = np.arange(12) % 2, stats.noise_power
