@@ -16,7 +16,7 @@ from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
 from .scenario import (Deployment, ScenarioConfig, generate_deployment,
                        wrap_distance)
 from .spectral_efficiency import (FrameConfig, OracleResult, RateResult,
-                                  SETerms, compute_terms, mc_oracle,
-                                  mr_scale, user_rates)
+                                  SETerms, compute_terms, link_scales,
+                                  mc_oracle, user_rates)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

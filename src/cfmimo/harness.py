@@ -519,6 +519,11 @@ def run_oracle_check(config: ExperimentConfig, drop_index: int = 0,
         up = _upstream(config, drop_index)
         serving, terms = _downstream([config], up)
         user_rates(terms, config.frame, up.stats.noise_power)
+        # This is the seed sequence of _drop_streams' shadowing stream, so
+        # oracle_rng would repeat its draws. That is safe because mc_oracle
+        # draws only from the generators that it spawns from oracle_rng,
+        # never from oracle_rng itself; a new key would change the oracle's
+        # samples.
         oracle_rng = np.random.default_rng(
             np.random.SeedSequence(config.base_seed, spawn_key=(drop_index, 1)))
         oracle = mc_oracle(serving, up.stats, up.assignment, config.powers,
@@ -545,16 +550,11 @@ def _flat_encoder(depth: int):
                             check_circular=False).encode
 
 
-def _key_text(key) -> str:
-    """A dict key as json.dumps writes it: a string, or a scalar's JSON
-    text as a string."""
-    encode = _flat_encoder(0)
-    if isinstance(key, str):
-        return encode(key)
-    if key is None or isinstance(key, (int, float)):
-        return encode(encode(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
+def _key_text(key: str) -> str:
+    """A str dict key as json.dumps writes it."""
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _flat_encoder(0)(key)
 
 
 def _indented(value, depth: int, done: dict) -> str:
@@ -589,9 +589,9 @@ def _indented(value, depth: int, done: dict) -> str:
 
 
 def _json_text(doc) -> str:
-    """json.dumps(doc, indent=2), with a container that doc holds more than
-    once, such as a config section that several echoes share, encoded once
-    per depth."""
+    """json.dumps(doc, indent=2) of a document with str keys, with a
+    container that doc holds more than once, such as a config section that
+    several echoes share, encoded once per depth."""
     if isinstance(doc, _CONTAINERS):
         return _indented(doc, 0, {})
     return _flat_encoder(0)(doc)
@@ -602,7 +602,8 @@ def emit_results(results: list[tuple[dict, ExperimentResult]],
     """Write a CSV of per-drop rows and a JSON sidecar with summaries.
 
     CSV columns: sweep keys, drop index, seed, per-user rates, sum rate.
-    Numbers keep full float precision (repr round-trips exactly).
+    Numbers keep full float precision: csv writes a float as its repr,
+    which round-trips exactly.
     """
     out_dir = Path(out_dir)
     try:
@@ -619,11 +620,10 @@ def emit_results(results: list[tuple[dict, ExperimentResult]],
             writer.writerow(header)
             for point, res in results:
                 for d in res.drops:
-                    rates = [repr(r) for r in d.user_rate]
-                    rates += [""] * (max_users - len(rates))
                     writer.writerow([point.get(k, "") for k in sweep_keys]
-                                    + [d.drop_index, d.seed] + rates
-                                    + [repr(d.sum_rate)])
+                                    + [d.drop_index, d.seed, *d.user_rate]
+                                    + [""] * (max_users - len(d.user_rate))
+                                    + [d.sum_rate])
 
         doc = {
             "version": __version__,

@@ -114,61 +114,62 @@ class SETerms:
 @dataclass(frozen=True, kw_only=True)
 class RateResult:
     """User rates, and the linear SINR of every group in the SIC order of
-    SETerms.D_flat (sinr_flat), group_count[k] of them for user k. sinr[k],
-    user k's SINRs, is a view of sinr_flat (cfmimo.views)."""
-    sinr: tuple[np.ndarray, ...] = TupleView(
-        lambda r: _per_user(r.sinr_flat, r.group_count))
+    SETerms.D_flat, SETerms.group_count[k] of them for user k."""
     user_rate: np.ndarray              # (K,) bits/s/Hz
     sum_rate: float
-    sinr_flat: np.ndarray = field(default=None, repr=False, compare=False)    # (G,)
-    group_count: np.ndarray = field(default=None, repr=False, compare=False)  # (K,)
-
-    def __post_init__(self):
-        if views_given(self):
-            set_flat(self, sinr_flat=np.concatenate(self.sinr),
-                     group_count=_counts(self.sinr))
+    sinr_flat: np.ndarray              # (G,)
 
 
-def mr_scale(rho: np.ndarray, est_trace: np.ndarray) -> np.ndarray:
-    """(M, K) maximum-ratio scales sqrt(rho / E{||H_hat||^2}); W = scale * H_hat.
+def link_scales(serving: ServingStructure, powers: PowerConfig,
+                est_trace: np.ndarray) -> np.ndarray:
+    """(L,) maximum-ratio scales s_l = sqrt(rho_l / E{||H_hat_l||^2}) of the
+    serving links l of serving.links; W_l = s_l H_hat_l.
 
-    Links with rho = 0 get scale 0. An active link (rho > 0) whose
-    est_trace is not positive raises DegenerateLinkError naming it.
+    serving is a stack of P points over the K users of the (M, K)
+    est_trace, its user p*K + k point p's user k; any other count of
+    served users raises ConfigurationError. rho_l is the data
+    power, with a per-AP budget applied point by point: "ignore" keeps it,
+    "rescale" shrinks all of an overloaded AP's links of the point
+    uniformly, "error" raises naming the APs over budget in any point. A
+    link with rho_l = 0 gets scale 0. An active link whose est_trace is not
+    positive raises DegenerateLinkError naming it, the lowest AP first,
+    then the lowest user.
     """
+    links = serving.links
+    num_aps, num_users = est_trace.shape
+    num_points, rest = divmod(serving.num_users, num_users)
+    if rest:
+        raise ConfigurationError(f"{serving.num_users} served users is not a "
+                                 f"whole number of points of {num_users} users")
+    point, user = np.divmod(links.user, num_users)
+    rho = np.full(links.ap.size, powers.data_power, dtype=float)
+    budget = powers.ap_power_budget
+    if budget is not None and powers.power_budget_mode != "ignore":
+        # Each (point, AP)'s total is the sum of its row over the point's K
+        # users, the additions of the point's own dense (M, K) powers, so
+        # that a point's rescaled powers are those of the point alone; a
+        # sum in link order would change their last bits.
+        row = point * num_aps + links.ap
+        dense = np.zeros((num_points * num_aps, num_users))
+        dense[row, user] = rho
+        totals = dense.sum(axis=1)
+        over = totals > budget
+        if powers.power_budget_mode == "error" and np.any(over):
+            aps = over.reshape(-1, num_aps).any(axis=0)
+            raise ConfigurationError(f"AP power budget exceeded at APs "
+                                     f"{np.flatnonzero(aps).tolist()}")
+        hit = over[row]
+        rho[hit] *= budget / totals[row[hit]]
+    est = est_trace[links.ap, user]
     active = rho > 0.0
-    degenerate = np.argwhere(active & (est_trace <= 0.0))
-    if degenerate.size:
-        m, k = degenerate[0]
-        raise DegenerateLinkError(
-            f"serving link (AP {m}, user {k}) has zero estimate power")
-    scale = np.zeros_like(rho)
-    scale[active] = np.sqrt(rho[active] / est_trace[active])
+    bad = np.flatnonzero(active & (est <= 0.0))
+    if bad.size:
+        first = bad[np.lexsort((links.user[bad], links.ap[bad]))[0]]
+        raise DegenerateLinkError(f"serving link (AP {links.ap[first]}, user "
+                                  f"{links.user[first]}) has zero estimate power")
+    scale = np.zeros(rho.size)
+    scale[active] = np.sqrt(rho[active] / est[active])
     return scale
-
-
-def effective_data_powers(serving: ServingStructure, powers: PowerConfig,
-                          num_users: int | None = None) -> np.ndarray:
-    """(M, P*K) per-link data powers of a stack of P points over num_users
-    users each (default: one point); zero on non-serving links.
-
-    Per-AP budget handling, point by point: "ignore" uses the nominal power
-    as-is, "rescale" shrinks all of an overloaded AP's links uniformly,
-    "error" raises.
-    """
-    rho = np.zeros((serving.num_aps, serving.num_users))
-    rho[serving.links.ap, serving.links.user] = powers.data_power
-    if powers.ap_power_budget is None or powers.power_budget_mode == "ignore":
-        return rho
-    per_point = rho.reshape(serving.num_aps, -1, num_users or rho.shape[1])
-    totals = per_point.sum(axis=2)                              # (M, P)
-    over = totals > powers.ap_power_budget
-    if not np.any(over):
-        return rho
-    if powers.power_budget_mode == "error":
-        raise ConfigurationError(f"AP power budget exceeded at APs "
-                                 f"{np.flatnonzero(over.any(axis=1)).tolist()}")
-    per_point[over] *= (powers.ap_power_budget / totals[over])[:, None]
-    return rho
 
 
 def _shared_link_sets(point: np.ndarray, link: np.ndarray, num_points: int,
@@ -274,15 +275,11 @@ def compute_terms(serving: ServingStructure, stats: ChannelStatistics,
     ap, start = links.ap, links.group_start
     R = planes.planes(stats.R)                                  # (N, N, M, K)
     n, _, num_aps, num_users = R.shape
-    stack, rest = divmod(serving.num_users, num_users)
-    if rest:
-        raise ConfigurationError(f"{serving.num_users} served users is not a "
-                                 f"whole number of points of {num_users} users")
-    point, user = np.divmod(links.user, num_users)    # physical user of a link
     est_trace = estimation.est_trace
-    scale = mr_scale(effective_data_powers(serving, powers, num_users),
-                     np.tile(est_trace, stack))
-    s, a = scale[ap, links.user], np.sqrt(powers.pilot_power * assignment.tau_p)
+    s = link_scales(serving, powers, est_trace)   # checks for whole points
+    stack = serving.num_users // num_users
+    point, user = np.divmod(links.user, num_users)    # physical user of a link
+    a = np.sqrt(powers.pilot_power * assignment.tau_p)
     coef = planes.planes(estimation.coef).reshape(n, n, -1)
     shared = stack > 1 and _shared_link_sets(point, ap * num_users + user,
                                              stack, num_aps * num_users)
@@ -344,7 +341,7 @@ def user_rates(terms: SETerms, frame: FrameConfig,
         raise NumericalError(f"user {bad[0]} has rate {user_rate[bad[0]]}, "
                              "not a finite non-negative number")
     return RateResult(user_rate=user_rate, sum_rate=float(user_rate.sum()),
-                      sinr_flat=sinr, group_count=sizes)
+                      sinr_flat=sinr)
 
 
 @dataclass(frozen=True)
@@ -411,8 +408,6 @@ def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
                  assignment: PilotAssignment, powers: PowerConfig) -> _OraclePlan:
     """The plan of mc_oracle's blocks at serving.links."""
     estimation = estimation_terms(stats, assignment, powers)
-    w_scale = mr_scale(effective_data_powers(serving, powers),
-                       estimation.est_trace)
     links = serving.links
     K, N, tau_p = stats.num_users, stats.num_antennas, assignment.tau_p
     served, link_ap = np.unique(links.ap, return_inverse=True)
@@ -421,7 +416,7 @@ def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
     num_links, num_served = links.ap.size, served.size
     sqrt_R = planes.planes(correlation_sqrt(stats.R[served]) / np.sqrt(2.0))
     link = links.ap * K + links.user
-    w_coef = (w_scale[links.ap, links.user]
+    w_coef = (link_scales(serving, powers, estimation.est_trace)
               * np.take(planes.planes(estimation.coef).reshape(N, N, -1), link,
                         axis=-1))
     num_groups = links.group_start.size

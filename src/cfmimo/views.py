@@ -1,12 +1,12 @@
 """Per-user tuple views of flat arrays, built on first read.
 
 The stages hand each other flat arrays: the serving links of
-ServingStructure, the per-group values of SETerms and RateResult in SIC
-order, and the group count of each user. Readers outside the stages may
-still take the per-user tuples (ServingStructure.clusters and .groups,
-SETerms.D and .group_order, RateResult.sinr). Each such tuple is a
-dataclass field whose default is a TupleView: read, it is built from the
-instance's flat arrays once and cached in the instance.
+ServingStructure, the per-group values of SETerms in SIC order, and the
+group count of each user. Readers outside the stages may still take the
+per-user tuples (ServingStructure.clusters and .groups, SETerms.D and
+.group_order). Each such tuple is a dataclass field whose default is a
+TupleView: read, it is built from the instance's flat arrays once and
+cached in the instance.
 
 The fields stay init fields, so that the classes still construct from the
 tuples and dataclasses.replace still copies them. A value given to

@@ -40,6 +40,12 @@ def solved_estimate_covariance(stats, assignment, powers) -> np.ndarray:
             * stats.R @ np.linalg.solve(psi, stats.R))
 
 
+def per_user(flat: np.ndarray, terms) -> list[np.ndarray]:
+    """flat, over the groups of terms in SIC order (as RateResult.sinr_flat),
+    cut into one array per user, terms.group_count[k] entries for user k."""
+    return np.split(flat, np.cumsum(terms.group_count)[:-1])
+
+
 def random_cpu_map(num_aps: int, num_cpus: int,
                    rng: np.random.Generator) -> np.ndarray:
     """(num_aps,) random AP-to-CPU map in which every CPU controls an AP."""

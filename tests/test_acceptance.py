@@ -13,8 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (cluster_of, fixed, legacy, power, random_cpu_map,
-                      random_stats, solved_estimate_covariance, threshold)
+from conftest import (cluster_of, fixed, legacy, per_user, power,
+                      random_cpu_map, random_stats, solved_estimate_covariance,
+                      threshold)
 
 from cfmimo.channel import sample_channel
 from cfmimo.clustering import ClusteringParams, build_serving_structure
@@ -72,7 +73,7 @@ def test_criterion_1_closed_form_matches_oracle():
         config = replace(validation_config(m, k, q, tau_p), base_seed=seed,
                          oracle=OracleConfig(num_samples=100_000))
         terms, oracle, noise = run_oracle_check(config)
-        sinr = user_rates(terms, config.frame, noise).sinr
+        sinr = per_user(user_rates(terms, config.frame, noise).sinr_flat, terms)
         for u in range(k):
             pairs = [(terms.E[u], oracle.E[u], oracle.E_se[u]),
                      (terms.F[u], oracle.F[u], oracle.F_se[u])]

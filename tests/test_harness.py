@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,10 +19,11 @@ from cfmimo import channel_stats, cli, harness
 from cfmimo.cli import main
 from cfmimo.clustering import ClusteringParams
 from cfmimo.errors import ConfigurationError, NumericalError
-from cfmimo.harness import (ExperimentConfig, apply_sweep_point,
-                            config_from_dict, config_to_dict, emit_results,
-                            load_config, run_drop, run_experiment,
-                            run_oracle_check, run_single)
+from cfmimo.harness import (DropResult, ExperimentConfig, ExperimentResult,
+                            OracleConfig, apply_sweep_point, config_from_dict,
+                            config_to_dict, emit_results, load_config,
+                            run_drop, run_experiment, run_oracle_check,
+                            run_single, validation_config)
 from cfmimo.pilots import PowerConfig
 from cfmimo.scenario import ScenarioConfig, generate_deployment
 from cfmimo.spectral_efficiency import FrameConfig, compute_terms, map_in_runs
@@ -435,6 +437,33 @@ class TestRunSingle:
         assert set(res.percentiles) == {"p5", "p25", "p50", "p75", "p95"}
 
 
+class TestOracleCheck:
+    def test_oracle_draws_nothing_from_its_seed_stream(self, monkeypatch):
+        # run_oracle_check seeds the oracle's generator with the seed
+        # sequence of the drop's shadowing stream, so both begin with the
+        # same draws. The streams stay apart because mc_oracle draws only
+        # from the generators that it spawns: its own state is untouched.
+        config = replace(validation_config(8, 3, 2, 2),
+                         oracle=OracleConfig(num_samples=1_500))
+        seen = []
+        oracle = harness.mc_oracle
+
+        def recording(serving, stats, assignment, powers, frame, num_samples,
+                      rng, **kwargs):
+            before = rng.bit_generator.state
+            result = oracle(serving, stats, assignment, powers, frame,
+                            num_samples, rng, **kwargs)
+            seen.append((rng, before))
+            return result
+
+        monkeypatch.setattr(harness, "mc_oracle", recording)
+        run_oracle_check(config)
+        (rng, before), = seen
+        assert rng.bit_generator.state == before
+        _, shadow, _ = harness._drop_streams(config.base_seed, 0)
+        np.testing.assert_array_equal(rng.random(3), shadow.random(3))
+
+
 class TestMapInRuns:
     @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
     @pytest.mark.parametrize("num_items", range(1, 10))
@@ -480,6 +509,18 @@ class TestEmitResults:
         for row, drop in zip(rows, results[0][1].drops):
             assert float(row["sum_rate"]) == drop.sum_rate
 
+    def test_csv_writes_each_rate_as_its_repr(self, tmp_path):
+        rates = [0.1 + 0.2, 1e16, 5e-324, 1.7976931348623157e308, -0.0, 1 / 3,
+                 math.nan, math.inf]
+        drop = DropResult(drop_index=0, seed=7, user_rate=array("d", rates),
+                          sum_rate=1 / 3)
+        result = ExperimentResult(drops=(drop,), cdf_values=(1 / 3,),
+                                  cdf_probs=(1.0,), mean_sum_rate=1 / 3,
+                                  percentiles={}, config={})
+        csv_path, _ = emit_results([({}, result)], tmp_path)
+        row = csv_path.read_text(encoding="utf-8").splitlines()[1]
+        assert row == ",".join(["0", "7", *map(repr, rates), repr(1 / 3)])
+
     def test_json_sidecar_summaries(self, tmp_path):
         results = run_experiment(_tiny_config(num_drops=3))
         _, json_path = emit_results(results, tmp_path)
@@ -517,11 +558,11 @@ class TestJsonText:
             assert harness._json_text(value) == json.dumps(value, indent=2)
 
     def test_non_string_keys(self):
-        doc = {1: [2], 1.5: {"a": []}, True: None, None: [[]], math.nan: (3,),
-               -0.0: {"b": 1}, "c": {2: 3}}
-        assert harness._json_text(doc) == json.dumps(doc, indent=2)
-        with pytest.raises(TypeError):
-            harness._json_text({(1, 2): [3]})
+        # A results document has str keys only; a dict with nested
+        # containers rejects any other key.
+        for key in (1, 1.5, True, None, math.nan, -0.0, (1, 2)):
+            with pytest.raises(TypeError, match="keys must be str"):
+                harness._json_text({"a": {key: [3]}})
 
     @pytest.mark.parametrize("drops", [2, 200])
     def test_fig3_6_document(self, tmp_path, monkeypatch, drops):

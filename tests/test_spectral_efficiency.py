@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_stats, small_instance, solved_estimate_covariance
+from conftest import (per_user, random_stats, small_instance,
+                      solved_estimate_covariance)
 
 from cfmimo import channel
 from cfmimo.channel import correlate_channel, correlation_sqrt, sample_channel
@@ -19,9 +20,26 @@ from cfmimo.pilots import (PilotAssignment, PowerConfig, estimation_terms,
                            simulate_pilot_phase)
 from cfmimo.scenario import ScenarioConfig
 from cfmimo import spectral_efficiency
-from cfmimo.spectral_efficiency import (FrameConfig, RateResult, SETerms,
-                                        compute_terms, effective_data_powers,
-                                        mc_oracle, mr_scale, user_rates)
+from cfmimo.spectral_efficiency import (FrameConfig, SETerms, compute_terms,
+                                        link_scales, mc_oracle, user_rates)
+
+
+def _link_powers(serving, powers, est_trace):
+    """The (M, P*K) data powers rho = s^2 E{||H_hat||^2} of the serving
+    links of a stack of P points over the K users of est_trace, from their
+    link_scales s; zero on the other links."""
+    links = serving.links
+    est = est_trace[links.ap, links.user % est_trace.shape[1]]
+    rho = np.zeros((est_trace.shape[0], serving.num_users))
+    rho[links.ap, links.user] = link_scales(serving, powers, est_trace) ** 2 * est
+    return rho
+
+
+def _every_link(num_aps, num_users):
+    """Every AP serving every user, one coherent group per user."""
+    aps = tuple(range(num_aps))
+    return ServingStructure(clusters=(aps,) * num_users,
+                            groups=(((-1, aps),),) * num_users, num_aps=num_aps)
 
 
 def _single_link_setup(rng, num_antennas=2, noise_power=0.5):
@@ -33,23 +51,25 @@ def _single_link_setup(rng, num_antennas=2, noise_power=0.5):
 
 
 class TestMrPrecoder:
-    """W = mr_scale * H_hat, the MR precoder normalised by E{||H_hat||^2}."""
+    """W = s * H_hat, the MR precoder of link_scales s, normalised by
+    E{||H_hat||^2}."""
 
     def test_zero_power_zero_precoder(self):
         # An inactive link gets scale 0 even with no estimate power.
-        scale = mr_scale(np.array([[0.0, 0.1]]), np.array([[0.0, 2.0]]))
-        assert scale[0, 0] == 0.0
+        scale = link_scales(_every_link(1, 2), PowerConfig(data_power=0.0),
+                            np.array([[0.0, 2.0]]))
+        assert scale[0] == 0.0
 
     def test_scalar_scaling(self):
-        scale = mr_scale(np.array([[0.1]]), np.array([[4.0]]))
-        assert scale[0, 0] == pytest.approx(np.sqrt(0.1 / 4.0))
+        scale = link_scales(_every_link(1, 1), PowerConfig(data_power=0.1),
+                            np.array([[4.0]]))
+        assert scale[0] == pytest.approx(np.sqrt(0.1 / 4.0))
 
     def test_degenerate_normalization_rejected(self):
-        rho = np.full((2, 3), 0.1)
         est_trace = np.ones((2, 3))
         est_trace[1, 2] = 0.0
         with pytest.raises(DegenerateLinkError, match=r"AP 1, user 2"):
-            mr_scale(rho, est_trace)
+            link_scales(_every_link(2, 3), PowerConfig(data_power=0.1), est_trace)
 
     def test_mean_power_matches_rho(self, rng):
         # E{||W||^2} = rho by construction of the normalization.
@@ -63,25 +83,30 @@ class TestMrPrecoder:
             y, estimation_terms(stats, assignment, powers).coef, assignment)
         est = solved_estimate_covariance(stats, assignment, powers)
         trace = np.trace(est, axis1=-2, axis2=-1).real
-        w = mr_scale(np.full((1, 1), powers.data_power), trace)[..., None] * h_hat
+        w = link_scales(_every_link(1, 1), powers, trace)[0] * h_hat
         mean_power = (np.abs(w[:, 0, 0]) ** 2).sum(axis=1).mean()
         assert mean_power == pytest.approx(powers.data_power, rel=0.02)
 
 
 class TestEffectiveDataPowers:
-    def _serving(self):
-        return ServingStructure(clusters=((0, 1), (0,)),
-                                groups=(((0, (0, 1)),), ((0, (0,)),)),
-                                num_aps=2)
+    """The data powers of link_scales, read as rho = s^2 E{||H_hat||^2}."""
+
+    EST_TRACE = np.array([[2.0, 4.0], [0.5, 1.0]])
+
+    def _rho(self, powers):
+        serving = ServingStructure(clusters=((0, 1), (0,)),
+                                   groups=(((0, (0, 1)),), ((0, (0,)),)),
+                                   num_aps=2)
+        return _link_powers(serving, powers, self.EST_TRACE)
 
     def test_nominal_powers_on_links(self):
-        rho = effective_data_powers(self._serving(), PowerConfig(data_power=0.1))
+        rho = self._rho(PowerConfig(data_power=0.1))
         assert np.allclose(rho, [[0.1, 0.1], [0.1, 0.0]])
 
     def test_rescale_overloaded_ap(self):
         powers = PowerConfig(data_power=0.1, ap_power_budget=0.1,
                              power_budget_mode="rescale")
-        rho = effective_data_powers(self._serving(), powers)
+        rho = self._rho(powers)
         assert rho[0].sum() == pytest.approx(0.1)
         assert rho[1, 0] == pytest.approx(0.1)  # AP 1 is within budget
 
@@ -89,12 +114,12 @@ class TestEffectiveDataPowers:
         powers = PowerConfig(data_power=0.1, ap_power_budget=0.15,
                              power_budget_mode="error")
         with pytest.raises(ConfigurationError):
-            effective_data_powers(self._serving(), powers)
+            self._rho(powers)
 
     def test_ignore_mode_keeps_nominal(self):
         powers = PowerConfig(data_power=0.1, ap_power_budget=0.05,
                              power_budget_mode="ignore")
-        rho = effective_data_powers(self._serving(), powers)
+        rho = self._rho(powers)
         assert np.allclose(rho[0], [0.1, 0.1])
 
 
@@ -176,9 +201,9 @@ class TestComputeTerms:
             12, 6, 3, 4, 3, seed=6, mode=mode)
         powers = PowerConfig(data_power=0.1, ap_power_budget=0.25,
                              power_budget_mode="rescale")
-        terms = compute_terms(serving, stats, assignment, powers,
-                              estimation_terms(stats, assignment, powers))
-        rho = effective_data_powers(serving, powers)
+        estimation = estimation_terms(stats, assignment, powers)
+        terms = compute_terms(serving, stats, assignment, powers, estimation)
+        rho = _link_powers(serving, powers, estimation.est_trace)
         assert np.unique(rho[rho > 0]).size > 1
         psi, t = psi_stack(stats, assignment, powers), assignment.t
         pt = powers.pilot_power * assignment.tau_p
@@ -238,8 +263,9 @@ class TestStack:
         stack = terms_of([p for p, _ in self.POINTS], [m for _, m in self.POINTS])
         singles = [terms_of(p, m) for p, m in self.POINTS]
         if budget is not None:
-            rho = effective_data_powers(build_serving_structure(
-                stats.beta, owner, 2, self.POINTS[0][0], stats.noise_power), powers)
+            rho = _link_powers(build_serving_structure(
+                stats.beta, owner, 2, self.POINTS[0][0], stats.noise_power), powers,
+                estimation.est_trace)
             assert rho.sum(axis=1).max() == pytest.approx(budget)
         np.testing.assert_array_equal(stack.E, np.concatenate([t.E for t in singles]))
         np.testing.assert_array_equal(stack.F, np.concatenate([t.F for t in singles]))
@@ -277,7 +303,8 @@ class TestStack:
         stack = build_serving_structure(stats.beta, owner, 4, [p for p, _ in points],
                                         noise, [m for _, m in points])
         stack = replace(stack, groups=stack.groups[:-K] + singles[-1].groups)
-        nominal = effective_data_powers(stack, replace(powers, ap_power_budget=None))
+        nominal = _link_powers(stack, replace(powers, ap_power_budget=None),
+                               estimation.est_trace)
         assert nominal.reshape(16, len(points), K).sum(axis=2).max() > 0.25
 
         calls = []
@@ -314,10 +341,11 @@ class TestStack:
     def test_budget_error_names_the_aps_over_budget_in_any_point(self):
         stats, assignment, _, _, powers, _ = small_instance(12, 4, 2, 2, 2, seed=3)
         owner, noise = np.arange(12) % 2, stats.noise_power
+        est_trace = estimation_terms(stats, assignment, powers).est_trace
         over = set()
         for params, mode in self.POINTS:
             single = build_serving_structure(stats.beta, owner, 2, params, noise, mode)
-            rho = effective_data_powers(single, powers)
+            rho = _link_powers(single, powers, est_trace)
             over |= set(np.flatnonzero(rho.sum(axis=1) > 0.25).tolist())
         stack = build_serving_structure(stats.beta, owner, 2,
                                         [p for p, _ in self.POINTS], noise,
@@ -325,7 +353,45 @@ class TestStack:
         powers = replace(powers, ap_power_budget=0.25, power_budget_mode="error")
         with pytest.raises(ConfigurationError,
                            match=re.escape(f"at APs {sorted(over)}")):
-            effective_data_powers(stack, powers, 4)
+            link_scales(stack, powers, est_trace)
+
+    def test_link_scales_are_those_of_each_point_and_ap(self):
+        # Three points, against a loop over (point, AP): a binding rescale
+        # budget shrinks each point's AP by its own total, data power 0
+        # gives every link scale 0, and of the degenerate links the error
+        # names the lowest AP, then the lowest user.
+        stats, assignment, _, _, powers, _ = small_instance(12, 4, 2, 2, 2, seed=3)
+        K, budget = stats.num_users, 0.25
+        est_trace = estimation_terms(stats, assignment, powers).est_trace
+        points = self.POINTS[:3]
+        stack = build_serving_structure(stats.beta, np.arange(12) % 2, 2,
+                                        [p for p, _ in points], stats.noise_power,
+                                        [m for _, m in points])
+        links = stack.links
+        point, user = np.divmod(links.user, K)
+        rescale = replace(powers, ap_power_budget=budget, power_budget_mode="rescale")
+        want, shrunk = np.empty(links.ap.size), set()
+        for p in range(len(points)):
+            for m in range(stats.num_aps):
+                mine = np.flatnonzero((point == p) & (links.ap == m))
+                total = powers.data_power * mine.size
+                rho = powers.data_power * (budget / total if total > budget else 1.0)
+                want[mine] = np.sqrt(rho / est_trace[m, user[mine]])
+                if total > budget:
+                    shrunk.add((p, m))
+        # AP 1 serves one link of point 0 and four of point 1.
+        assert (1, 1) in shrunk and (0, 1) not in shrunk
+        np.testing.assert_allclose(link_scales(stack, rescale, est_trace), want,
+                                   rtol=1e-13, atol=0)
+
+        est = est_trace.copy()
+        est[9, 0] = est[3, 3] = 0.0
+        silent = link_scales(stack, replace(rescale, data_power=0.0), est)
+        np.testing.assert_array_equal(silent, np.zeros(links.ap.size))
+        first = np.flatnonzero(est[links.ap, user] == 0.0)[0]
+        assert (links.ap[first], links.user[first]) == (9, 0)    # in link order
+        with pytest.raises(DegenerateLinkError, match=re.escape("(AP 3, user 3)")):
+            link_scales(stack, rescale, est)
 
     def test_partial_point_rejected(self):
         stats, assignment, serving, _, powers, _ = small_instance(12, 4, 2, 2, 2, seed=3)
@@ -342,7 +408,8 @@ class TestSinr:
         powers = PowerConfig()
         terms = compute_terms(serving, stats, assignment, powers,
                               estimation_terms(stats, assignment, powers))
-        gamma = user_rates(terms, FrameConfig(), stats.noise_power).sinr[0][0]
+        gamma = per_user(user_rates(terms, FrameConfig(), stats.noise_power).sinr_flat,
+                         terms)[0][0]
         expected = terms.D[0][0] / (terms.E[0] + terms.F[0] - terms.D[0][0]
                                     + stats.noise_power)
         assert gamma == pytest.approx(expected, rel=1e-12)
@@ -387,9 +454,8 @@ class TestTupleViews:
         rates = user_rates(terms, FrameConfig(), stats.noise_power)
         assert not {"clusters", "groups"} & set(vars(serving))
         assert not {"D", "group_order"} & set(vars(terms))
-        assert "sinr" not in vars(rates)
         np.testing.assert_array_equal(terms.group_count, [2, 2, 1, 1, 3, 3])
-        np.testing.assert_array_equal(rates.group_count, terms.group_count)
+        assert rates.sinr_flat.size == terms.group_count.sum()
 
     def test_serving_views_of_the_links(self):
         serving = self._stack()
@@ -407,10 +473,6 @@ class TestTupleViews:
                         group_count=np.array([2, 1, 3]))
         assert terms.group_order == ((1, 0), (0,), (2, 0, 1))
         assert [d.tolist() for d in terms.D] == [[5.0, 4.0], [3.0], [2.0, 1.0, 0.5]]
-        rates = RateResult(user_rate=np.ones(3), sum_rate=3.0,
-                           sinr_flat=np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]),
-                           group_count=np.array([2, 1, 3]))
-        assert [g.tolist() for g in rates.sinr] == [[6.0, 5.0], [4.0], [3.0, 2.0, 1.0]]
 
     def test_replaced_groups_set_the_links(self):
         # User 1 of the mixed point loses its CPU-0 group, and user 0 of
@@ -478,13 +540,14 @@ class TestUserRates:
         stats, assignment, serving, terms, powers, frame = small_instance(
             8, 3, 2, 2, 2, seed=1)
         result = user_rates(terms, frame, stats.noise_power)
+        sinr = per_user(result.sinr_flat, terms)
         for k in range(3):
             # Group by group, each SINR over the power not yet decoded.
             d, expected = terms.D[k], 0.0
             for c in range(d.size):
                 gamma = d[c] / (terms.E[k] + terms.F[k] - np.sum(d[:c + 1])
                                 + stats.noise_power)
-                assert result.sinr[k][c] == pytest.approx(gamma, rel=1e-12)
+                assert sinr[k][c] == pytest.approx(gamma, rel=1e-12)
                 expected += frame.prelog * np.log2(1.0 + gamma)
             assert result.user_rate[k] == pytest.approx(expected, rel=1e-12)
         assert result.sum_rate == pytest.approx(result.user_rate.sum())
@@ -500,7 +563,7 @@ def _assert_closed_form_matches_oracle(config):
     """Every D, E, F and SINR of drop 0 of config lies within
     max(2 %, 3 SE) of the oracle's estimate."""
     terms, oracle, noise = run_oracle_check(config)
-    sinr = user_rates(terms, config.frame, noise).sinr
+    sinr = per_user(user_rates(terms, config.frame, noise).sinr_flat, terms)
     for k in range(config.scenario.num_users):
         pairs = [(terms.E[k], oracle.E[k], oracle.E_se[k]),
                  (terms.F[k], oracle.F[k], oracle.F_se[k])]
@@ -660,7 +723,7 @@ class TestOracle:
         config = replace(validation_config(12, 4, 4, 2), base_seed=41,
                          oracle=OracleConfig(num_samples=100_000))
         terms, oracle, noise = run_oracle_check(config, 4)
-        sinr = user_rates(terms, config.frame, noise).sinr
+        sinr = per_user(user_rates(terms, config.frame, noise).sinr_flat, terms)
         assert oracle.D[2][3] == 0.0
         for k in range(4):
             assert np.all(np.isfinite(oracle.sinr_se[k]))
@@ -752,10 +815,9 @@ class TestOracle:
         y = pilot_observations(H, z_full, assignment, powers,
                                stats.noise_power)
         estimation = estimation_terms(stats, assignment, powers)
-        scale = mr_scale(effective_data_powers(serving, powers),
-                         estimation.est_trace)
-        W = mmse_estimate(y, scale[..., None, None] * estimation.coef,
-                          assignment)[:, links.ap, links.user]    # (c, L, N)
+        W = (link_scales(serving, powers, estimation.est_trace)[:, None]
+             * mmse_estimate(y, estimation.coef,
+                             assignment)[:, links.ap, links.user])  # (c, L, N)
         amp = np.sum(H[:, links.ap] * np.conj(W)[:, :, None, :], axis=-1)
         a = np.conj(np.add.reduceat(amp, links.group_start, axis=1))
         np.testing.assert_allclose(got, np.conj(a).transpose(1, 2, 0),
