@@ -255,17 +255,6 @@ def complex_normals(bit_generator: np.random.BitGenerator,
     return out
 
 
-def correlate_channel(sqrt_R: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """H[..., m, k] = R[m, k]^(1/2) g, g = normals / sqrt(2).
-
-    sqrt_R: (M, K, N, N) from correlation_sqrt; normals: (..., M, K, N)
-    complex normals of unit-variance real and imaginary parts, as
-    complex_normals draws them.
-    """
-    return np.einsum("mkab,...mkb->...mka", sqrt_R, normals / np.sqrt(2.0),
-                     optimize=True)
-
-
 def sample_channel(stats: ChannelStatistics, rng: np.random.Generator,
                    num_samples: int | None = None) -> np.ndarray:
     """Draw correlated Rayleigh realizations H[m, k] = R^(1/2) g, g ~ CN(0, I).
@@ -276,5 +265,6 @@ def sample_channel(stats: ChannelStatistics, rng: np.random.Generator,
     shape = (stats.num_aps, stats.num_users, stats.num_antennas)
     if num_samples is not None:
         shape = (num_samples,) + shape
-    return correlate_channel(correlation_sqrt(stats.R), complex_normals(
-        rng.bit_generator, np.empty(shape, complex)))
+    normals = complex_normals(rng.bit_generator, np.empty(shape, complex))
+    return np.einsum("mkab,...mkb->...mka", correlation_sqrt(stats.R),
+                     normals / np.sqrt(2.0), optimize=True)

@@ -105,7 +105,7 @@ def _links(groups) -> ServingLinks:
 
 @dataclass(frozen=True, kw_only=True)
 class ServingStructure:
-    """Clusters A_k and their per-CPU coherent groups over num_aps APs.
+    """Clusters A_k and their per-CPU coherent groups.
 
     links holds every serving link and group of num_users users; the
     stages read it alone. A stack of P points over the same K users (see
@@ -116,19 +116,20 @@ class ServingStructure:
     groups[k] is a tuple of (cpu_index, ap_tuple) pairs, disjoint tuples
     each within a single CPU's AP pool, and their union is clusters[k],
     in ascending order. Given instead of links, as in
-    ServingStructure(clusters=..., groups=..., num_aps=...) or
+    ServingStructure(clusters=..., groups=...) or
     dataclasses.replace(serving, groups=...), groups sets the links and
     num_users.
     """
     clusters: tuple[tuple[int, ...], ...] = TupleView(_clusters)
     groups: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] = TupleView(_groups)
-    num_aps: int
     links: ServingLinks = field(default=None, repr=False, compare=False)
     num_users: int = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if views_given(self):
             set_flat(self, links=_links(self.groups), num_users=len(self.groups))
+        elif self.links is None:
+            raise TypeError("ServingStructure needs links or groups")
 
 
 def _descending_rank(values: np.ndarray) -> np.ndarray:
@@ -222,7 +223,7 @@ def build_serving_structure(beta: np.ndarray, ap_to_cpu: np.ndarray, num_cpus: i
     start = np.flatnonzero(np.concatenate(([True], new_group)))
     low, high = np.minimum.reduceat(cpu, start), np.maximum.reduceat(cpu, start)
     return ServingStructure(
-        num_aps=beta.shape[0], num_users=len(params) * beta.shape[1],
+        num_users=len(params) * beta.shape[1],
         links=ServingLinks(ap=ap, user=user, group_start=start,
                            group_user=user[start],
                            group_cpu=np.where(low == high, low, -1)))

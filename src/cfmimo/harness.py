@@ -550,13 +550,6 @@ def _flat_encoder(depth: int):
                             check_circular=False).encode
 
 
-def _key_text(key: str) -> str:
-    """A str dict key as json.dumps writes it."""
-    if not isinstance(key, str):
-        raise TypeError(f"keys must be str, not {type(key).__name__}")
-    return _flat_encoder(0)(key)
-
-
 def _indented(value, depth: int, done: dict) -> str:
     """A dict, list or tuple as json.dumps(indent=2) writes it at depth.
 
@@ -564,7 +557,7 @@ def _indented(value, depth: int, done: dict) -> str:
     text, so that a container which the document holds more than once is
     encoded once per depth; the document keeps each container, and so its
     id, alive meanwhile. A container without nested containers takes one
-    _flat_encoder call.
+    _flat_encoder call. A dict key that is not a str raises TypeError.
     """
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
@@ -572,13 +565,17 @@ def _indented(value, depth: int, done: dict) -> str:
     if text is not None:
         return text
     is_dict = isinstance(value, dict)
+    if is_dict:
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
     items = value.values() if is_dict else value
     encode = _flat_encoder(depth)
     if any(isinstance(v, _CONTAINERS) for v in items):
         texts = [_indented(v, depth + 1, done) if isinstance(v, _CONTAINERS)
                  else encode(v) for v in items]
         if is_dict:
-            texts = [f"{_key_text(k)}: {t}" for k, t in zip(value, texts)]
+            texts = [f"{encode(k)}: {t}" for k, t in zip(value, texts)]
         inner = (",\n" + "  " * (depth + 1)).join(texts)
     else:
         inner = encode(value)[1:-1]

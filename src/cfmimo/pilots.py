@@ -1,11 +1,10 @@
-"""Pilot assignment, pilot-phase simulation and MMSE channel estimation.
+"""Pilot assignment and MMSE channel estimation.
 
 Pilots are mutually orthogonal with squared norm tau_p, so they are
 represented purely by their index: all pilot inner products reduce to the
-indicator 1{t_i == t_k}. The pilot-phase observation kept per (AP, pilot)
-is the projection of the received pilot matrix onto the normalized pilot.
-The estimation chain is batched over all links and over any leading sample
-axes of the channel draws.
+indicator 1{t_i == t_k}. The MMSE estimator acts on the projection of an
+AP's received pilot matrix onto the normalized pilot, and is formed for all
+links at once.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import planes
-from .channel import ChannelStatistics, complex_normals
+from .channel import ChannelStatistics
 from .errors import ConfigurationError
 
 VALID_BUDGET_MODES = ("ignore", "rescale", "error")
@@ -33,9 +32,6 @@ class PilotAssignment:
         if t.ndim != 1 or np.any(t < 0) or np.any(t >= self.tau_p):
             raise ConfigurationError("pilot indices must lie in {0..tau_p-1}")
         object.__setattr__(self, "t", t)
-
-    def users_on_pilot(self, pilot: int) -> np.ndarray:
-        return np.flatnonzero(self.t == pilot)
 
 
 @dataclass(frozen=True)
@@ -107,51 +103,3 @@ def estimation_terms(stats: ChannelStatistics, assignment: PilotAssignment,
     coef = planes.product(R, np.take(amp * psi_inv, assignment.t, axis=-1))
     est_trace = amp * planes.trace_product(coef, R).real
     return EstimationTerms(coef=planes.stacked(coef), est_trace=est_trace)
-
-
-def pilot_observations(realization: np.ndarray, normals: np.ndarray,
-                       assignment: PilotAssignment, powers: PowerConfig,
-                       noise_power: float) -> np.ndarray:
-    """Projected pilot observations y_check[..., pilot, m] of channel draws.
-
-    Pilot orthogonality makes the projection exact, so the tau_p-column pilot
-    matrix never needs to be materialized:
-    y_check[t, m] = sum over users i on pilot t of sqrt(p^p tau_p) H[m, i] + CN(0, sigma^2 I).
-
-    realization: (..., M, K, N); normals: (..., tau_p, M, N) complex
-    normals of unit-variance real and imaginary parts, as complex_normals
-    draws them. Returns (..., tau_p, M, N).
-    """
-    y = normals * np.sqrt(noise_power / 2.0)
-    amp = np.sqrt(powers.pilot_power * assignment.tau_p)
-    for pilot in range(assignment.tau_p):
-        users = assignment.users_on_pilot(pilot)
-        if users.size:
-            y[..., pilot, :, :] += amp * realization[..., users, :].sum(axis=-2)
-    return y
-
-
-def simulate_pilot_phase(realization: np.ndarray, assignment: PilotAssignment,
-                         powers: PowerConfig, noise_power: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Draw the pilot noise and return pilot_observations of the draws.
-
-    realization: (..., M, K, N); returns (..., tau_p, M, N). The noise takes
-    one complex normal of rng (complex_normals) per entry, in C order.
-    """
-    *lead, m, _, n = realization.shape
-    normals = complex_normals(rng.bit_generator, np.empty(
-        (*lead, assignment.tau_p, m, n), complex))
-    return pilot_observations(realization, normals, assignment, powers,
-                              noise_power)
-
-
-def mmse_estimate(y_check: np.ndarray, coef: np.ndarray,
-                  assignment: PilotAssignment) -> np.ndarray:
-    """MMSE estimates H_hat[..., m, k] = coef[m, k] y_check[..., t_k, m].
-
-    y_check: (..., tau_p, M, N) from pilot_observations; coef from
-    estimation_terms. Returns (..., M, K, N).
-    """
-    return np.einsum("mkac,...kmc->...mka", coef,
-                     y_check[..., assignment.t, :, :], optimize=True)

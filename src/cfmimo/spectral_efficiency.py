@@ -11,8 +11,9 @@ average received power from every serving link, and F the coherent
 successively, so the partial D sum runs over the groups already decoded.
 
 The Monte Carlo oracle estimates the same expectations by sampling
-channels, pilot observations, MMSE estimates and precoders, and is the
-independent check of the closed form.
+channels, pilot observations, MMSE estimates and precoders. It shares the
+MMSE estimator and the MR scales with the closed form; the tests also hold
+both against a textbook reference that shares no code with either.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import pytest
 from conftest import (cluster_of, fixed, legacy, per_user, power,
                       random_cpu_map, random_stats, solved_estimate_covariance,
                       threshold)
+from textbook import mmse_estimate, simulate_pilot_phase
 
 from cfmimo.channel import sample_channel
 from cfmimo.clustering import ClusteringParams, build_serving_structure
@@ -23,8 +24,7 @@ from cfmimo.harness import (ExperimentConfig, OracleConfig, emit_results,
                             run_experiment, run_oracle_check,
                             validation_config)
 from cfmimo.pilots import (PilotAssignment, PowerConfig, assign_pilots,
-                           estimation_terms, mmse_estimate, psi_stack,
-                           simulate_pilot_phase)
+                           estimation_terms, psi_stack)
 from cfmimo.scenario import ScenarioConfig
 from cfmimo.spectral_efficiency import FrameConfig, compute_terms, user_rates
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from textbook import correlate_channel
+
 from cfmimo.channel import (ChannelStatistics, LargeScaleModelConfig,
                             PathLossParams, channel_stats, complex_normals,
-                            correlate_channel, correlation_sqrt,
-                            cost_hata_fixed_term_db, path_loss_db,
-                            sample_channel, shadowing_field,
+                            correlation_sqrt, cost_hata_fixed_term_db,
+                            path_loss_db, sample_channel, shadowing_field,
                             spatial_correlation)
 from cfmimo.errors import ConfigurationError, NumericalError
 from cfmimo.scenario import Deployment, ScenarioConfig, generate_deployment

@@ -339,6 +339,10 @@ class TestBuildServingStructure:
         dropped = sum(len(aps) for _, aps in serving.groups[0][1:])
         assert fewer.links.ap.size == links.ap.size - dropped
 
+    def test_structure_needs_links_or_groups(self):
+        with pytest.raises(TypeError, match="links or groups"):
+            clustering.ServingStructure()
+
     def test_over_noise_threshold_uses_noise_power(self, rng):
         beta = rng.lognormal(size=(6, 1)) * 1e-8
         noise = 1e-9

@@ -558,11 +558,12 @@ class TestJsonText:
             assert harness._json_text(value) == json.dumps(value, indent=2)
 
     def test_non_string_keys(self):
-        # A results document has str keys only; a dict with nested
-        # containers rejects any other key.
+        # A results document has str keys only; a dict rejects any other
+        # key, with or without nested containers, nested or at the top.
         for key in (1, 1.5, True, None, math.nan, -0.0, (1, 2)):
-            with pytest.raises(TypeError, match="keys must be str"):
-                harness._json_text({"a": {key: [3]}})
+            for doc in ({"a": {key: [3]}}, {"a": {key: 3}}, {key: 3}):
+                with pytest.raises(TypeError, match="keys must be str"):
+                    harness._json_text(doc)
 
     @pytest.mark.parametrize("drops", [2, 200])
     def test_fig3_6_document(self, tmp_path, monkeypatch, drops):

@@ -7,17 +7,18 @@ import pytest
 
 from conftest import (per_user, random_stats, small_instance,
                       solved_estimate_covariance)
+from textbook import (correlate_channel, mmse_estimate, pilot_observations,
+                      simulate_pilot_phase)
 
 from cfmimo import channel
-from cfmimo.channel import correlate_channel, correlation_sqrt, sample_channel
+from cfmimo.channel import correlation_sqrt, sample_channel
 from cfmimo.clustering import ServingStructure, build_serving_structure, \
     ClusteringParams
 from cfmimo.errors import ConfigurationError, DegenerateLinkError, NumericalError
 from cfmimo.harness import (ExperimentConfig, OracleConfig, run_oracle_check,
                             validation_config)
 from cfmimo.pilots import (PilotAssignment, PowerConfig, estimation_terms,
-                           mmse_estimate, pilot_observations, psi_stack,
-                           simulate_pilot_phase)
+                           psi_stack)
 from cfmimo.scenario import ScenarioConfig
 from cfmimo import spectral_efficiency
 from cfmimo.spectral_efficiency import (FrameConfig, SETerms, compute_terms,
@@ -39,14 +40,13 @@ def _every_link(num_aps, num_users):
     """Every AP serving every user, one coherent group per user."""
     aps = tuple(range(num_aps))
     return ServingStructure(clusters=(aps,) * num_users,
-                            groups=(((-1, aps),),) * num_users, num_aps=num_aps)
+                            groups=(((-1, aps),),) * num_users)
 
 
 def _single_link_setup(rng, num_antennas=2, noise_power=0.5):
     stats = random_stats(1, 1, num_antennas, rng, noise_power=noise_power)
     assignment = PilotAssignment(tau_p=2, t=np.array([0]))
-    serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),),
-                               num_aps=1)
+    serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),))
     return stats, assignment, serving
 
 
@@ -95,8 +95,7 @@ class TestEffectiveDataPowers:
 
     def _rho(self, powers):
         serving = ServingStructure(clusters=((0, 1), (0,)),
-                                   groups=(((0, (0, 1)),), ((0, (0,)),)),
-                                   num_aps=2)
+                                   groups=(((0, (0, 1)),), ((0, (0,)),)))
         return _link_powers(serving, powers, self.EST_TRACE)
 
     def test_nominal_powers_on_links(self):
@@ -185,8 +184,7 @@ class TestComputeTerms:
         stats = random_stats(1, 1, 2, np.random.default_rng(0))
         stats.R[0, 0] = 0.0
         assignment = PilotAssignment(tau_p=1, t=np.array([0]))
-        serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),),
-                                   num_aps=1)
+        serving = ServingStructure(clusters=((0,),), groups=(((0, (0,)),),))
         powers = PowerConfig()
         estimation = estimation_terms(stats, assignment, powers)
         with pytest.raises(DegenerateLinkError):
@@ -396,7 +394,7 @@ class TestStack:
     def test_partial_point_rejected(self):
         stats, assignment, serving, _, powers, _ = small_instance(12, 4, 2, 2, 2, seed=3)
         part = ServingStructure(clusters=serving.clusters[:3],
-                                groups=serving.groups[:3], num_aps=12)
+                                groups=serving.groups[:3])
         with pytest.raises(ConfigurationError, match="3 served users"):
             compute_terms(part, stats, assignment, powers,
                           estimation_terms(stats, assignment, powers))
@@ -787,9 +785,10 @@ class TestOracle:
     @pytest.mark.parametrize("num_antennas", [1, 2, 3])
     def test_chunk_kernel_is_the_public_estimation_chain(self, num_antennas):
         # The oracle's chunk kernel on normals at the served APs and the
-        # read pairs gives the group amplitudes that correlate_channel,
-        # pilot_observations and mmse_estimate give on the same normals
-        # scattered into full arrays, zero elsewhere, up to their conjugate.
+        # read pairs gives the group amplitudes that the per-sample chain of
+        # textbook.py (correlate_channel, pilot_observations, mmse_estimate)
+        # gives on the same normals scattered into full arrays, zero
+        # elsewhere, up to their conjugate.
         stats, assignment, serving, _, powers, _ = small_instance(
             12, 4, num_antennas, 4, 4, seed=0)
         links = serving.links
