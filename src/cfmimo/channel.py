@@ -244,8 +244,11 @@ def complex_normals(bit_generator: np.random.BitGenerator,
         n = words.size
         np.bitwise_and(words, 2 ** _PHASE_BITS - 1, out=phase[:n])
         # 1 - (w >> 11) 2^-53 is exact and in (0, 1], so its log is finite.
-        r = np.multiply(np.right_shift(words, _PHASE_BITS, out=words),
-                        2.0 ** -53, out=radius[:n])
+        # The shifted words are below 2^53, so as int64 they convert to
+        # floats exactly; x86-64 converts a signed 64-bit integer in one
+        # instruction, an unsigned one (without AVX-512) in several.
+        np.right_shift(words, _PHASE_BITS, out=words)
+        r = np.multiply(words.view(np.int64), 2.0 ** -53, out=radius[:n])
         np.subtract(1.0, r, out=r)
         np.log(r, out=r)
         r *= -2.0

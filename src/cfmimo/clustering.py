@@ -127,6 +127,9 @@ class ServingStructure:
 
     def __post_init__(self):
         if views_given(self):
+            if "groups" not in self.__dict__:
+                raise TypeError("ServingStructure views need groups, "
+                                "which set the links")
             set_flat(self, links=_links(self.groups), num_users=len(self.groups))
         elif self.links is None:
             raise TypeError("ServingStructure needs links or groups")

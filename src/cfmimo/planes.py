@@ -42,11 +42,13 @@ def product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
     of a stack of vectors. out, the (N, Q, ...) result, and term, one
     (...) plane, are buffers to write into, allocated when not given.
     """
-    shape = np.broadcast_shapes(a.shape[2:], b.shape[2:])
-    if out is None:
-        out = np.empty((a.shape[0], b.shape[1]) + shape, np.result_type(a, b))
-    if term is None:
-        term = np.empty(shape, out.dtype)
+    if out is None or term is None:
+        shape = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+        if out is None:
+            out = np.empty((a.shape[0], b.shape[1]) + shape,
+                           np.result_type(a, b))
+        if term is None:
+            term = np.empty(shape, out.dtype)
     for i in range(a.shape[0]):
         for j in range(b.shape[1]):
             np.multiply(a[i, 0], b[0, j], out=out[i, j])

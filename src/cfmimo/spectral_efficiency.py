@@ -33,16 +33,20 @@ from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
                      estimation_terms)
 from .views import TupleView, set_flat, views_given
 
-# The oracle samples in blocks of ORACLE_BLOCK samples, each drawn from a
-# generator of its own, which fixes its random stream and bounds its memory
-# at one block of normals at any scale. Each complex normal takes one raw
-# 64-bit word of that generator (channel.complex_normals). It transforms
-# each block in chunks of as many samples as keep its largest temporary, the
-# (L, K, chunk) link-by-user amplitudes, the (N, S, K, chunk) channel or the
-# (N, S, tau_p, chunk) pilot sums, near ORACLE_CHUNK_SIZE complex entries
-# (3.2 MB). The chunk length does not change the result.
+# The oracle samples in blocks, each drawn from a generator of its own,
+# which fixes its random stream. A block holds ORACLE_BLOCK samples, or as
+# many fewer as keep its normals, 16 bytes x N(S K + P) per sample, within
+# ORACLE_BLOCK_BYTES, and at least one: every shape up to the library
+# default keeps whole blocks, and memory stays bounded at any scale. Each
+# complex normal takes one raw 64-bit word of that generator
+# (channel.complex_normals). A block is transformed in chunks of as many
+# samples as keep all of a chunk's buffers within ORACLE_CHUNK_BYTES (about
+# a core's L2 cache), and at least one. The chunk length changes no draw;
+# it changes only the order in which the moment sums add up, and so the
+# result by at most 1e-12 relative.
 ORACLE_BLOCK = 1_000
-ORACLE_CHUNK_SIZE = 200_000
+ORACLE_BLOCK_BYTES = 128 * 2 ** 20
+ORACLE_CHUNK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -369,19 +373,25 @@ class _Scratch:
     scratch(name, shape, dtype) is a C-contiguous view of the leading
     entries of the named buffer, which grows only when a view needs more.
     The first block and its first chunk are the largest of a run, so each
-    buffer is allocated once per run.
+    buffer is allocated once per run. Views are kept by name and shape, so
+    the chunks of one length share them.
     """
 
     def __init__(self):
         self._buffers = {}
+        self._views = {}
 
     def __call__(self, name: str, shape: tuple[int, ...],
                  dtype=complex) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
+        view = self._views.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            buf = self._buffers.get(name)
+            if buf is None or buf.size < size:
+                buf = self._buffers[name] = np.empty(size, dtype)
+                self._views.clear()
+            view = self._views[name, shape] = buf[:size].reshape(shape)
+        return view
 
 
 @dataclass(frozen=True)
@@ -400,9 +410,11 @@ class _OraclePlan:
     link_pair: np.ndarray         # (L,) each link's index into the read pairs
     pair: np.ndarray              # (P,) index s tau_p + t of pair (S[s], t)
     pilots: np.ndarray            # (tau_p, K) sqrt(p^p tau_p) 1{t_k == t}
-    groups: np.ndarray            # (G, L) 1{link l belongs to group g}
+    groups: tuple                 # per user: group and link slices, indicator
+    num_groups: int               # G
     noise_scale: float            # sqrt(sigma^2 / 2)
-    step: int                     # samples per transform chunk
+    block: int                    # samples per block (ORACLE_BLOCK_BYTES)
+    step: int                     # samples per chunk (ORACLE_CHUNK_BYTES)
 
 
 def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
@@ -414,25 +426,36 @@ def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
     served, link_ap = np.unique(links.ap, return_inverse=True)
     pair, link_pair = np.unique(link_ap * tau_p + assignment.t[links.user],
                                 return_inverse=True)
-    num_links, num_served = links.ap.size, served.size
+    S, L, P, G = served.size, links.ap.size, pair.size, links.group_start.size
     sqrt_R = planes.planes(correlation_sqrt(stats.R[served]) / np.sqrt(2.0))
     link = links.ap * K + links.user
     w_coef = (link_scales(serving, powers, estimation.est_trace)
               * np.take(planes.planes(estimation.coef).reshape(N, N, -1), link,
                         axis=-1))
-    num_groups = links.group_start.size
-    groups = np.zeros((num_groups, num_links))
-    groups[np.repeat(np.arange(num_groups),
-                     np.diff(links.group_start, append=num_links)),
-           np.arange(num_links)] = 1.0
+    # Links are user-major, so the (G, L) indicator 1{link l belongs to
+    # group g} is block diagonal: one block per user, over its groups and
+    # their links.
+    edge = np.append(links.group_start, L)
+    indicator = np.zeros((G, L))
+    indicator[np.repeat(np.arange(G), np.diff(edge)), np.arange(L)] = 1.0
+    first = np.append(np.flatnonzero(np.diff(links.group_user, prepend=-1)), G)
+    groups = tuple((slice(g0, g1), slice(edge[g0], edge[g1]),
+                    indicator[g0:g1, edge[g0]:edge[g1]].copy())
+                   for g0, g1 in zip(first[:-1], first[1:]))
     pilots = np.sqrt(powers.pilot_power * tau_p) * (
         np.arange(tau_p)[:, None] == assignment.t)
-    widest = max(num_links * K, N * num_served * max(K, tau_p))
+    # Bytes per sample of a block's normals g and z, and of a chunk's
+    # buffers: the complex H, term, sums (as floats), y, y_sums, y_l, W,
+    # term_l, amp, term_lk, a and sq (as floats), and the real p.
+    normal_bytes = 16 * N * (S * K + P)
+    chunk_bytes = (16 * (N * S * K + S * K + N * S * tau_p + 2 * N * P
+                         + 2 * N * L + L + 2 * L * K + 2 * G * K) + 8 * G * K)
     return _OraclePlan(
         sqrt_R=sqrt_R, w_coef=w_coef, link_ap=link_ap, link_pair=link_pair,
-        pair=pair, pilots=pilots, groups=groups,
+        pair=pair, pilots=pilots, groups=groups, num_groups=G,
         noise_scale=math.sqrt(stats.noise_power / 2.0),
-        step=max(1, ORACLE_CHUNK_SIZE // widest))
+        block=min(ORACLE_BLOCK, max(1, ORACLE_BLOCK_BYTES // normal_bytes)),
+        step=max(1, ORACLE_CHUNK_BYTES // chunk_bytes))
 
 
 def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
@@ -471,7 +494,8 @@ def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
                        term=scratch("term_l", (L, c)))[:, 0]
     np.conjugate(W, out=W)
     # conj(a) at every link and user, sum_n H[m, k, n] conj(W[l, n]), then
-    # summed over each group's links by one real product on the float view.
+    # summed over each group's links by one real product per user's block
+    # of the group indicator, on the float view.
     amp = scratch("amp", (L, K, c))
     term = scratch("term_lk", (L, K, c))
     for n in range(N):
@@ -480,10 +504,12 @@ def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
         part *= W[n, :, None, :]
         if n:
             amp += part
-    G = plan.groups.shape[0]
-    return np.matmul(plan.groups, amp.view(float).reshape(L, 2 * K * c),
-                     out=scratch("a", (G, 2 * K * c), float)
-                     ).view(complex).reshape(G, K, c)
+    G = plan.num_groups
+    a = scratch("a", (G, 2 * K * c), float)
+    amp = amp.view(float).reshape(L, 2 * K * c)
+    for groups, links, indicator in plan.groups:
+        np.matmul(indicator, amp[links], out=a[groups])
+    return a.view(complex).reshape(G, K, c)
 
 
 def _block_moments(plan: _OraclePlan, run):
@@ -497,7 +523,7 @@ def _block_moments(plan: _OraclePlan, run):
     |a|^4.
     """
     N, _, S, K = plan.sqrt_R.shape
-    P, G = plan.pair.size, plan.groups.shape[0]
+    P, G = plan.pair.size, plan.num_groups
     scratch = _Scratch()
     for rng, n in run:
         bits = rng.bit_generator
@@ -578,15 +604,17 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     terms of the same inputs, with the same within-user partial sums of D:
     D_k^c / (sum_{i,b} mean |a_{i,k}^b|^2 - sum_{b<=c} D_k^b + sigma^2).
 
-    The samples are drawn in blocks of ORACLE_BLOCK, block b from the b-th
-    generator of rng.spawn: n samples take N S K n raw 64-bit words of its
-    bit generator for the channel normals, in C order of (N, S, K, n), then
-    N P n for the pilot noise, in C order of (N, P, n), one complex normal
-    per word (Box-Muller with a radius from the word's top 53 bits and a
-    phase on the 2048-point grid of its low 11, see
-    channel.complex_normals). Each
+    The samples are drawn in blocks of B = min(ORACLE_BLOCK,
+    max(1, ORACLE_BLOCK_BYTES // (16 N (S K + P)))) samples, the last one
+    partial, block b from the b-th generator of rng.spawn(ceil(num_samples
+    / B)); B is ORACLE_BLOCK at every shape up to the library default. A
+    block of n samples takes N S K n raw 64-bit words of its bit generator
+    for the channel normals, in C order of (N, S, K, n), then N P n for the
+    pilot noise, in C order of (N, P, n), one complex normal per word
+    (Box-Muller with a radius from the word's top 53 bits and a phase on
+    the 2048-point grid of its low 11, see channel.complex_normals). Each
     block is transformed in chunks, with its samples on the last axis of
-    every array (see ORACLE_CHUNK_SIZE). The blocks run through map_in_runs
+    every array (see ORACLE_CHUNK_BYTES). The blocks run through map_in_runs
     over at most jobs worker processes, and their sums are added in block
     order, so the result does not depend on jobs.
     """
@@ -598,8 +626,8 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     if not np.array_equal(sizes, np.bincount(links.group_user, minlength=K)):
         raise NumericalError("group count mismatch between terms and serving")
     plan = _oracle_plan(serving, stats, assignment, powers)
-    samples = [min(ORACLE_BLOCK, num_samples - lo)
-               for lo in range(0, num_samples, ORACLE_BLOCK)]
+    samples = [min(plan.block, num_samples - lo)
+               for lo in range(0, num_samples, plan.block)]
     blocks = list(zip(rng.spawn(len(samples)), samples))
     sum_a, sum_a2, sum_p2 = _add_in_order(
         map_in_runs(partial(_block_moments, plan), blocks, jobs))

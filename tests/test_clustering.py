@@ -343,6 +343,11 @@ class TestBuildServingStructure:
         with pytest.raises(TypeError, match="links or groups"):
             clustering.ServingStructure()
 
+    def test_clusters_without_groups_rejected(self):
+        # The groups set the links; clusters alone cannot.
+        with pytest.raises(TypeError, match="need groups"):
+            clustering.ServingStructure(clusters=((0, 1),))
+
     def test_over_noise_threshold_uses_noise_power(self, rng):
         beta = rng.lognormal(size=(6, 1)) * 1e-8
         noise = 1e-9

@@ -736,8 +736,8 @@ class TestOracle:
         config = replace(validation_config(12, 4, 4, 4),
                          oracle=OracleConfig(num_samples=3_000))
         _, default, _ = run_oracle_check(config)
-        for chunk in (7, 10 ** 9):
-            monkeypatch.setattr(spectral_efficiency, "ORACLE_CHUNK_SIZE", chunk)
+        for chunk in (1, 10 ** 12):
+            monkeypatch.setattr(spectral_efficiency, "ORACLE_CHUNK_BYTES", chunk)
             _, oracle, _ = run_oracle_check(config)
             for name in ("D", "D_se", "E", "E_se", "F", "F_se", "sinr",
                          "sinr_se"):
@@ -747,13 +747,14 @@ class TestOracle:
                     err_msg=f"{name}, chunk {chunk}")
 
     def test_batches_draw_the_stream_of_fresh_normals(self, monkeypatch):
-        # Block b, the partial last one included, turns the next N S K n raw
-        # words of the b-th generator spawned from the oracle's rng into the
-        # channel normals at the S served APs, in C order of (N, S, K, n),
-        # then the next N P n words into the pilot noise at the P read
-        # (AP, pilot) pairs, in C order of (N, P, n): one complex normal
-        # sqrt(-2 ln(1 - (w >> 11) 2^-53)) T[w & 2047] per word w.
-        monkeypatch.setattr(spectral_efficiency, "ORACLE_BLOCK", 700)
+        # A block holds B = min(ORACLE_BLOCK, max(1, ORACLE_BLOCK_BYTES //
+        # (16 N (S K + P)))) samples. Block b, the partial last one
+        # included, turns the next N S K n raw words of the b-th generator
+        # spawned from the oracle's rng into the channel normals at the S
+        # served APs, in C order of (N, S, K, n), then the next N P n words
+        # into the pilot noise at the P read (AP, pilot) pairs, in C order
+        # of (N, P, n): one complex normal sqrt(-2 ln(1 - (w >> 11) 2^-53))
+        # T[w & 2047] per word w.
         stats, assignment, serving, terms, powers, frame = small_instance(
             8, 3, 2, 2, 3, seed=4)
         links = serving.links
@@ -761,6 +762,8 @@ class TestOracle:
         pairs = len(set(zip(links.ap.tolist(),
                             assignment.t[links.user].tolist())))
         assert served < stats.num_aps and pairs < served * assignment.tau_p
+        N, K = stats.num_antennas, stats.num_users
+        sample_bytes = 16 * N * (served * K + pairs)
         drawn = []
         fill = channel.complex_normals
 
@@ -769,18 +772,29 @@ class TestOracle:
             return out
 
         monkeypatch.setattr(spectral_efficiency, "complex_normals", recording)
-        mc_oracle(serving, stats, assignment, powers, frame, 1_500,
-                  np.random.default_rng(3), terms=terms)
-        N, K = stats.num_antennas, stats.num_users
-        expected = []
-        for block, n in zip(np.random.default_rng(3).spawn(3), (700, 700, 100)):
-            for shape in ((N, served, K, n), (N, pairs, n)):
-                w = block.bit_generator.random_raw(shape)
-                radius = np.sqrt(-2.0 * np.log(1.0 - (w >> 11) * 2.0 ** -53))
-                expected.append(radius * channel._PHASES[w & 2047])
-        assert len(drawn) == len(expected)
-        for got, want in zip(drawn, expected):
-            np.testing.assert_array_equal(got, want)
+        # (ORACLE_BLOCK, ORACLE_BLOCK_BYTES, samples, the block lengths):
+        # blocks of ORACLE_BLOCK, blocks cut by the byte cap, and a cap
+        # below one sample.
+        for block, cap, num_samples, sizes in [
+                (700, spectral_efficiency.ORACLE_BLOCK_BYTES, 1_500,
+                 (700, 700, 100)),
+                (1_000, 600 * sample_bytes + 15, 1_500, (600, 600, 300)),
+                (1_000, sample_bytes - 1, 3, (1, 1, 1))]:
+            monkeypatch.setattr(spectral_efficiency, "ORACLE_BLOCK", block)
+            monkeypatch.setattr(spectral_efficiency, "ORACLE_BLOCK_BYTES", cap)
+            drawn.clear()
+            mc_oracle(serving, stats, assignment, powers, frame, num_samples,
+                      np.random.default_rng(3), terms=terms)
+            expected = []
+            for generator, n in zip(
+                    np.random.default_rng(3).spawn(len(sizes)), sizes):
+                for shape in ((N, served, K, n), (N, pairs, n)):
+                    w = generator.bit_generator.random_raw(shape)
+                    radius = np.sqrt(-2.0 * np.log(1.0 - (w >> 11) * 2.0 ** -53))
+                    expected.append(radius * channel._PHASES[w & 2047])
+            assert len(drawn) == len(expected), sizes
+            for got, want in zip(drawn, expected):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("num_antennas", [1, 2, 3])
     def test_chunk_kernel_is_the_public_estimation_chain(self, num_antennas):
@@ -892,9 +906,9 @@ class TestOracle:
 
     def test_peak_memory_is_one_batch_of_normals(self):
         # One 100 000-sample call at (M, K, Q, tau_p) = (12, 4, 4, 4) holds
-        # one 1 000-sample block of complex normals (2.1 MB here) and
-        # chunk-sized buffers: the (L, K, chunk) amplitudes (1.5 MB) and a
-        # few arrays of their size.
+        # one 1 000-sample block of complex normals (2.1 MB here) and one
+        # chunk's buffers (at most ORACLE_CHUNK_BYTES, 1 MiB): about 3.6 MB
+        # traced.
         stats, assignment, serving, terms, powers, frame = small_instance(
             12, 4, 2, 4, 4, seed=0)
         tracemalloc.start()
@@ -904,7 +918,63 @@ class TestOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 6e6
+
+    @pytest.mark.parametrize("config", [
+        *(validation_config(*shape) for shape in
+          ((8, 3, 2, 2), (8, 3, 2, 3), (12, 4, 4, 2), (12, 4, 4, 4))),
+        ExperimentConfig(
+            scenario=ScenarioConfig(num_aps=40, num_users=10, num_antennas=2),
+            clustering=ClusteringParams(algorithm="legacy_largest_lsf",
+                                        legacy_cluster_size=10)),
+        ExperimentConfig()], ids=["8-3-2-2", "8-3-2-3", "12-4-4-2", "12-4-4-4",
+                                  "desk", "default"])
+    def test_chunk_buffers_fill_the_byte_budget(self, monkeypatch, config):
+        # At the validation shapes, the desk scale and the library default,
+        # a chunk's thirteen buffers hold at most ORACLE_CHUNK_BYTES, and
+        # one more sample would not fit: the plan counts each buffer once.
+        plans, scratches = [], []
+        plan_of = spectral_efficiency._oracle_plan
+
+        def recording_plan(*args):
+            plans.append(plan_of(*args))
+            return plans[-1]
+
+        class RecordingScratch(spectral_efficiency._Scratch):
+            def __init__(self):
+                super().__init__()
+                scratches.append(self)
+
+        monkeypatch.setattr(spectral_efficiency, "_oracle_plan", recording_plan)
+        monkeypatch.setattr(spectral_efficiency, "_Scratch", RecordingScratch)
+        run_oracle_check(replace(config, oracle=OracleConfig(num_samples=500)))
+        [plan], [scratch] = plans, scratches
+        assert plan.block == spectral_efficiency.ORACLE_BLOCK
+        assert plan.step < 500
+        # g and z are the block's normals, the rest the chunk's buffers.
+        chunk = set(scratch._buffers) - {"g", "z"}
+        assert chunk == {"H", "term", "sums", "y", "y_sums", "y_l", "W",
+                         "term_l", "amp", "term_lk", "a", "sq", "p"}
+        total = sum(scratch._buffers[name].nbytes for name in chunk)
+        assert total <= spectral_efficiency.ORACLE_CHUNK_BYTES
+        assert total + total // plan.step > spectral_efficiency.ORACLE_CHUNK_BYTES
+
+    def test_large_scale_blocks_stay_within_the_byte_cap(self):
+        # M=400, K=100, N=4, drop 0: a sample takes 2.6 MB of normals, so a
+        # block holds 52 samples (133 MB of normals) and a chunk one. 64
+        # samples peak at about 181 MB traced, drop and closed form
+        # included; in one block of all 64 they peak at about 237 MB, and a
+        # block of 1 000 samples would take 2.6 GB.
+        config = ExperimentConfig(
+            scenario=ScenarioConfig(num_aps=400, num_users=100, num_antennas=4),
+            oracle=OracleConfig(num_samples=64))
+        tracemalloc.start()
+        try:
+            run_oracle_check(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
 
     def test_invalid_sample_count(self, rng):
         stats, assignment, serving = _single_link_setup(rng)
