@@ -97,6 +97,16 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        # Parsed and Python-built configs meet one sweep rule, so every key
+        # of a results document is a str.
+        if self.sweep is not None:
+            if not isinstance(self.sweep, dict) or not all(
+                    isinstance(k, str) and isinstance(v, (list, tuple)) and v
+                    for k, v in self.sweep.items()):
+                raise ConfigurationError(
+                    "sweep must map parameter names to non-empty value lists")
+            object.__setattr__(self, "sweep",
+                               {k: tuple(v) for k, v in self.sweep.items()})
         if self.transmission_mode not in TRANSMISSION_MODES:
             raise ConfigurationError(
                 f"transmission_mode must be one of {TRANSMISSION_MODES}")
@@ -115,6 +125,17 @@ class ExperimentConfig:
                 f"largest wrap-around distance it reaches {loss:.0f} dB, and "
                 f"large-scale fading below {_SMALLEST_NORMAL_DB:.0f} dB "
                 "underflows")
+        # The exponent of spatial_correlation at the largest lag, N - 1.
+        N, large = self.scenario.num_antennas, self.large_scale
+        if N > 1:
+            asd = math.radians(large.asd_deg)
+            phase = 2.0 * math.pi * large.antenna_spacing * (N - 1)
+            if not math.isfinite(0.5 * (asd * asd) * (phase * phase)):
+                raise ConfigurationError(
+                    f"large_scale.asd_deg {large.asd_deg} and antenna_spacing "
+                    f"{large.antenna_spacing} overflow the spatial correlation "
+                    f"of {N} antennas: its exponent 0.5 asd^2 (2 pi spacing "
+                    "(N - 1))^2, asd in radians, is not a finite double")
 
 
 def validation_config(num_aps: int, num_users: int, num_cpus: int,
@@ -160,8 +181,13 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def _is_float(value) -> bool:
-    return not isinstance(value, bool) and (
-        isinstance(value, int) or (isinstance(value, float) and math.isfinite(value)))
+    """A finite double, or an int that converts to one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:       # an int beyond the largest double
+        return False
 
 
 # Parse-time checks by declared field type. Annotations are postponed, so a
@@ -211,14 +237,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     values of the wrong type reject."""
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be an object")
-    data = dict(data)
-    sweep = data.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict) or not all(
-                isinstance(v, (list, tuple)) and v for v in sweep.values()):
-            raise ConfigurationError(
-                "sweep must map parameter names to non-empty value lists")
-        data["sweep"] = {k: tuple(v) for k, v in sweep.items()}
     return _from_mapping(ExperimentConfig, data, "config")
 
 
@@ -536,64 +554,6 @@ def run_oracle_check(config: ExperimentConfig, drop_index: int = 0,
 # Persistence
 # ---------------------------------------------------------------------------
 
-# The values that json.dumps(indent=2) writes over several lines, when not
-# empty.
-_CONTAINERS = (dict, list, tuple)
-
-
-@lru_cache(maxsize=None)
-def _flat_encoder(depth: int):
-    """The encode of a JSONEncoder that writes a container without nested
-    containers at depth as json.dumps(indent=2) does, but for the line
-    breaks after its opening and before its closing bracket."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "),
-                            check_circular=False).encode
-
-
-def _indented(value, depth: int, done: dict) -> str:
-    """A dict, list or tuple as json.dumps(indent=2) writes it at depth.
-
-    done maps the (id, depth) of each container written so far to its
-    text, so that a container which the document holds more than once is
-    encoded once per depth; the document keeps each container, and so its
-    id, alive meanwhile. A container without nested containers takes one
-    _flat_encoder call. A dict key that is not a str raises TypeError.
-    """
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    text = done.get((id(value), depth))
-    if text is not None:
-        return text
-    is_dict = isinstance(value, dict)
-    if is_dict:
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-    items = value.values() if is_dict else value
-    encode = _flat_encoder(depth)
-    if any(isinstance(v, _CONTAINERS) for v in items):
-        texts = [_indented(v, depth + 1, done) if isinstance(v, _CONTAINERS)
-                 else encode(v) for v in items]
-        if is_dict:
-            texts = [f"{encode(k)}: {t}" for k, t in zip(value, texts)]
-        inner = (",\n" + "  " * (depth + 1)).join(texts)
-    else:
-        inner = encode(value)[1:-1]
-    opening, closing = "{}" if is_dict else "[]"
-    text = f"{opening}\n{'  ' * (depth + 1)}{inner}\n{'  ' * depth}{closing}"
-    done[(id(value), depth)] = text
-    return text
-
-
-def _json_text(doc) -> str:
-    """json.dumps(doc, indent=2) of a document with str keys, with a
-    container that doc holds more than once, such as a config section that
-    several echoes share, encoded once per depth."""
-    if isinstance(doc, _CONTAINERS):
-        return _indented(doc, 0, {})
-    return _flat_encoder(0)(doc)
-
-
 def emit_results(results: list[tuple[dict, ExperimentResult]],
                  out_dir: str | Path, stem: str = "results") -> tuple[Path, Path]:
     """Write a CSV of per-drop rows and a JSON sidecar with summaries.
@@ -638,7 +598,7 @@ def emit_results(results: list[tuple[dict, ExperimentResult]],
             ],
         }
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(doc) + "\n")
+            fh.write(json.dumps(doc, indent=2) + "\n")
     except OSError as exc:
         raise CfMimoError(f"cannot write results under {out_dir}: {exc}") from exc
     return csv_path, json_path

@@ -411,7 +411,6 @@ class _OraclePlan:
     pair: np.ndarray              # (P,) index s tau_p + t of pair (S[s], t)
     pilots: np.ndarray            # (tau_p, K) sqrt(p^p tau_p) 1{t_k == t}
     groups: tuple                 # per user: group and link slices, indicator
-    num_groups: int               # G
     noise_scale: float            # sqrt(sigma^2 / 2)
     block: int                    # samples per block (ORACLE_BLOCK_BYTES)
     step: int                     # samples per chunk (ORACLE_CHUNK_BYTES)
@@ -434,13 +433,13 @@ def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
                         axis=-1))
     # Links are user-major, so the (G, L) indicator 1{link l belongs to
     # group g} is block diagonal: one block per user, over its groups and
-    # their links.
+    # their links, built on its own.
     edge = np.append(links.group_start, L)
-    indicator = np.zeros((G, L))
-    indicator[np.repeat(np.arange(G), np.diff(edge)), np.arange(L)] = 1.0
+    owner = np.repeat(np.arange(G), np.diff(edge))      # each link's group
     first = np.append(np.flatnonzero(np.diff(links.group_user, prepend=-1)), G)
     groups = tuple((slice(g0, g1), slice(edge[g0], edge[g1]),
-                    indicator[g0:g1, edge[g0]:edge[g1]].copy())
+                    (owner[edge[g0]:edge[g1]] == np.arange(g0, g1)[:, None])
+                    .astype(float))
                    for g0, g1 in zip(first[:-1], first[1:]))
     pilots = np.sqrt(powers.pilot_power * tau_p) * (
         np.arange(tau_p)[:, None] == assignment.t)
@@ -452,7 +451,7 @@ def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
                          + 2 * N * L + L + 2 * L * K + 2 * G * K) + 8 * G * K)
     return _OraclePlan(
         sqrt_R=sqrt_R, w_coef=w_coef, link_ap=link_ap, link_pair=link_pair,
-        pair=pair, pilots=pilots, groups=groups, num_groups=G,
+        pair=pair, pilots=pilots, groups=groups,
         noise_scale=math.sqrt(stats.noise_power / 2.0),
         block=min(ORACLE_BLOCK, max(1, ORACLE_BLOCK_BYTES // normal_bytes)),
         step=max(1, ORACLE_CHUNK_BYTES // chunk_bytes))
@@ -504,7 +503,7 @@ def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
         part *= W[n, :, None, :]
         if n:
             amp += part
-    G = plan.num_groups
+    G = plan.groups[-1][0].stop       # the last user's groups end at G
     a = scratch("a", (G, 2 * K * c), float)
     amp = amp.view(float).reshape(L, 2 * K * c)
     for groups, links, indicator in plan.groups:
@@ -523,7 +522,7 @@ def _block_moments(plan: _OraclePlan, run):
     |a|^4.
     """
     N, _, S, K = plan.sqrt_R.shape
-    P, G = plan.pair.size, plan.num_groups
+    P, G = plan.pair.size, plan.groups[-1][0].stop
     scratch = _Scratch()
     for rng, n in run:
         bits = rng.bit_generator

@@ -157,6 +157,21 @@ class TestSweep:
         assert first["scenario"] is second["scenario"]
         assert first["clustering"] == second["clustering"]
 
+    @pytest.mark.parametrize("sweep", [
+        {1: (2,)}, {"transmission_mode": ()}, {"transmission_mode": "mixed"},
+    ], ids=["int_key", "empty_axis", "str_axis"])
+    def test_malformed_sweep_rejected(self, sweep):
+        # A config built in Python meets the parser's rule: a key that is
+        # not a str, an empty axis and a str in place of a list reject when
+        # the config is built, not when it runs.
+        with pytest.raises(ConfigurationError, match="sweep must map parameter "
+                           "names to non-empty value lists"):
+            ExperimentConfig(num_drops=1, sweep=sweep)
+
+    def test_sweep_axes_are_stored_as_tuples(self):
+        config = _tiny_config(sweep={"clustering.n_ap": [2, 4]})
+        assert config.sweep == {"clustering.n_ap": (2, 4)}
+
     def test_grid_size(self):
         config = _tiny_config(num_drops=1, sweep={
             "clustering.n_ap": (2, 4), "transmission_mode": ("mixed",
@@ -534,54 +549,20 @@ class TestEmitResults:
         assert probs == sorted(probs)
 
 
-_json_texts = st.text(st.one_of(st.characters(), st.sampled_from(
-    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "\U0001f600"])))
-_json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), _json_texts,
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7e308]))
-_json_docs = st.recursive(_json_scalars, lambda children: st.one_of(
-    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
-    st.dictionaries(_json_texts, children, max_size=4)), max_leaves=10)
-
-
 class TestJsonText:
     """results.json is written as json.dumps(doc, indent=2) writes it."""
 
-    @given(doc=_json_docs, shared=st.dictionaries(_json_texts, _json_docs,
-                                                   max_size=3))
-    @settings(max_examples=100, deadline=None)
-    def test_equals_json_dumps(self, doc, shared):
-        # shared sits at depths 1 and 3, and twice at depth 2.
-        nested = {"doc": doc, "shared": shared,
-                  "list": [shared, shared, {"again": shared}], "tuple": (doc,)}
-        for value in (doc, shared, nested):
-            assert harness._json_text(value) == json.dumps(value, indent=2)
-
-    def test_non_string_keys(self):
-        # A results document has str keys only; a dict rejects any other
-        # key, with or without nested containers, nested or at the top.
-        for key in (1, 1.5, True, None, math.nan, -0.0, (1, 2)):
-            for doc in ({"a": {key: [3]}}, {"a": {key: 3}}, {key: 3}):
-                with pytest.raises(TypeError, match="keys must be str"):
-                    harness._json_text(doc)
-
     @pytest.mark.parametrize("drops", [2, 200])
-    def test_fig3_6_document(self, tmp_path, monkeypatch, drops):
-        docs = []
-
-        def capturing(doc):
-            docs.append(doc)
-            return json_text(doc)
-
-        json_text = harness._json_text
-        monkeypatch.setattr(harness, "_json_text", capturing)
+    def test_fig3_6_document(self, tmp_path, drops):
         results = run_experiment(replace(cli._preset("fig3-6"), num_drops=drops))
         _, json_path = emit_results(results, tmp_path, stem="fig3-6")
-        assert (json_path.read_text(encoding="utf-8")
-                == json.dumps(docs[0], indent=2) + "\n")
+        text = json_path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
         # The 27 echoes share the sections that the grid leaves alone.
-        configs = [entry["config"] for entry in docs[0]["results"]]
-        assert all(c["scenario"] is configs[0]["scenario"] for c in configs)
+        configs = [result.config for _, result in results]
+        assert len(configs) == 27
+        for name in ("scenario", "large_scale", "powers", "frame", "oracle"):
+            assert all(c[name] is configs[0][name] for c in configs)
 
 
 _numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -650,6 +631,9 @@ class TestCli:
         {"sweep": {"large_scale.path_loss": [{"d0": 5.0}]}},
         {"sweep": {"oracle": [1]}},
         {"sweep": {"sweep": [1]}},
+        # Integers beyond the largest double are no float values.
+        {"large_scale": {"asd_deg": 10**400}},
+        {"scenario": {"area_side": 10**400}},
     ])
     def test_mistyped_value_exit_code(self, tmp_path, capsys, section):
         path = tmp_path / "config.json"
@@ -689,6 +673,34 @@ class TestCli:
         out = ["--out", str(tmp_path)] if command == "run" else []
         assert main([command, "--config", str(path), *out]) == 1
         assert "configuration error: area_side" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("large_scale", [
+        {"asd_deg": 1e160}, {"asd_deg": 1e300}, {"antenna_spacing": 1e300},
+    ], ids=["asd_1e160", "asd_1e300", "spacing_1e300"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_correlation_exit_code(self, tmp_path, capsys, command,
+                                               large_scale):
+        # The exponent of the spatial correlation at the largest antenna lag
+        # overflows: a configuration error that names both fields, not a
+        # floating-point warning and a run that exits 0.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"num_drops": 1, "large_scale": large_scale}))
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        assert main([command, "--config", str(path), *out]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: large_scale.asd_deg" in err
+        assert "antenna_spacing" in err
+
+    @pytest.mark.parametrize("asd_deg", [15.0, 1e5])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wide_angular_spread_runs(self, tmp_path, asd_deg):
+        # At 1e5 degrees the correlation between antennas underflows to 0,
+        # which numpy does not warn of.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"num_drops": 1,
+                                    "large_scale": {"asd_deg": asd_deg}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
 
     def test_nonzero_scenario_seed_exit_code(self, tmp_path, capsys):
         # Every drop derives its deployment seed from base_seed, so a
