@@ -22,10 +22,12 @@ NOISE_TEMPERATURE = 290.0  # K
 # complex_normals turns raw words into normals in pieces of at most
 # ORACLE_PIECE words, which bounds its temporaries at 128 KB each; the piece
 # length does not change the normals. Their phases lie on the exact grid of
-# the 2048 roots of unity, indexed by the low 11 bits of a word.
+# the 2048 roots of unity, indexed by the low 11 bits of a word, held in
+# double and in single precision.
 ORACLE_PIECE = 2 ** 14
 _PHASE_BITS = 11
 _PHASES = np.exp(2j * np.pi * np.arange(2 ** _PHASE_BITS) / 2 ** _PHASE_BITS)
+_PHASES_SINGLE = _PHASES.astype(np.complex64)
 
 
 def cost_hata_fixed_term_db(freq_mhz: float = 1900.0,
@@ -235,10 +237,21 @@ def complex_normals(bit_generator: np.random.BitGenerator,
     that the oracle estimates, polynomials of degree at most 8 in the
     normals, is that of Gaussian draws. The words are read in pieces of at
     most ORACLE_PIECE, in order, so the piece length changes nothing.
+
+    The normals take the precision of out. A complex64 out reads the same
+    words, and each of its normals is the complex128 normal of that word
+    to within 2 float32 ulps: 1 - (w >> 11) 2^-53, its log and the square
+    root stay in double precision, so small radii keep their accuracy, and
+    r, rounded once to single precision, multiplies the single-precision T.
+    The phases then lie on the grid to float32 rounding, and the moment
+    argument holds to that rounding.
     """
     flat = out.reshape(-1)
+    single = out.dtype == np.complex64
     size = min(ORACLE_PIECE, flat.size)
     phase, radius = np.empty(size, np.intp), np.empty(size)
+    rounded = np.empty(size, np.float32) if single else radius
+    phases = _PHASES_SINGLE if single else _PHASES
     for lo in range(0, flat.size, ORACLE_PIECE):
         words = bit_generator.random_raw(min(ORACLE_PIECE, flat.size - lo))
         n = words.size
@@ -252,8 +265,9 @@ def complex_normals(bit_generator: np.random.BitGenerator,
         np.subtract(1.0, r, out=r)
         np.log(r, out=r)
         r *= -2.0
-        np.sqrt(r, out=r)
-        piece = np.take(_PHASES, phase[:n], out=flat[lo:lo + n], mode="clip")
+        # A complex64 out's radius is rounded to single precision here, once.
+        r = np.sqrt(r, out=rounded[:n])
+        piece = np.take(phases, phase[:n], out=flat[lo:lo + n], mode="clip")
         np.multiply(piece, r, out=piece)
     return out
 

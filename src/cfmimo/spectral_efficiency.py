@@ -35,18 +35,30 @@ from .views import TupleView, set_flat, views_given
 
 # The oracle samples in blocks, each drawn from a generator of its own,
 # which fixes its random stream. A block holds ORACLE_BLOCK samples, or as
-# many fewer as keep its normals, 16 bytes x N(S K + P) per sample, within
-# ORACLE_BLOCK_BYTES, and at least one: every shape up to the library
-# default keeps whole blocks, and memory stays bounded at any scale. Each
-# complex normal takes one raw 64-bit word of that generator
-# (channel.complex_normals). A block is transformed in chunks of as many
-# samples as keep all of a chunk's buffers within ORACLE_CHUNK_BYTES (about
-# a core's L2 cache), and at least one. The chunk length changes no draw;
-# it changes only the order in which the moment sums add up, and so the
-# result by at most 1e-12 relative.
+# many fewer as keep its normals, counted as 16 bytes x N(S K + P) per
+# sample, within ORACLE_BLOCK_BYTES, and at least one: every shape up to
+# the library default keeps whole blocks, and memory stays bounded at any
+# scale. The rule counts 16-byte normals in either precision of the
+# kernel, so that the stream does not depend on the precision; normals in
+# single precision take half those bytes. Each complex normal takes one
+# raw 64-bit word of that generator (channel.complex_normals). A block is
+# transformed in chunks of as many samples as keep all of a chunk's
+# buffers, in the bytes of the kernel's precision, within
+# ORACLE_CHUNK_BYTES (about a core's L2 cache), and at least one. The
+# chunk length changes no draw and no amplitude; it changes only the order
+# in which the moment sums add up, and so the result by at most 1e-12
+# relative.
 ORACLE_BLOCK = 1_000
 ORACLE_BLOCK_BYTES = 128 * 2 ** 20
 ORACLE_CHUNK_BYTES = 2 ** 20
+# The kernel draws and transforms the samples in single precision
+# (complex64) where every value it forms stays a normal float32, and in
+# double precision elsewhere; the moment sums, and all that follows them,
+# are double. A value stays normal (float32's exponents run from -126 to
+# 127) when its RMS magnitude lies within 2^(+-ORACLE_SINGLE_EXPONENT): a
+# normal's nonzero radius, at least 2^-26, or a sum of up to 2^20 terms
+# still keeps it in range. See _kernel_dtype.
+ORACLE_SINGLE_EXPONENT = 100
 
 
 @dataclass(frozen=True)
@@ -382,7 +394,7 @@ class _Scratch:
         self._views = {}
 
     def __call__(self, name: str, shape: tuple[int, ...],
-                 dtype=complex) -> np.ndarray:
+                 dtype) -> np.ndarray:
         view = self._views.get((name, shape))
         if view is None:
             size = math.prod(shape)
@@ -402,7 +414,9 @@ class _OraclePlan:
     (AP, pilot) pairs (m, t_i) of the serving links (m, i): the only
     channels and pilot observations that an estimate or an amplitude reads.
     The N x N matrices are held as entry planes (cfmimo.planes), so that a
-    chunk's arrays, samples last, take them by broadcasting.
+    chunk's arrays, samples last, take them by broadcasting. sqrt_R and
+    w_coef are complex, pilots and the group indicators real, all in the
+    kernel's precision (_kernel_dtype): sqrt_R.dtype is the kernel's dtype.
     """
     sqrt_R: np.ndarray            # (N, N, S, K) planes of R^(1/2) / sqrt(2)
     w_coef: np.ndarray            # (N, N, L) planes of s A, the MR-scaled estimator
@@ -416,6 +430,32 @@ class _OraclePlan:
     step: int                     # samples per chunk (ORACLE_CHUNK_BYTES)
 
 
+def _kernel_dtype(h: np.ndarray, y: np.ndarray, w: np.ndarray) -> type:
+    """complex64 if single precision holds the oracle kernel's values of a
+    drop, else complex128.
+
+    h, y and w are RMS magnitudes: of the channel entries at the served APs
+    (sqrt(beta) at every user), of the pilot observations (sigma, and the
+    largest sqrt(sigma^2 + p^p tau_p sum_k beta)) and of the precoder
+    entries at the active links (sqrt(rho_l / N)). The kernel forms these,
+    their products (the amplitudes) and their quotients w / y (the
+    MR-scaled estimator), and single precision holds them when every one
+    lies within 2^(+-ORACLE_SINGLE_EXPONENT). A zero is exact in either
+    precision, so zeros are left out. Float32 underflows first on a huge
+    area: at a path loss of about 700 dB, sqrt(beta) is near 1e-37.
+    """
+    h, w = np.log2(h[h > 0]), np.log2(w[w > 0])
+    if not (h.size and w.size):
+        return np.complex64          # every amplitude is 0
+    y = np.log2(y)
+    extremes = (h.min(), h.max(), y.min(), y.max(), w.min(), w.max(),
+                h.min() + w.min(), h.max() + w.max(),
+                w.min() - y.max(), w.max() - y.min())
+    if max(map(abs, extremes)) <= ORACLE_SINGLE_EXPONENT:
+        return np.complex64
+    return np.complex128
+
+
 def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
                  assignment: PilotAssignment, powers: PowerConfig) -> _OraclePlan:
     """The plan of mc_oracle's blocks at serving.links."""
@@ -426,11 +466,18 @@ def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
     pair, link_pair = np.unique(link_ap * tau_p + assignment.t[links.user],
                                 return_inverse=True)
     S, L, P, G = served.size, links.ap.size, pair.size, links.group_start.size
-    sqrt_R = planes.planes(correlation_sqrt(stats.R[served]) / np.sqrt(2.0))
+    scale = link_scales(serving, powers, estimation.est_trace)
+    beta = stats.beta[served]
+    noise, pilot = stats.noise_power, powers.pilot_power * tau_p
+    cx = _kernel_dtype(
+        np.sqrt(beta), np.sqrt([noise, noise + pilot * beta.sum(axis=1).max()]),
+        scale * np.sqrt(estimation.est_trace[links.ap, links.user] / N))
+    real = np.finfo(cx).dtype
+    sqrt_R = planes.planes(correlation_sqrt(stats.R[served]) / np.sqrt(2.0)
+                           ).astype(cx, copy=False)
     link = links.ap * K + links.user
-    w_coef = (link_scales(serving, powers, estimation.est_trace)
-              * np.take(planes.planes(estimation.coef).reshape(N, N, -1), link,
-                        axis=-1))
+    w_coef = (scale * np.take(planes.planes(estimation.coef).reshape(N, N, -1),
+                              link, axis=-1)).astype(cx, copy=False)
     # Links are user-major, so the (G, L) indicator 1{link l belongs to
     # group g} is block diagonal: one block per user, over its groups and
     # their links, built on its own.
@@ -439,16 +486,18 @@ def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
     first = np.append(np.flatnonzero(np.diff(links.group_user, prepend=-1)), G)
     groups = tuple((slice(g0, g1), slice(edge[g0], edge[g1]),
                     (owner[edge[g0]:edge[g1]] == np.arange(g0, g1)[:, None])
-                    .astype(float))
+                    .astype(real))
                    for g0, g1 in zip(first[:-1], first[1:]))
-    pilots = np.sqrt(powers.pilot_power * tau_p) * (
-        np.arange(tau_p)[:, None] == assignment.t)
-    # Bytes per sample of a block's normals g and z, and of a chunk's
-    # buffers: the complex H, term, sums (as floats), y, y_sums, y_l, W,
-    # term_l, amp, term_lk, a and sq (as floats), and the real p.
+    pilots = (math.sqrt(pilot) * (np.arange(tau_p)[:, None] == assignment.t)
+              ).astype(real)
+    # Bytes per sample of a block's normals g and z in double precision
+    # (see ORACLE_BLOCK_BYTES), and of a chunk's buffers: H, term, sums (as
+    # floats), y, y_sums, y_l, W, term_l, amp, term_lk and a (as floats) in
+    # the kernel's precision, and sq and p, |a|^2 in double precision.
     normal_bytes = 16 * N * (S * K + P)
-    chunk_bytes = (16 * (N * S * K + S * K + N * S * tau_p + 2 * N * P
-                         + 2 * N * L + L + 2 * L * K + 2 * G * K) + 8 * G * K)
+    chunk_bytes = (np.dtype(cx).itemsize
+                   * (N * S * K + S * K + N * S * tau_p + 2 * N * P + 2 * N * L
+                      + L + 2 * L * K + G * K) + 24 * G * K)
     return _OraclePlan(
         sqrt_R=sqrt_R, w_coef=w_coef, link_ap=link_ap, link_pair=link_pair,
         pair=pair, pilots=pilots, groups=groups,
@@ -466,37 +515,39 @@ def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
     real and imaginary parts. For every group b of user i and observing
     user k, a = sum over the links (m, i) of b of H[m, k]^H W[m, i], and
     only its conjugate is formed: the oracle reads |mean a|^2, |a|^2 and
-    |a|^4, which the sign of Im(a) does not change. The result is a view
-    into scratch, valid until its next chunk.
+    |a|^4, which the sign of Im(a) does not change. Every buffer is in the
+    plan's precision. The result is a view into scratch, valid until its
+    next chunk.
     """
     N, _, S, K = plan.sqrt_R.shape
+    cx, real = plan.sqrt_R.dtype, plan.pilots.dtype
     L, P, c = plan.link_ap.size, plan.pair.size, g.shape[-1]
     tau_p = plan.pilots.shape[0]
     # H = R^(1/2) g at the served APs, the planes' product with one column.
     H = planes.product(plan.sqrt_R[..., None], g[:, None],
-                       out=scratch("H", (N, 1, S, K, c)),
-                       term=scratch("term", (S, K, c)))[:, 0]
+                       out=scratch("H", (N, 1, S, K, c), cx),
+                       term=scratch("term", (S, K, c), cx))[:, 0]
     # Pilot sums sqrt(p^p tau_p) sum_{t_i = t} H[m, i] by one real product on
     # the float view, then the noisy observations at the read pairs. Every
     # index is in range, and mode="clip" lets np.take write into out
     # directly, where the default mode would buffer a copy.
-    sums = np.matmul(plan.pilots, H.view(float).reshape(N * S, K, 2 * c),
-                     out=scratch("sums", (N * S, tau_p, 2 * c), float))
-    y = np.multiply(z, plan.noise_scale, out=scratch("y", (N, P, c)))
-    y += np.take(sums.view(complex).reshape(N, S * tau_p, c), plan.pair,
-                 axis=1, out=scratch("y_sums", (N, P, c)), mode="clip")
+    sums = np.matmul(plan.pilots, H.view(real).reshape(N * S, K, 2 * c),
+                     out=scratch("sums", (N * S, tau_p, 2 * c), real))
+    y = np.multiply(z, plan.noise_scale, out=scratch("y", (N, P, c), cx))
+    y += np.take(sums.view(cx).reshape(N, S * tau_p, c), plan.pair,
+                 axis=1, out=scratch("y_sums", (N, P, c), cx), mode="clip")
     # conj(W) = conj(s A y) at the links.
-    y_l = np.take(y, plan.link_pair, axis=1, out=scratch("y_l", (N, L, c)),
-                  mode="clip")
+    y_l = np.take(y, plan.link_pair, axis=1,
+                  out=scratch("y_l", (N, L, c), cx), mode="clip")
     W = planes.product(plan.w_coef[..., None], y_l[:, None],
-                       out=scratch("W", (N, 1, L, c)),
-                       term=scratch("term_l", (L, c)))[:, 0]
+                       out=scratch("W", (N, 1, L, c), cx),
+                       term=scratch("term_l", (L, c), cx))[:, 0]
     np.conjugate(W, out=W)
     # conj(a) at every link and user, sum_n H[m, k, n] conj(W[l, n]), then
     # summed over each group's links by one real product per user's block
     # of the group indicator, on the float view.
-    amp = scratch("amp", (L, K, c))
-    term = scratch("term_lk", (L, K, c))
+    amp = scratch("amp", (L, K, c), cx)
+    term = scratch("term_lk", (L, K, c), cx)
     for n in range(N):
         part = np.take(H[n], plan.link_ap, axis=0, out=amp if n == 0 else term,
                        mode="clip")
@@ -504,11 +555,11 @@ def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
         if n:
             amp += part
     G = plan.groups[-1][0].stop       # the last user's groups end at G
-    a = scratch("a", (G, 2 * K * c), float)
-    amp = amp.view(float).reshape(L, 2 * K * c)
+    a = scratch("a", (G, 2 * K * c), real)
+    amp = amp.view(real).reshape(L, 2 * K * c)
     for groups, links, indicator in plan.groups:
         np.matmul(indicator, amp[links], out=a[groups])
-    return a.view(complex).reshape(G, K, c)
+    return a.view(cx).reshape(G, K, c)
 
 
 def _block_moments(plan: _OraclePlan, run):
@@ -517,26 +568,29 @@ def _block_moments(plan: _OraclePlan, run):
     A block draws N S K n complex normals (channel.complex_normals) from
     its rng's bit generator, the channel normals at the served APs in C
     order of (N, S, K, n), then N P n, the pilot noise at the read pairs in
-    C order of (N, P, n), into buffers that the run's blocks share. The
-    sums, per (group, observing user), are those of conj(a), |a|^2 and
-    |a|^4.
+    C order of (N, P, n), into buffers that the run's blocks share, in the
+    plan's precision. The sums, per (group, observing user), are those of
+    conj(a), |a|^2 and |a|^4, all three formed and added in double
+    precision.
     """
     N, _, S, K = plan.sqrt_R.shape
     P, G = plan.pair.size, plan.groups[-1][0].stop
+    cx, real = plan.sqrt_R.dtype, plan.pilots.dtype
     scratch = _Scratch()
     for rng, n in run:
         bits = rng.bit_generator
-        g = complex_normals(bits, scratch("g", (N, S, K, n)))
-        z = complex_normals(bits, scratch("z", (N, P, n)))
+        g = complex_normals(bits, scratch("g", (N, S, K, n), cx))
+        z = complex_normals(bits, scratch("z", (N, P, n), cx))
         sums = [np.zeros((G, K), dtype=complex), *np.zeros((2, G, K))]
         for lo in range(0, n, plan.step):
             chunk = slice(lo, lo + plan.step)
             a = _chunk_amplitudes(plan, g[..., chunk], z[..., chunk], scratch)
             c = a.shape[-1]
-            sq = np.square(a.view(float), out=scratch("sq", (G, K, 2 * c), float))
+            sq = np.square(a.view(real), out=scratch("sq", (G, K, 2 * c), float),
+                           dtype=float)
             p = np.add(sq[..., 0::2], sq[..., 1::2],
                        out=scratch("p", (G, K, c), float))
-            sums[0] += a.sum(axis=-1)
+            sums[0] += a.sum(axis=-1, dtype=complex)
             sums[1] += p.sum(axis=-1)
             sums[2] += np.square(p, out=p).sum(axis=-1)
         yield sums
@@ -613,9 +667,19 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     (Box-Muller with a radius from the word's top 53 bits and a phase on
     the 2048-point grid of its low 11, see channel.complex_normals). Each
     block is transformed in chunks, with its samples on the last axis of
-    every array (see ORACLE_CHUNK_BYTES). The blocks run through map_in_runs
-    over at most jobs worker processes, and their sums are added in block
-    order, so the result does not depend on jobs.
+    every array (see ORACLE_CHUNK_BYTES).
+
+    The normals and the chunk kernel are single precision (complex64)
+    wherever float32 holds every value the kernel forms, else double
+    (_kernel_dtype, from the drop's beta, noise and powers). Each single
+    normal is its word's double normal to 2 float32 ulps, so the
+    phase-grid moment argument holds to float32 rounding, and |a|^2, |a|^4
+    and all three moment sums are double; the estimates move by about
+    1e-7 relative, far below their standard errors.
+
+    The blocks run through map_in_runs over at most jobs worker processes,
+    and their sums are added in block order, so the result does not depend
+    on jobs.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")

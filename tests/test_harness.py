@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfmimo import channel_stats, cli, harness
+from cfmimo import channel_stats, cli, harness, spectral_efficiency
 from cfmimo.cli import main
 from cfmimo.clustering import ClusteringParams
 from cfmimo.errors import ConfigurationError, NumericalError
@@ -673,6 +673,35 @@ class TestCli:
         out = ["--out", str(tmp_path)] if command == "run" else []
         assert main([command, "--config", str(path), *out]) == 1
         assert "configuration error: area_side" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("area_side, precision", [
+        (1e4, np.complex64), (1e12, None), (1e20, None),
+        (1e40, np.complex128)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_validate_over_wide_path_losses(self, tmp_path, monkeypatch,
+                                            capsys, area_side, precision):
+        # From a 10 km square to one of 1e40 m, sqrt(beta) falls from about
+        # 1e-9 to 1e-77. The oracle's kernel runs in single precision where
+        # float32 holds its values and in double where they would
+        # underflow, and every term passes, as in double throughout.
+        chosen, plan_of = [], spectral_efficiency._oracle_plan
+
+        def recording_plan(*args):
+            plan = plan_of(*args)
+            chosen.append(plan.sqrt_R.dtype)
+            return plan
+
+        monkeypatch.setattr(spectral_efficiency, "_oracle_plan", recording_plan)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "scenario": {"num_aps": 12, "num_users": 4, "area_side": area_side},
+            "clustering": {"algorithm": "fixed_aps", "n_ap": 6},
+            "frame": {"tau_p": 2}, "oracle": {"num_samples": 20_000}}))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "validation passed" in capsys.readouterr().out
+        assert len(chosen) == 1
+        if precision is not None:
+            assert chosen == [precision]
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("large_scale", [

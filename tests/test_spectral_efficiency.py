@@ -557,6 +557,53 @@ class TestUserRates:
             FrameConfig(tau_c=10, tau_p=0)
 
 
+def _assert_rounded_to_single(got, want, ulps=2):
+    """got, complex64, is the complex128 want rounded: each part within
+    `ulps` float32 ulps of want's."""
+    assert got.dtype == np.complex64
+    for part, exact in ((got.real, want.real), (got.imag, want.imag)):
+        spacing = np.spacing(np.abs(exact).astype(np.float32))
+        assert np.all(np.abs(part - exact) <= ulps * spacing)
+
+
+def _kernel_and_chain(num_antennas, gain, dtype):
+    """The chunk kernel's group amplitudes (G, K, 7) at a validation shape
+    whose R and beta are multiplied by gain, on normals drawn in the plan's
+    precision, which must be dtype, and the per-sample chain's on the same
+    normals in double precision."""
+    stats, assignment, serving, _, powers, _ = small_instance(
+        12, 4, num_antennas, 4, 4, seed=0)
+    stats = replace(stats, R=stats.R * gain, beta=stats.beta * gain)
+    links = serving.links
+    M, K, N = stats.num_aps, stats.num_users, num_antennas
+    tau_p, c = assignment.tau_p, 7
+    served = np.unique(links.ap)
+    pair = np.unique(links.ap * tau_p + assignment.t[links.user])
+    # An unserved AP, and an unread pair at a served AP.
+    assert served.size < M and pair.size < served.size * tau_p
+    plan = spectral_efficiency._oracle_plan(serving, stats, assignment, powers)
+    assert plan.sqrt_R.dtype == dtype
+    bits = np.random.default_rng(5).bit_generator
+    g = channel.complex_normals(bits, np.empty((N, served.size, K, c), dtype))
+    z = channel.complex_normals(bits, np.empty((N, pair.size, c), dtype))
+    got = spectral_efficiency._chunk_amplitudes(plan, g, z,
+                                                spectral_efficiency._Scratch())
+
+    g_full = np.zeros((c, M, K, N), complex)
+    g_full[:, served] = g.transpose(3, 1, 2, 0)
+    z_full = np.zeros((c, tau_p, M, N), complex)
+    z_full[:, pair % tau_p, pair // tau_p] = z.transpose(2, 1, 0)
+    H = correlate_channel(correlation_sqrt(stats.R), g_full)
+    y = pilot_observations(H, z_full, assignment, powers, stats.noise_power)
+    estimation = estimation_terms(stats, assignment, powers)
+    W = (link_scales(serving, powers, estimation.est_trace)[:, None]
+         * mmse_estimate(y, estimation.coef,
+                         assignment)[:, links.ap, links.user])  # (c, L, N)
+    amp = np.sum(H[:, links.ap] * np.conj(W)[:, :, None, :], axis=-1)
+    a = np.conj(np.add.reduceat(amp, links.group_start, axis=1))
+    return got, np.conj(a).transpose(1, 2, 0)
+
+
 def _assert_closed_form_matches_oracle(config):
     """Every D, E, F and SINR of drop 0 of config lies within
     max(2 %, 3 SE) of the oracle's estimate."""
@@ -609,6 +656,40 @@ class TestComplexNormals:
         monkeypatch.setattr(channel, "ORACLE_PIECE", 7)
         for got, want in zip(two_fills(), whole):
             np.testing.assert_array_equal(got, want)
+
+    def test_double_precision_is_the_formula(self):
+        # Each complex128 normal is sqrt(-2 ln(1 - (w >> 11) 2^-53))
+        # T[w & 2047] of its word w, bit for bit, across pieces.
+        n = 3 * channel.ORACLE_PIECE + 5
+        got = channel.complex_normals(np.random.default_rng(6).bit_generator,
+                                      np.empty(n, complex))
+        w = np.random.default_rng(6).bit_generator.random_raw(n)
+        radius = np.sqrt(-2.0 * np.log(1.0 - (w >> 11) * 2.0 ** -53))
+        np.testing.assert_array_equal(got, radius * channel._PHASES[w & 2047])
+
+    def test_single_precision_rounds_the_double_normals(self):
+        # complex64 normals read the same words as complex128 ones, and each
+        # is that word's complex128 normal to 2 float32 ulps: 10^6 random
+        # words, across pieces, then the radii 0, 2^-26 (the smallest), 2^-25
+        # and the largest, each at five phases.
+        top = np.array([0, 1, 4, 2 ** 52, 2 ** 53 - 1], np.uint64)
+        edges = ((top[:, None] << np.uint64(11))
+                 | np.array([0, 1, 512, 1023, 2047], np.uint64)).ravel()
+        words = np.concatenate([
+            np.random.default_rng(7).bit_generator.random_raw(10 ** 6), edges])
+
+        class Words:
+            """A bit generator whose raw words are `words`, in order."""
+            read = 0
+
+            def random_raw(self, n):
+                self.read += n
+                return words[self.read - n:self.read].copy()
+
+        single, double = (channel.complex_normals(Words(), np.empty(
+            words.size, dtype)) for dtype in (np.complex64, complex))
+        assert single[-25:-20].tolist() == [0j] * 5
+        _assert_rounded_to_single(single, double)
 
     def test_stream_is_pinned(self):
         # The first normals of default_rng(0), to an ulp of log and sqrt:
@@ -673,15 +754,15 @@ class TestOracle:
 
     def test_oracle_reports_standard_errors(self, monkeypatch):
         # Three blocks, the last one partial: D, E, F and their standard
-        # errors are those of the recorded group amplitudes by plain numpy
-        # means and variances.
+        # errors are those of the recorded group amplitudes, single
+        # precision here, by plain numpy means and variances in double.
         stats, assignment, serving, terms, powers, frame = small_instance(
             8, 3, 2, 2, 2, seed=0)
         chunks, kernel = [], spectral_efficiency._chunk_amplitudes
 
         def recording(*args):
             a = kernel(*args)
-            chunks.append(a.copy())
+            chunks.append(a.astype(complex))
             return a
 
         monkeypatch.setattr(spectral_efficiency, "_chunk_amplitudes", recording)
@@ -754,7 +835,8 @@ class TestOracle:
         # served APs, in C order of (N, S, K, n), then the next N P n words
         # into the pilot noise at the P read (AP, pilot) pairs, in C order
         # of (N, P, n): one complex normal sqrt(-2 ln(1 - (w >> 11) 2^-53))
-        # T[w & 2047] per word w.
+        # T[w & 2047] per word w, rounded to the single precision that the
+        # kernel runs in at this shape.
         stats, assignment, serving, terms, powers, frame = small_instance(
             8, 3, 2, 2, 3, seed=4)
         links = serving.links
@@ -794,47 +876,31 @@ class TestOracle:
                     expected.append(radius * channel._PHASES[w & 2047])
             assert len(drawn) == len(expected), sizes
             for got, want in zip(drawn, expected):
-                np.testing.assert_array_equal(got, want)
+                _assert_rounded_to_single(got, want)
 
     @pytest.mark.parametrize("num_antennas", [1, 2, 3])
     def test_chunk_kernel_is_the_public_estimation_chain(self, num_antennas):
-        # The oracle's chunk kernel on normals at the served APs and the
-        # read pairs gives the group amplitudes that the per-sample chain of
+        # The oracle's chunk kernel, in single precision at this shape, on
+        # normals at the served APs and the read pairs gives the group
+        # amplitudes that the double-precision per-sample chain of
         # textbook.py (correlate_channel, pilot_observations, mmse_estimate)
         # gives on the same normals scattered into full arrays, zero
         # elsewhere, up to their conjugate.
-        stats, assignment, serving, _, powers, _ = small_instance(
-            12, 4, num_antennas, 4, 4, seed=0)
-        links = serving.links
-        M, K, N = stats.num_aps, stats.num_users, num_antennas
-        tau_p, c = assignment.tau_p, 7
-        served = np.unique(links.ap)
-        pair = np.unique(links.ap * tau_p + assignment.t[links.user])
-        # An unserved AP, and an unread pair at a served AP.
-        assert served.size < M and pair.size < served.size * tau_p
-        bits = np.random.default_rng(5).bit_generator
-        g = channel.complex_normals(bits, np.empty((N, served.size, K, c), complex))
-        z = channel.complex_normals(bits, np.empty((N, pair.size, c), complex))
-        plan = spectral_efficiency._oracle_plan(serving, stats, assignment,
-                                                powers)
-        got = spectral_efficiency._chunk_amplitudes(
-            plan, g, z, spectral_efficiency._Scratch())
+        got, want = _kernel_and_chain(num_antennas, 1.0, np.complex64)
+        # Single precision rounds at 6e-8, and the kernel stays within
+        # 5.1e-7 of each (group, user)'s RMS amplitude here; a 1e-4
+        # relative error in one estimator entry moves it by more.
+        rms = np.sqrt(np.mean(np.abs(want) ** 2, axis=-1, keepdims=True))
+        assert np.all(np.abs(got - want) <= 1e-5 * rms)
 
-        g_full = np.zeros((c, M, K, N), complex)
-        g_full[:, served] = g.transpose(3, 1, 2, 0)
-        z_full = np.zeros((c, tau_p, M, N), complex)
-        z_full[:, pair % tau_p, pair // tau_p] = z.transpose(2, 1, 0)
-        H = correlate_channel(correlation_sqrt(stats.R), g_full)
-        y = pilot_observations(H, z_full, assignment, powers,
-                               stats.noise_power)
-        estimation = estimation_terms(stats, assignment, powers)
-        W = (link_scales(serving, powers, estimation.est_trace)[:, None]
-             * mmse_estimate(y, estimation.coef,
-                             assignment)[:, links.ap, links.user])  # (c, L, N)
-        amp = np.sum(H[:, links.ap] * np.conj(W)[:, :, None, :], axis=-1)
-        a = np.conj(np.add.reduceat(amp, links.group_start, axis=1))
-        np.testing.assert_allclose(got, np.conj(a).transpose(1, 2, 0),
-                                   rtol=1e-12, atol=0)
+    @pytest.mark.parametrize("num_antennas", [1, 2, 3])
+    def test_double_precision_kernel_is_the_estimation_chain(self,
+                                                             num_antennas):
+        # R and beta scaled by 1e-100 put sqrt(beta) near 1e-55, below what
+        # single precision holds: the kernel runs in double precision and
+        # gives the chain's amplitudes to its last bits.
+        got, want = _kernel_and_chain(num_antennas, 1e-100, np.complex128)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_jobs_do_not_change_the_result(self):
         # Three blocks, the last one partial, over two worker processes:
@@ -906,9 +972,9 @@ class TestOracle:
 
     def test_peak_memory_is_one_batch_of_normals(self):
         # One 100 000-sample call at (M, K, Q, tau_p) = (12, 4, 4, 4) holds
-        # one 1 000-sample block of complex normals (2.1 MB here) and one
-        # chunk's buffers (at most ORACLE_CHUNK_BYTES, 1 MiB): about 3.6 MB
-        # traced.
+        # one 1 000-sample block of complex normals (1.0 MB here, in single
+        # precision) and one chunk's buffers (at most ORACLE_CHUNK_BYTES,
+        # 1 MiB): about 2.7 MB traced.
         stats, assignment, serving, terms, powers, frame = small_instance(
             12, 4, 2, 4, 4, seed=0)
         tracemalloc.start()
@@ -960,11 +1026,10 @@ class TestOracle:
         assert total + total // plan.step > spectral_efficiency.ORACLE_CHUNK_BYTES
 
     def test_large_scale_blocks_stay_within_the_byte_cap(self):
-        # M=400, K=100, N=4, drop 0: a sample takes 2.6 MB of normals, so a
-        # block holds 52 samples (133 MB of normals) and a chunk one. 64
-        # samples peak at about 181 MB traced, drop and closed form
-        # included; in one block of all 64 they peak at about 237 MB, and a
-        # block of 1 000 samples would take 2.6 GB.
+        # M=400, K=100, N=4, drop 0: a sample counts 2.6 MB of normals, so a
+        # block holds 52 samples (133 MB counted, 67 MB in single precision)
+        # and a chunk one. 64 samples peak at about 100 MB traced, drop and
+        # closed form included; a block of 1 000 samples would take 2.6 GB.
         config = ExperimentConfig(
             scenario=ScenarioConfig(num_aps=400, num_users=100, num_antennas=4),
             oracle=OracleConfig(num_samples=64))
