@@ -131,11 +131,18 @@ def _correlated_gaussian(positions: np.ndarray, decorrelation: float,
     n = positions.shape[0]
     dist = wrap_distance_matrix(positions, positions, area_side)
     corr = np.exp(-dist / decorrelation)
-    # Jitter bounded relative to unit diagonal; beyond that the input is broken.
+    # Jitter bounded relative to unit diagonal. On the torus of wrap-around
+    # distances the kernel is not positive definite when the side is a few
+    # decorrelation distances, and the Cholesky then fails: the config, not
+    # the numerics, is at fault.
     try:
         chol = np.linalg.cholesky(corr + 1e-10 * np.eye(n))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("shadowing correlation matrix is not PSD") from exc
+        raise ConfigurationError(
+            f"area_side {area_side} / decorrelation_distance {decorrelation} "
+            f"= {area_side / decorrelation:.3g}: the shadowing correlation "
+            "exp(-d_wrap/d_dec) of these positions is not a covariance; on "
+            "dense grids it is one only from a ratio of about 7") from exc
     return chol @ rng.standard_normal(n)
 
 

@@ -33,27 +33,20 @@ def stacked(entry_planes: np.ndarray) -> np.ndarray:
     return np.moveaxis(entry_planes, (0, 1), (-2, -1))
 
 
-def product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
-            term: np.ndarray | None = None) -> np.ndarray:
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entry planes of the matrix products a b: out[i, j] = sum_c a[i, c] b[c, j].
 
     a (N, C, ...) and b (C, Q, ...) are entry planes whose trailing axes
     broadcast together; b may be one column (Q = 1), the planes b[:, None]
-    of a stack of vectors. out, the (N, Q, ...) result, and term, one
-    (...) plane, are buffers to write into, allocated when not given.
+    of a stack of vectors. The result out is (N, Q, ...).
     """
-    if out is None or term is None:
-        shape = np.broadcast_shapes(a.shape[2:], b.shape[2:])
-        if out is None:
-            out = np.empty((a.shape[0], b.shape[1]) + shape,
-                           np.result_type(a, b))
-        if term is None:
-            term = np.empty(shape, out.dtype)
+    shape = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+    out = np.empty((a.shape[0], b.shape[1]) + shape, np.result_type(a, b))
     for i in range(a.shape[0]):
         for j in range(b.shape[1]):
             np.multiply(a[i, 0], b[0, j], out=out[i, j])
             for c in range(1, b.shape[0]):
-                out[i, j] += np.multiply(a[i, c], b[c, j], out=term)
+                out[i, j] += a[i, c] * b[c, j]
     return out
 
 

@@ -43,11 +43,12 @@ from .views import TupleView, set_flat, views_given
 # single precision take half those bytes. Each complex normal takes one
 # raw 64-bit word of that generator (channel.complex_normals). A block is
 # transformed in chunks of as many samples as keep all of a chunk's
-# buffers, in the bytes of the kernel's precision, within
-# ORACLE_CHUNK_BYTES (about a core's L2 cache), and at least one. The
-# chunk length changes no draw and no amplitude; it changes only the order
-# in which the moment sums add up, and so the result by at most 1e-12
-# relative.
+# temporaries, counted in the bytes of the kernel's precision as if they
+# lived at once, within ORACLE_CHUNK_BYTES (about a core's L2 cache), and
+# at least one; a chunk's traced peak is lower, as its temporaries die
+# while it proceeds. The chunk length changes no draw and no amplitude; it
+# changes only the order in which the moment sums add up, and so the
+# result by at most 1e-12 relative.
 ORACLE_BLOCK = 1_000
 ORACLE_BLOCK_BYTES = 128 * 2 ** 20
 ORACLE_CHUNK_BYTES = 2 ** 20
@@ -379,33 +380,6 @@ class OracleResult:
     num_samples: int
 
 
-class _Scratch:
-    """Flat buffers that the chunks of a run of blocks share, by name.
-
-    scratch(name, shape, dtype) is a C-contiguous view of the leading
-    entries of the named buffer, which grows only when a view needs more.
-    The first block and its first chunk are the largest of a run, so each
-    buffer is allocated once per run. Views are kept by name and shape, so
-    the chunks of one length share them.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-        self._views = {}
-
-    def __call__(self, name: str, shape: tuple[int, ...],
-                 dtype) -> np.ndarray:
-        view = self._views.get((name, shape))
-        if view is None:
-            size = math.prod(shape)
-            buf = self._buffers.get(name)
-            if buf is None or buf.size < size:
-                buf = self._buffers[name] = np.empty(size, dtype)
-                self._views.clear()
-            view = self._views[name, shape] = buf[:size].reshape(shape)
-        return view
-
-
 @dataclass(frozen=True)
 class _OraclePlan:
     """What every oracle block reads; mc_oracle builds it once per call.
@@ -491,9 +465,12 @@ def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
     pilots = (math.sqrt(pilot) * (np.arange(tau_p)[:, None] == assignment.t)
               ).astype(real)
     # Bytes per sample of a block's normals g and z in double precision
-    # (see ORACLE_BLOCK_BYTES), and of a chunk's buffers: H, term, sums (as
-    # floats), y, y_sums, y_l, W, term_l, amp, term_lk and a (as floats) in
-    # the kernel's precision, and sq and p, |a|^2 in double precision.
+    # (see ORACLE_BLOCK_BYTES), and of a chunk's temporaries, each counted
+    # once: H and one product term of it, the pilot sums (as floats), y,
+    # the gathered sums, y at the links, W and one product term of it, the
+    # amplitudes at every link and user and one term of them, and a (as
+    # floats), all in the kernel's precision, and the squares and p, |a|^2,
+    # in double precision.
     normal_bytes = 16 * N * (S * K + P)
     chunk_bytes = (np.dtype(cx).itemsize
                    * (N * S * K + S * K + N * S * tau_p + 2 * N * P + 2 * N * L
@@ -506,8 +483,8 @@ def _oracle_plan(serving: ServingStructure, stats: ChannelStatistics,
         step=max(1, ORACLE_CHUNK_BYTES // chunk_bytes))
 
 
-def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
-                      scratch: _Scratch) -> np.ndarray:
+def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
     """(G, K, c) group amplitudes conj(a) of a chunk of c samples.
 
     g: (N, S, K, c) complex channel normals at the served APs; z: (N, P, c)
@@ -515,47 +492,34 @@ def _chunk_amplitudes(plan: _OraclePlan, g: np.ndarray, z: np.ndarray,
     real and imaginary parts. For every group b of user i and observing
     user k, a = sum over the links (m, i) of b of H[m, k]^H W[m, i], and
     only its conjugate is formed: the oracle reads |mean a|^2, |a|^2 and
-    |a|^4, which the sign of Im(a) does not change. Every buffer is in the
-    plan's precision. The result is a view into scratch, valid until its
-    next chunk.
+    |a|^4, which the sign of Im(a) does not change. Every array is in the
+    plan's precision.
     """
     N, _, S, K = plan.sqrt_R.shape
     cx, real = plan.sqrt_R.dtype, plan.pilots.dtype
-    L, P, c = plan.link_ap.size, plan.pair.size, g.shape[-1]
-    tau_p = plan.pilots.shape[0]
+    L, c = plan.link_ap.size, g.shape[-1]
     # H = R^(1/2) g at the served APs, the planes' product with one column.
-    H = planes.product(plan.sqrt_R[..., None], g[:, None],
-                       out=scratch("H", (N, 1, S, K, c), cx),
-                       term=scratch("term", (S, K, c), cx))[:, 0]
+    H = planes.product(plan.sqrt_R[..., None], g[:, None])[:, 0]
     # Pilot sums sqrt(p^p tau_p) sum_{t_i = t} H[m, i] by one real product on
-    # the float view, then the noisy observations at the read pairs. Every
-    # index is in range, and mode="clip" lets np.take write into out
-    # directly, where the default mode would buffer a copy.
-    sums = np.matmul(plan.pilots, H.view(real).reshape(N * S, K, 2 * c),
-                     out=scratch("sums", (N * S, tau_p, 2 * c), real))
-    y = np.multiply(z, plan.noise_scale, out=scratch("y", (N, P, c), cx))
-    y += np.take(sums.view(cx).reshape(N, S * tau_p, c), plan.pair,
-                 axis=1, out=scratch("y_sums", (N, P, c), cx), mode="clip")
+    # the float view, then the noisy observations at the read pairs.
+    sums = np.matmul(plan.pilots, H.view(real).reshape(N * S, K, 2 * c))
+    y = z * plan.noise_scale
+    y += np.take(sums.view(cx).reshape(N, -1, c), plan.pair, axis=1)
     # conj(W) = conj(s A y) at the links.
-    y_l = np.take(y, plan.link_pair, axis=1,
-                  out=scratch("y_l", (N, L, c), cx), mode="clip")
-    W = planes.product(plan.w_coef[..., None], y_l[:, None],
-                       out=scratch("W", (N, 1, L, c), cx),
-                       term=scratch("term_l", (L, c), cx))[:, 0]
+    W = planes.product(plan.w_coef[..., None],
+                       np.take(y, plan.link_pair, axis=1)[:, None])[:, 0]
     np.conjugate(W, out=W)
     # conj(a) at every link and user, sum_n H[m, k, n] conj(W[l, n]), then
     # summed over each group's links by one real product per user's block
     # of the group indicator, on the float view.
-    amp = scratch("amp", (L, K, c), cx)
-    term = scratch("term_lk", (L, K, c), cx)
-    for n in range(N):
-        part = np.take(H[n], plan.link_ap, axis=0, out=amp if n == 0 else term,
-                       mode="clip")
+    amp = np.take(H[0], plan.link_ap, axis=0)
+    amp *= W[0, :, None, :]
+    for n in range(1, N):
+        part = np.take(H[n], plan.link_ap, axis=0)
         part *= W[n, :, None, :]
-        if n:
-            amp += part
+        amp += part
     G = plan.groups[-1][0].stop       # the last user's groups end at G
-    a = scratch("a", (G, 2 * K * c), real)
+    a = np.empty((G, 2 * K * c), real)
     amp = amp.view(real).reshape(L, 2 * K * c)
     for groups, links, indicator in plan.groups:
         np.matmul(indicator, amp[links], out=a[groups])
@@ -568,28 +532,23 @@ def _block_moments(plan: _OraclePlan, run):
     A block draws N S K n complex normals (channel.complex_normals) from
     its rng's bit generator, the channel normals at the served APs in C
     order of (N, S, K, n), then N P n, the pilot noise at the read pairs in
-    C order of (N, P, n), into buffers that the run's blocks share, in the
-    plan's precision. The sums, per (group, observing user), are those of
-    conj(a), |a|^2 and |a|^4, all three formed and added in double
-    precision.
+    C order of (N, P, n), in the plan's precision. The sums, per (group,
+    observing user), are those of conj(a), |a|^2 and |a|^4, all three
+    formed and added in double precision.
     """
     N, _, S, K = plan.sqrt_R.shape
     P, G = plan.pair.size, plan.groups[-1][0].stop
     cx, real = plan.sqrt_R.dtype, plan.pilots.dtype
-    scratch = _Scratch()
     for rng, n in run:
         bits = rng.bit_generator
-        g = complex_normals(bits, scratch("g", (N, S, K, n), cx))
-        z = complex_normals(bits, scratch("z", (N, P, n), cx))
+        g = complex_normals(bits, np.empty((N, S, K, n), cx))
+        z = complex_normals(bits, np.empty((N, P, n), cx))
         sums = [np.zeros((G, K), dtype=complex), *np.zeros((2, G, K))]
         for lo in range(0, n, plan.step):
             chunk = slice(lo, lo + plan.step)
-            a = _chunk_amplitudes(plan, g[..., chunk], z[..., chunk], scratch)
-            c = a.shape[-1]
-            sq = np.square(a.view(real), out=scratch("sq", (G, K, 2 * c), float),
-                           dtype=float)
-            p = np.add(sq[..., 0::2], sq[..., 1::2],
-                       out=scratch("p", (G, K, c), float))
+            a = _chunk_amplitudes(plan, g[..., chunk], z[..., chunk])
+            sq = np.square(a.view(real), dtype=float)
+            p = sq[..., 0::2] + sq[..., 1::2]
             sums[0] += a.sum(axis=-1, dtype=complex)
             sums[1] += p.sum(axis=-1)
             sums[2] += np.square(p, out=p).sum(axis=-1)

@@ -594,6 +594,8 @@ _extreme_configs = st.fixed_dictionaries({
     "frame": st.fixed_dictionaries({}, optional={
         "tau_c": st.integers(0, 300), "tau_p": st.integers(0, 12)}),
 })
+# Lengths from 1 m to 10 km, spread evenly over the decades.
+_metres = st.floats(0.0, 4.0).map(lambda e: 10.0 ** e)
 
 
 class TestCli:
@@ -817,6 +819,34 @@ class TestCli:
                 rates = [float(v) for row in rows for key, v in row.items()
                          if "rate" in key and v]
                 assert rates and all(np.isfinite(rates)) and min(rates) >= 0.0
+
+    @given(area_side=_metres, decorrelation=_metres, num_aps=st.integers(1, 200))
+    @settings(max_examples=30, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shadowing_is_a_covariance_or_rejected(self, area_side,
+                                                   decorrelation, num_aps):
+        # exp(-d_wrap/d_dec) is no covariance on the torus when the side is
+        # a few decorrelation distances: such a config runs every drop or
+        # exits 1 with a message that names both fields.
+        doc = {"num_drops": 2, "scenario": {"num_aps": num_aps,
+                                            "area_side": area_side},
+               "large_scale": {"decorrelation_distance": decorrelation}}
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out) / "config.json"
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(path), "--out", out])
+            if code == 0:
+                with open(Path(out) / "results.csv", newline="") as fh:
+                    assert len(list(csv.DictReader(fh))) == 2
+            else:
+                assert code == 1
+                message = err.getvalue()
+                assert "configuration error" in message
+                assert "area_side" in message
+                assert "decorrelation_distance" in message
 
     @pytest.mark.parametrize("use_config, flags, expected", [
         (True, [], (3, 777)),

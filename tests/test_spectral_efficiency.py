@@ -586,8 +586,7 @@ def _kernel_and_chain(num_antennas, gain, dtype):
     bits = np.random.default_rng(5).bit_generator
     g = channel.complex_normals(bits, np.empty((N, served.size, K, c), dtype))
     z = channel.complex_normals(bits, np.empty((N, pair.size, c), dtype))
-    got = spectral_efficiency._chunk_amplitudes(plan, g, z,
-                                                spectral_efficiency._Scratch())
+    got = spectral_efficiency._chunk_amplitudes(plan, g, z)
 
     g_full = np.zeros((c, M, K, N), complex)
     g_full[:, served] = g.transpose(3, 1, 2, 0)
@@ -997,33 +996,37 @@ class TestOracle:
                                   "desk", "default"])
     def test_chunk_buffers_fill_the_byte_budget(self, monkeypatch, config):
         # At the validation shapes, the desk scale and the library default,
-        # a chunk's thirteen buffers hold at most ORACLE_CHUNK_BYTES, and
-        # one more sample would not fit: the plan counts each buffer once.
-        plans, scratches = [], []
+        # one chunk of plan.step samples, its amplitudes and its moment
+        # sums, adds at most ORACLE_CHUNK_BYTES to the traced memory that
+        # its block holds when the chunk starts.
+        plans, starts = [], []
         plan_of = spectral_efficiency._oracle_plan
+        kernel = spectral_efficiency._chunk_amplitudes
 
         def recording_plan(*args):
             plans.append(plan_of(*args))
             return plans[-1]
 
-        class RecordingScratch(spectral_efficiency._Scratch):
-            def __init__(self):
-                super().__init__()
-                scratches.append(self)
+        def traced_kernel(*args):
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return kernel(*args)
 
         monkeypatch.setattr(spectral_efficiency, "_oracle_plan", recording_plan)
-        monkeypatch.setattr(spectral_efficiency, "_Scratch", RecordingScratch)
         run_oracle_check(replace(config, oracle=OracleConfig(num_samples=500)))
-        [plan], [scratch] = plans, scratches
+        [plan] = plans
         assert plan.block == spectral_efficiency.ORACLE_BLOCK
         assert plan.step < 500
-        # g and z are the block's normals, the rest the chunk's buffers.
-        chunk = set(scratch._buffers) - {"g", "z"}
-        assert chunk == {"H", "term", "sums", "y", "y_sums", "y_l", "W",
-                         "term_l", "amp", "term_lk", "a", "sq", "p"}
-        total = sum(scratch._buffers[name].nbytes for name in chunk)
-        assert total <= spectral_efficiency.ORACLE_CHUNK_BYTES
-        assert total + total // plan.step > spectral_efficiency.ORACLE_CHUNK_BYTES
+        monkeypatch.setattr(spectral_efficiency, "_chunk_amplitudes", traced_kernel)
+        tracemalloc.start()
+        try:
+            next(spectral_efficiency._block_moments(
+                plan, [(np.random.default_rng(0), plan.step)]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [start] = starts
+        assert peak - start <= spectral_efficiency.ORACLE_CHUNK_BYTES
 
     def test_large_scale_blocks_stay_within_the_byte_cap(self):
         # M=400, K=100, N=4, drop 0: a sample counts 2.6 MB of normals, so a
