@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .clustering import ClusteringParams
 from .errors import CfMimoError, ConfigurationError
@@ -28,7 +25,7 @@ from .harness import (ExperimentConfig, OracleConfig, emit_results,
                       load_config, point_label, run_experiment,
                       run_oracle_check, validation_config)
 from .scenario import ScenarioConfig
-from .spectral_efficiency import user_rates
+from .spectral_efficiency import compare, user_rates
 
 
 def _desk_scale() -> ExperimentConfig:
@@ -63,13 +60,9 @@ def _preset(name: str) -> ExperimentConfig:
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     """config with the --seed, --drops and --samples that were given."""
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
-    if args.drops is not None:
-        config = replace(config, num_drops=args.drops)
-    if args.samples is not None:
-        config = replace(config, oracle=OracleConfig(num_samples=args.samples))
-    return config
+    oracle = None if args.samples is None else OracleConfig(num_samples=args.samples)
+    given = {"base_seed": args.seed, "num_drops": args.drops, "oracle": oracle}
+    return replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_run(args) -> int:
@@ -87,9 +80,8 @@ def _cmd_run(args) -> int:
     results = run_experiment(config, jobs=args.jobs)
     csv_path, json_path = emit_results(results, args.out, stem=stem)
     for point, res in results:
-        label = point_label(point) or "base"
-        print(f"{label}: mean sum rate {res.mean_sum_rate:.4f} bits/s/Hz "
-              f"over {len(res.drops)} drops")
+        print(f"{point_label(point) or 'base'}: mean sum rate "
+              f"{res.mean_sum_rate:.4f} bits/s/Hz over {len(res.drops)} drops")
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -97,39 +89,23 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     """Compare every closed-form term and SINR of drop 0 against the oracle,
     on small instances or on the --config experiment."""
-    if args.config:
-        configs = [load_config(args.config)]
-        if configs[0].sweep:
-            raise ConfigurationError("validate checks one config; "
-                                     "remove its sweep section")
-    else:
-        configs = [validation_config(m, k, q, tau_p)
-                   for m, k, q, tau_p in ((8, 3, 2, 2), (12, 4, 4, 4))]
+    configs = ([load_config(args.config)] if args.config else
+               [validation_config(*shape) for shape in ((8, 3, 2, 2), (12, 4, 4, 4))])
+    if configs[0].sweep:
+        raise ConfigurationError("validate checks one config; remove its sweep section")
     configs = [_apply_overrides(cfg, args) for cfg in configs]
 
-    worst = 0.0   # the largest deviation, as a share of its tolerance
-    ok = True
+    worst, ok = 0.0, True   # worst: the largest deviation, as a share of its tolerance
     for cfg in configs:
         terms, oracle, noise = run_oracle_check(cfg, jobs=args.jobs)
-        sinr = user_rates(terms, cfg.frame, noise).sinr_flat
-        first = np.cumsum(terms.group_count) - terms.group_count
-        for k, (lo, count) in enumerate(zip(first, terms.group_count)):
-            groups = range(count)      # user k's groups c, flat index lo + c
-            pairs = ([("E", terms.E[k], oracle.E[k], oracle.E_se[k]),
-                      ("F", terms.F[k], oracle.F[k], oracle.F_se[k])]
-                     + [(f"D[{c}]", terms.D_flat[lo + c], oracle.D[k][c],
-                         oracle.D_se[k][c]) for c in groups]
-                     + [(f"SINR[{c}]", sinr[lo + c], oracle.sinr[k][c],
-                         oracle.sinr_se[k][c]) for c in groups])
-            for name, closed, est, se in pairs:
-                tol = max(0.02 * abs(closed), 3.0 * se)
-                err = abs(closed - est)
-                passed = err <= tol
-                worst = max(worst, err / tol if tol > 0
-                            else (0.0 if passed else math.inf))
-                ok &= passed
-                print(f"user {k} {name}: closed {closed:.6e} oracle {est:.6e} "
-                      f"se {se:.1e} [{'ok' if passed else 'FAIL'}]")
+        user, label, closed, est, se, _, passed, deviation, share = compare(
+            terms, user_rates(terms, cfg.frame, noise).sinr_flat, oracle)
+        for k, name, c, e, s, p in zip(user, label, closed, est, se, passed):
+            print(f"user {k} {name}: closed {c:.6e} oracle {e:.6e} se {s:.1e} "
+                  f"[{'ok' if p else 'FAIL'}]")
+        print(f"{(share > 0.1).sum()} of {share.size} terms have a tolerance above "
+              f"10 % of their value; the largest is {100 * share.max():.3g} %")
+        worst, ok = max(worst, deviation.max()), ok and passed.all()
     print(f"worst deviation: {worst:.4f} of its tolerance")
     if not ok:
         print("validation FAILED", file=sys.stderr)
@@ -159,9 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name not in _PRESET_SWEEPS:
             p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int, default=1, help=(
-            "worker processes, at most one per oracle block"
-            if name == "validate" else "worker processes, at most one per drop"))
+        p.add_argument("--jobs", type=int, default=1, help="worker processes, at most "
+                       f"one per {'oracle block' if name == 'validate' else 'drop'}")
         if name == "validate":
             p.add_argument("--samples", type=int,
                            help="oracle sample count (default: the config's)")

@@ -380,6 +380,31 @@ class OracleResult:
     num_samples: int
 
 
+def compare(terms: SETerms, sinr_flat: np.ndarray, oracle: OracleResult):
+    """Each term of a drop against the oracle, in validate's order: user by
+    user, E, F, then D[c] and SINR[c] of each group c in SIC order. Returns
+    flat user, label, closed, estimate, se, tolerance max(2 % |closed|,
+    3 se), passed = error <= tolerance, error/tolerance, tolerance/|closed|."""
+    users, sizes = np.arange(terms.E.size), terms.group_count
+    order = np.argsort(np.concatenate([users, users] + [np.repeat(users, sizes)] * 2),
+                       kind="stable")
+    label = np.array([name for n in sizes for name in ["E", "F"] + [
+        f"{kind}[{c}]" for kind in ("D", "SINR") for c in range(n)]])
+    closed, estimate, se = (np.concatenate(x)[order] for x in (
+        (terms.E, terms.F, terms.D_flat, sinr_flat),
+        (oracle.E, oracle.F, *oracle.D, *oracle.sinr),
+        (oracle.E_se, oracle.F_se, *oracle.D_se, *oracle.sinr_se)))
+    tolerance = np.maximum(0.02 * np.abs(closed), 3.0 * se)
+    error = np.abs(closed - estimate)
+    passed = error <= tolerance
+    deviation = np.divide(error, tolerance, where=tolerance > 0,
+                          out=np.where(passed, 0.0, np.inf))
+    share = np.divide(tolerance, np.abs(closed), where=closed != 0,
+                      out=np.full(closed.shape, np.inf))
+    return (np.repeat(users, 2 + 2 * sizes), label, closed, estimate, se,
+            tolerance, passed, deviation, share)
+
+
 @dataclass(frozen=True)
 class _OraclePlan:
     """What every oracle block reads; mc_oracle builds it once per call.

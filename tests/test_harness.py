@@ -910,10 +910,19 @@ class TestCli:
         assert "error: drop 0: user" in capsys.readouterr().err
 
     def test_validate_compares_sinr(self, capsys):
-        main(["validate", "--samples", "2000"])
+        # After each config's term lines, one line counts its terms whose
+        # tolerance exceeds 10 % of their value.
+        main(["validate", "--samples", "3000"])
         out = capsys.readouterr().out
         assert "user 0 SINR[0]: closed" in out
         assert "worst deviation: " in out
+        blocks = re.findall(r"((?:user .*\n)+)(\d+) of (\d+) terms have a "
+                            r"tolerance above 10 % of their value; the "
+                            r"largest is \S+ %\n", out)
+        assert [(terms.count("\n"), int(wide), int(total))
+                for terms, wide, total in blocks] == [(18, 12, 18),
+                                                      (32, 21, 32)]
+        assert out.count("terms have a tolerance above") == 2
 
     @pytest.mark.parametrize("skew, code", [(1.0, 0), (1.5, 2)])
     def test_validate_worst_deviation_is_share_of_tolerance(

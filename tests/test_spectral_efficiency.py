@@ -21,8 +21,9 @@ from cfmimo.pilots import (PilotAssignment, PowerConfig, estimation_terms,
                            psi_stack)
 from cfmimo.scenario import ScenarioConfig
 from cfmimo import spectral_efficiency
-from cfmimo.spectral_efficiency import (FrameConfig, SETerms, compute_terms,
-                                        link_scales, mc_oracle, user_rates)
+from cfmimo.spectral_efficiency import (FrameConfig, OracleResult, SETerms,
+                                        compare, compute_terms, link_scales,
+                                        mc_oracle, user_rates)
 
 
 def _link_powers(serving, powers, est_trace):
@@ -607,16 +608,76 @@ def _assert_closed_form_matches_oracle(config):
     """Every D, E, F and SINR of drop 0 of config lies within
     max(2 %, 3 SE) of the oracle's estimate."""
     terms, oracle, noise = run_oracle_check(config)
-    sinr = per_user(user_rates(terms, config.frame, noise).sinr_flat, terms)
-    for k in range(config.scenario.num_users):
-        pairs = [(terms.E[k], oracle.E[k], oracle.E_se[k]),
-                 (terms.F[k], oracle.F[k], oracle.F_se[k])]
-        pairs += [(terms.D[k][c], oracle.D[k][c], oracle.D_se[k][c])
-                  for c in range(terms.D[k].size)]
-        pairs += [(sinr[k][c], oracle.sinr[k][c], oracle.sinr_se[k][c])
-                  for c in range(terms.D[k].size)]
-        for closed, est, se in pairs:
-            assert abs(closed - est) <= max(0.02 * abs(closed), 3.0 * se)
+    user, label, *_, passed, _, _ = compare(
+        terms, user_rates(terms, config.frame, noise).sinr_flat, oracle)
+    assert passed.all(), list(zip(user[~passed], label[~passed]))
+
+
+class TestCompare:
+    def test_verdicts_on_a_hand_made_drop(self):
+        # Two users with 1 and 2 groups. Rows: user 0 E passes on the 2 %
+        # branch, F lies exactly at its 3 SE tolerance, D[0] passes on the
+        # 3 SE branch only and SINR[0] has closed value 0; user 1 E fails
+        # on the 2 % branch, F has tolerance 0 and no deviation, D[1] and
+        # SINR[1] fail, and SINR[0] deviates with tolerance 0.
+        terms = SETerms(D=(np.array([1.0]), np.array([4.0, 2.0])),
+                        E=np.array([100.0, 100.0]), F=np.array([10.0, 0.0]),
+                        group_order=((0,), (0, 1)))
+        oracle = OracleResult(
+            D=(np.array([1.25]), np.array([4.0, 2.1])),
+            D_se=(np.array([0.1]), np.array([0.2, 0.01])),
+            E=np.array([101.5, 103.0]), E_se=np.array([0.1, 0.1]),
+            F=np.array([11.5, 0.0]), F_se=np.array([0.5, 0.0]),
+            sinr=(np.array([0.02]), np.array([0.5, 0.3])),
+            sinr_se=(np.array([0.01]), np.array([0.0, 0.01])), num_samples=1)
+        (user, label, closed, estimate, se, tolerance, passed, deviation,
+         share) = compare(terms, np.array([0.0, 0.0, 0.25]), oracle)
+        assert user.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
+        assert label.tolist() == ["E", "F", "D[0]", "SINR[0]", "E", "F",
+                                  "D[0]", "D[1]", "SINR[0]", "SINR[1]"]
+        assert closed.tolist() == [100.0, 10.0, 1.0, 0.0, 100.0, 0.0, 4.0,
+                                   2.0, 0.0, 0.25]
+        assert estimate.tolist() == [101.5, 11.5, 1.25, 0.02, 103.0, 0.0, 4.0,
+                                     2.1, 0.5, 0.3]
+        assert se.tolist() == [0.1, 0.5, 0.1, 0.01, 0.1, 0.0, 0.2, 0.01, 0.0,
+                               0.01]
+        np.testing.assert_allclose(
+            tolerance, [2.0, 1.5, 0.3, 0.03, 2.0, 0.0, 0.6, 0.04, 0.0, 0.03],
+            rtol=1e-15, atol=0)
+        assert passed.tolist() == [True, True, True, True, False, True, True,
+                                   False, False, False]
+        np.testing.assert_allclose(
+            deviation, [0.75, 1.0, 0.25 / 0.3, 0.02 / 0.03, 1.5, 0.0, 0.0,
+                        2.5, np.inf, 0.05 / 0.03], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            share, [0.02, 0.15, 0.3, np.inf, 0.02, np.inf, 0.15, 0.02, np.inf,
+                    0.12], rtol=1e-15, atol=0)
+
+    def test_verdicts_follow_the_rule_at_a_validate_shape(self):
+        # Every term of validate's first shape, in validate's order, held to
+        # the rule written out here.
+        config = replace(validation_config(8, 3, 2, 2),
+                         oracle=OracleConfig(num_samples=3_000))
+        terms, oracle, noise = run_oracle_check(config)
+        sinr_flat = user_rates(terms, config.frame, noise).sinr_flat
+        sinr = per_user(sinr_flat, terms)
+        rows = []
+        for k in range(3):
+            groups = range(terms.D[k].size)
+            rows += [(k, "E", terms.E[k], oracle.E[k], oracle.E_se[k]),
+                     (k, "F", terms.F[k], oracle.F[k], oracle.F_se[k])]
+            rows += [(k, f"D[{c}]", terms.D[k][c], oracle.D[k][c],
+                      oracle.D_se[k][c]) for c in groups]
+            rows += [(k, f"SINR[{c}]", sinr[k][c], oracle.sinr[k][c],
+                      oracle.sinr_se[k][c]) for c in groups]
+        got = compare(terms, sinr_flat, oracle)
+        assert len(rows) == 18
+        for want, array in zip(zip(*rows), got):
+            assert array.tolist() == list(want)
+        for (_, _, closed, est, se), *values in zip(rows, *got[5:]):
+            tol = max(0.02 * abs(closed), 3.0 * se)
+            assert values == [tol, abs(closed - est) <= tol,
+                              abs(closed - est) / tol, tol / abs(closed)]
 
 
 class TestComplexNormals:
@@ -801,14 +862,13 @@ class TestOracle:
         config = replace(validation_config(12, 4, 4, 2), base_seed=41,
                          oracle=OracleConfig(num_samples=100_000))
         terms, oracle, noise = run_oracle_check(config, 4)
-        sinr = per_user(user_rates(terms, config.frame, noise).sinr_flat, terms)
         assert oracle.D[2][3] == 0.0
-        for k in range(4):
-            assert np.all(np.isfinite(oracle.sinr_se[k]))
-            for c in range(terms.D[k].size):
-                closed = sinr[k][c]
-                assert abs(closed - oracle.sinr[k][c]) <= max(
-                    0.02 * abs(closed), 3.0 * oracle.sinr_se[k][c])
+        _, label, _, _, se, _, passed, _, _ = compare(
+            terms, user_rates(terms, config.frame, noise).sinr_flat, oracle)
+        sinr = np.char.startswith(label, "SINR")
+        assert sinr.sum() == terms.D_flat.size
+        assert np.all(np.isfinite(se[sinr]))
+        assert passed[sinr].all()
 
     def test_chunking_changes_neither_stream_nor_result(self, monkeypatch):
         # The chunk only bounds the temporaries: one-sample chunks and one
