@@ -677,15 +677,17 @@ class TestCli:
         assert "configuration error: area_side" in capsys.readouterr().err
 
     @pytest.mark.parametrize("area_side, precision", [
-        (1e4, np.complex64), (1e12, None), (1e20, None),
+        (1e4, np.complex64), (1e12, np.complex64), (1e20, np.complex128),
         (1e40, np.complex128)])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_validate_over_wide_path_losses(self, tmp_path, monkeypatch,
                                             capsys, area_side, precision):
         # From a 10 km square to one of 1e40 m, sqrt(beta) falls from about
-        # 1e-9 to 1e-77. The oracle's kernel runs in single precision where
-        # float32 holds its values and in double where they would
-        # underflow, and every term passes, as in double throughout.
+        # 1e-9 to 1e-77. The bandwidth scales the noise with the far path
+        # loss (slope 3.5), so every square has the SNR of a 1 km one and
+        # each term's tolerance stays within 25 % of its value. The oracle's
+        # kernel runs in single precision where float32 holds its values
+        # and in double where they would underflow, and every term passes.
         chosen, plan_of = [], spectral_efficiency._oracle_plan
 
         def recording_plan(*args):
@@ -698,12 +700,13 @@ class TestCli:
         path.write_text(json.dumps({
             "scenario": {"num_aps": 12, "num_users": 4, "area_side": area_side},
             "clustering": {"algorithm": "fixed_aps", "n_ap": 6},
-            "frame": {"tau_p": 2}, "oracle": {"num_samples": 20_000}}))
+            "frame": {"tau_p": 2}, "oracle": {"num_samples": 20_000},
+            "large_scale": {"bandwidth_hz": 2e7 * (1000 / area_side) ** 3.5}}))
         assert main(["validate", "--config", str(path)]) == 0
-        assert "validation passed" in capsys.readouterr().out
-        assert len(chosen) == 1
-        if precision is not None:
-            assert chosen == [precision]
+        out = capsys.readouterr().out
+        assert "validation passed" in out
+        assert float(re.search(r"the largest is (\S+) %", out)[1]) < 25
+        assert chosen == [precision]
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("large_scale", [

@@ -655,9 +655,10 @@ class TestCompare:
 
     def test_verdicts_follow_the_rule_at_a_validate_shape(self):
         # Every term of validate's first shape, in validate's order, held to
-        # the rule written out here.
+        # the rule written out here. At 100 000 samples half of the terms
+        # sit on the 2 % branch and half on the 3 SE one.
         config = replace(validation_config(8, 3, 2, 2),
-                         oracle=OracleConfig(num_samples=3_000))
+                         oracle=OracleConfig(num_samples=100_000))
         terms, oracle, noise = run_oracle_check(config)
         sinr_flat = user_rates(terms, config.frame, noise).sinr_flat
         sinr = per_user(sinr_flat, terms)
@@ -674,10 +675,13 @@ class TestCompare:
         assert len(rows) == 18
         for want, array in zip(zip(*rows), got):
             assert array.tolist() == list(want)
+        branches = set()
         for (_, _, closed, est, se), *values in zip(rows, *got[5:]):
             tol = max(0.02 * abs(closed), 3.0 * se)
             assert values == [tol, abs(closed - est) <= tol,
                               abs(closed - est) / tol, tol / abs(closed)]
+            branches.add(0.02 * abs(closed) > 3.0 * se)
+        assert branches == {True, False}
 
 
 class TestComplexNormals:
