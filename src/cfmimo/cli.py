@@ -30,7 +30,7 @@ from .spectral_efficiency import compare, user_rates
 
 def _desk_scale() -> ExperimentConfig:
     """Small deployment (40 APs, 10 users, 200 drops) for the presets:
-    fig3-6, the largest, takes 1.5-2.0 s end to end at --jobs 1 on a
+    fig3-6, the largest, takes 0.86-1.02 s end to end at --jobs 1 on a
     2-core Intel Xeon VM (Python 3.11, numpy 2.4)."""
     return ExperimentConfig(
         scenario=ScenarioConfig(num_aps=40, num_users=10, num_antennas=2),
@@ -78,7 +78,7 @@ def _cmd_run(args) -> int:
     if args.command == "sweep" and not config.sweep:
         raise ConfigurationError("sweep subcommand requires a sweep section")
     results = run_experiment(config, jobs=args.jobs)
-    csv_path, json_path = emit_results(results, args.out, stem=stem)
+    csv_path, json_path = emit_results(config, results, args.out, stem=stem)
     for point, res in results:
         print(f"{point_label(point) or 'base'}: mean sum rate "
               f"{res.mean_sum_rate:.4f} bits/s/Hz over {len(res.drops)} drops")

@@ -171,9 +171,6 @@ class ExperimentResult:
     cdf_probs: tuple[float, ...]     # non-decreasing, ends at 1
     mean_sum_rate: float
     percentiles: dict[str, float]    # keys p5/p25/p50/p75/p95
-    # Full config echo, read-only: the results of one run share the dict of
-    # each section that their configs share.
-    config: dict
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +253,6 @@ def _plain(value):
 def config_to_dict(config: ExperimentConfig) -> dict:
     """The config as the JSON document that config_from_dict reads."""
     return _plain(config)
-
-
-def _config_echoes(configs: list[ExperimentConfig]) -> list[dict]:
-    """config_to_dict of each config, with the dict of each section object
-    built once: configs that hold the same section object share its dict,
-    so the echoes are read-only."""
-    built = {}      # id of a section object -> its dict; configs holds them
-    echoes = []
-    for config in configs:
-        echo = {}
-        for name in config.__dataclass_fields__:
-            value = getattr(config, name)
-            if hasattr(value, "__dataclass_fields__"):
-                if id(value) not in built:
-                    built[id(value)] = _plain(value)
-                echo[name] = built[id(value)]
-            else:
-                echo[name] = _plain(value)
-        echoes.append(echo)
-    return echoes
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -457,21 +434,18 @@ def run_drop(config: ExperimentConfig, drop_index: int) -> DropResult:
     return _run_drop_grid([({}, config)], drop_index)[0]
 
 
-def _summaries(grid: list[tuple[dict, ExperimentConfig]],
-               drops: list[list[DropResult]]) -> list[ExperimentResult]:
-    """The result of each config of grid from its drops, in drop order.
+def _summaries(drops: list[list[DropResult]]) -> list[ExperimentResult]:
+    """The result of each point from its drops, in drop order.
 
     The sum rates of the points with the same number of drops form one
     (points, drops) array, and its rows are sorted, averaged and cut into
     percentiles at once, each row as on its own; their CDF probabilities
-    are formed once. The config echoes share their sections' dicts (see
-    _config_echoes).
+    are formed once.
     """
     by_count = {}
     for i, point_drops in enumerate(drops):
         by_count.setdefault(len(point_drops), []).append(i)
-    echoes = _config_echoes([config for _, config in grid])
-    out = [None] * len(grid)
+    out = [None] * len(drops)
     for count, points in by_count.items():
         sums = np.array([[d.sum_rate for d in drops[i]] for i in points])
         probs = tuple((np.arange(1, count + 1) / count).tolist())
@@ -481,8 +455,7 @@ def _summaries(grid: list[tuple[dict, ExperimentConfig]],
             out[i] = ExperimentResult(
                 drops=tuple(drops[i]), cdf_values=tuple(values), cdf_probs=probs,
                 mean_sum_rate=mean,
-                percentiles={f"p{q}": v for q, v in zip(_PERCENTILES, p)},
-                config=echoes[i])
+                percentiles={f"p{q}": v for q, v in zip(_PERCENTILES, p)})
     return out
 
 
@@ -499,7 +472,7 @@ def _run_grid(grid: list[tuple[dict, ExperimentConfig]],
     for entries, row in zip(active, map_in_runs(_run_drop_grids, tasks, jobs)):
         for i, result in zip(entries, row):
             drops[i].append(result)
-    return _summaries(grid, drops)
+    return _summaries(drops)
 
 
 def run_single(config: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
@@ -554,13 +527,16 @@ def run_oracle_check(config: ExperimentConfig, drop_index: int = 0,
 # Persistence
 # ---------------------------------------------------------------------------
 
-def emit_results(results: list[tuple[dict, ExperimentResult]],
+def emit_results(config: ExperimentConfig,
+                 results: list[tuple[dict, ExperimentResult]],
                  out_dir: str | Path, stem: str = "results") -> tuple[Path, Path]:
     """Write a CSV of per-drop rows and a JSON sidecar with summaries.
 
     CSV columns: sweep keys, drop index, seed, per-user rates, sum rate.
     Numbers keep full float precision: csv writes a float as its repr,
-    which round-trips exactly.
+    which round-trips exactly. The JSON holds config, the experiment that
+    produced results, once: a point's config is apply_sweep_point(config,
+    sweep_point).
     """
     out_dir = Path(out_dir)
     try:
@@ -584,10 +560,10 @@ def emit_results(results: list[tuple[dict, ExperimentResult]],
 
         doc = {
             "version": __version__,
+            "config": config_to_dict(config),
             "results": [
                 {
                     "sweep_point": point,
-                    "config": res.config,
                     "mean_sum_rate": res.mean_sum_rate,
                     "percentiles": res.percentiles,
                     "cdf": {"values": list(res.cdf_values),

@@ -315,7 +315,7 @@ def test_criterion_8_parallel_determinism(tmp_path):
     )
     serial = run_experiment(config, jobs=1)
     parallel = run_experiment(config, jobs=8)
-    csv1, _ = emit_results(serial, tmp_path / "serial")
-    csv8, _ = emit_results(parallel, tmp_path / "parallel")
+    csv1, _ = emit_results(config, serial, tmp_path / "serial")
+    csv8, _ = emit_results(config, parallel, tmp_path / "parallel")
     ok = csv1.read_bytes() == csv8.read_bytes()
     _report(8, "serial vs 8-way parallel determinism", ok)

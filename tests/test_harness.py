@@ -147,15 +147,46 @@ class TestSweep:
         assert ((outs[0] / "results.csv").read_bytes()
                 == (outs[1] / "results.csv").read_bytes())
 
-    def test_echoes_share_unchanged_sections(self):
-        config = _tiny_config(num_drops=1, sweep={
-            "clustering.n_ap": (2, 4), "transmission_mode": ("mixed", "coherent")})
-        results = run_experiment(config)
-        for point, result in results:
-            assert result.config == config_to_dict(apply_sweep_point(config, point))
-        first, second = results[0][1].config, results[1][1].config
-        assert first["scenario"] is second["scenario"]
-        assert first["clustering"] == second["clustering"]
+    def test_results_json_reruns_every_row(self, tmp_path):
+        # The sweep of CI's determinism step: a sweep value that is a list
+        # of pairs, uneven drop counts and a null value. results.json
+        # states the config that ran, --drops and the sweep included, and
+        # every row of results.csv runs again from it alone.
+        spec = {"scenario": {"num_aps": 12, "num_users": 4},
+                "clustering": {"algorithm": "fixed_aps", "n_cpu": 2, "n_ap": 4},
+                "powers": {"power_budget_mode": "rescale"},
+                "sweep": {"scenario.cpu_positions": [[[250.0, 0.0], [-250.0, 0.0]],
+                                                     [[0.0, 250.0], [0.0, -250.0]]],
+                          "transmission_mode": ["mixed", "coherent"],
+                          "num_drops": [1, 3],
+                          "powers.ap_power_budget": [None, 0.15]}}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--config", str(path), "--drops", "3",
+                         "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "results.json").read_text())
+        base = config_from_dict(doc["config"])
+        # Dicts, not configs: the sweep values read from JSON are lists.
+        assert config_to_dict(base) == config_to_dict(
+            replace(load_config(path), num_drops=3))
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        users = [c for c in rows[0] if c.startswith("user_rate_")]
+        checked = 0
+        for entry in doc["results"]:
+            point = entry["sweep_point"]
+            mine = [row for row in rows if all(
+                row[k] == ("" if v is None else str(v)) for k, v in point.items())]
+            assert len(mine) == entry["num_drops"]
+            config = apply_sweep_point(base, point)
+            for row in mine:
+                drop = run_drop(config, int(row["drop"]))
+                assert row["seed"] == str(drop.seed)
+                assert [row[c] for c in users] == list(map(repr, drop.user_rate))
+                assert row["sum_rate"] == repr(drop.sum_rate)
+            checked += len(mine)
+        assert checked == len(rows) == 32
 
     @pytest.mark.parametrize("sweep", [
         {1: (2,)}, {"transmission_mode": ()}, {"transmission_mode": "mixed"},
@@ -509,7 +540,7 @@ class TestEmitResults:
     def test_csv_row_count_and_header(self, tmp_path):
         config = _tiny_config(num_drops=2, sweep={"clustering.n_ap": (2, 4)})
         results = run_experiment(config)
-        csv_path, json_path = emit_results(results, tmp_path)
+        csv_path, json_path = emit_results(config, results, tmp_path)
         with open(csv_path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 2 * 2
@@ -517,8 +548,9 @@ class TestEmitResults:
         assert rows[0][-1] == "sum_rate"
 
     def test_csv_values_round_trip(self, tmp_path):
-        results = run_experiment(_tiny_config(num_drops=2))
-        csv_path, _ = emit_results(results, tmp_path)
+        config = _tiny_config(num_drops=2)
+        results = run_experiment(config)
+        csv_path, _ = emit_results(config, results, tmp_path)
         with open(csv_path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         for row, drop in zip(rows, results[0][1].drops):
@@ -531,14 +563,15 @@ class TestEmitResults:
                           sum_rate=1 / 3)
         result = ExperimentResult(drops=(drop,), cdf_values=(1 / 3,),
                                   cdf_probs=(1.0,), mean_sum_rate=1 / 3,
-                                  percentiles={}, config={})
-        csv_path, _ = emit_results([({}, result)], tmp_path)
+                                  percentiles={})
+        csv_path, _ = emit_results(ExperimentConfig(), [({}, result)], tmp_path)
         row = csv_path.read_text(encoding="utf-8").splitlines()[1]
         assert row == ",".join(["0", "7", *map(repr, rates), repr(1 / 3)])
 
     def test_json_sidecar_summaries(self, tmp_path):
-        results = run_experiment(_tiny_config(num_drops=3))
-        _, json_path = emit_results(results, tmp_path)
+        config = _tiny_config(num_drops=3)
+        results = run_experiment(config)
+        _, json_path = emit_results(config, results, tmp_path)
         doc = json.loads(json_path.read_text())
         entry = doc["results"][0]
         res = results[0][1]
@@ -552,17 +585,15 @@ class TestEmitResults:
 class TestJsonText:
     """results.json is written as json.dumps(doc, indent=2) writes it."""
 
-    @pytest.mark.parametrize("drops", [2, 200])
-    def test_fig3_6_document(self, tmp_path, drops):
-        results = run_experiment(replace(cli._preset("fig3-6"), num_drops=drops))
-        _, json_path = emit_results(results, tmp_path, stem="fig3-6")
+    def test_fig3_6_document(self, tmp_path):
+        config = replace(cli._preset("fig3-6"), num_drops=2)
+        results = run_experiment(config)
+        _, json_path = emit_results(config, results, tmp_path, stem="fig3-6")
         text = json_path.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
-        # The 27 echoes share the sections that the grid leaves alone.
-        configs = [result.config for _, result in results]
-        assert len(configs) == 27
-        for name in ("scenario", "large_scale", "powers", "frame", "oracle"):
-            assert all(c[name] is configs[0][name] for c in configs)
+        doc = json.loads(text)
+        assert list(doc) == ["version", "config", "results"]
+        assert len(doc["results"]) == 27
 
 
 _numbers = st.one_of(st.floats(allow_nan=False, allow_infinity=False),

@@ -2,13 +2,15 @@
 
     python tools/parity.py OLD_DIR NEW_DIR
 
-Every .csv and .json file of either directory is compared with its namesake
-in the other: a CSV file cell by cell, a JSON document value by value (a
-value is a leaf of the document, located by its path). Per file it prints
-the cells, how many are identical (the same text, or the same JSON value
-and type), and the worst relative difference |a - b| / max(|a|, |b|) with
-where it is: the row and column of a CSV cell, the path of a JSON value. A
-difference between cells that are not both numbers counts as infinite.
+Every .csv and .json file under either directory, subdirectories included,
+is compared with the file at the same relative path under the other, as
+diff -r pairs them: a CSV file cell by cell, a JSON document value by value
+(a value is a leaf of the document, located by its path). Per file it
+prints the cells, how many are identical (the same text, or the same JSON
+value and type), and the worst relative difference |a - b| / max(|a|, |b|)
+with where it is: the row and column of a CSV cell, the path of a JSON
+value. A difference between cells that are not both numbers counts as
+infinite.
 
 Exit codes: 0 when the two directories have the same structure, whatever
 their cells; 1 on a structural mismatch: a file missing from either side, a
@@ -114,8 +116,9 @@ def compare_json(old: Path, new: Path) -> Report:
 def compare(old_dir: Path, new_dir: Path) -> tuple[list[str], bool]:
     """The report lines of two output directories, and whether their
     structure matches."""
-    names = sorted({p.name for d in (old_dir, new_dir)
-                    for p in d.iterdir() if p.suffix in (".csv", ".json")})
+    names = sorted({p.relative_to(d).as_posix() for d in (old_dir, new_dir)
+                    for p in d.rglob("*")
+                    if p.suffix in (".csv", ".json") and p.is_file()})
     lines, ok = [], True
     for name in names:
         old, new = old_dir / name, new_dir / name
