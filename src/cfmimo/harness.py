@@ -93,20 +93,20 @@ class ExperimentConfig:
     transmission_mode: str = "mixed"
     num_drops: int = 200
     oracle: OracleConfig = field(default_factory=OracleConfig)
-    sweep: dict[str, tuple] | None = None   # dotted parameter path -> value list
+    sweep: dict[str, list] | None = None    # dotted parameter path -> value list
     base_seed: int = 0
 
     def __post_init__(self):
-        # Parsed and Python-built configs meet one sweep rule, so every key
-        # of a results document is a str.
+        # Parsed and Python-built configs meet one sweep rule and hold its
+        # values in their JSON form, nested lists: every key of a results
+        # document is a str, and a config equals its own round trip.
         if self.sweep is not None:
             if not isinstance(self.sweep, dict) or not all(
                     isinstance(k, str) and isinstance(v, (list, tuple)) and v
                     for k, v in self.sweep.items()):
                 raise ConfigurationError(
                     "sweep must map parameter names to non-empty value lists")
-            object.__setattr__(self, "sweep",
-                               {k: tuple(v) for k, v in self.sweep.items()})
+            object.__setattr__(self, "sweep", _plain(self.sweep))
         if self.transmission_mode not in TRANSMISSION_MODES:
             raise ConfigurationError(
                 f"transmission_mode must be one of {TRANSMISSION_MODES}")
@@ -167,8 +167,6 @@ class DropResult:
 @dataclass(frozen=True)
 class ExperimentResult:
     drops: tuple[DropResult, ...]
-    cdf_values: tuple[float, ...]    # sorted per-drop sum rates
-    cdf_probs: tuple[float, ...]     # non-decreasing, ends at 1
     mean_sum_rate: float
     percentiles: dict[str, float]    # keys p5/p25/p50/p75/p95
 
@@ -438,23 +436,19 @@ def _summaries(drops: list[list[DropResult]]) -> list[ExperimentResult]:
     """The result of each point from its drops, in drop order.
 
     The sum rates of the points with the same number of drops form one
-    (points, drops) array, and its rows are sorted, averaged and cut into
-    percentiles at once, each row as on its own; their CDF probabilities
-    are formed once.
+    (points, drops) array, and its rows are averaged and cut into
+    percentiles at once, each row as on its own.
     """
     by_count = {}
     for i, point_drops in enumerate(drops):
         by_count.setdefault(len(point_drops), []).append(i)
     out = [None] * len(drops)
-    for count, points in by_count.items():
+    for points in by_count.values():
         sums = np.array([[d.sum_rate for d in drops[i]] for i in points])
-        probs = tuple((np.arange(1, count + 1) / count).tolist())
         pct = np.percentile(sums, _PERCENTILES, axis=1).T.tolist()
-        for i, values, mean, p in zip(points, np.sort(sums, axis=1).tolist(),
-                                      sums.mean(axis=1).tolist(), pct):
+        for i, mean, p in zip(points, sums.mean(axis=1).tolist(), pct):
             out[i] = ExperimentResult(
-                drops=tuple(drops[i]), cdf_values=tuple(values), cdf_probs=probs,
-                mean_sum_rate=mean,
+                drops=tuple(drops[i]), mean_sum_rate=mean,
                 percentiles={f"p{q}": v for q, v in zip(_PERCENTILES, p)})
     return out
 
@@ -535,8 +529,9 @@ def emit_results(config: ExperimentConfig,
     CSV columns: sweep keys, drop index, seed, per-user rates, sum rate.
     Numbers keep full float precision: csv writes a float as its repr,
     which round-trips exactly. The JSON holds config, the experiment that
-    produced results, once: a point's config is apply_sweep_point(config,
-    sweep_point).
+    produced results, once, and per sweep point its mean, percentiles and
+    drop count; a point's config is apply_sweep_point(config, sweep_point),
+    and its CDF is its CSV rows' sum rates sorted, the k-th of n at k/n.
     """
     out_dir = Path(out_dir)
     try:
@@ -566,8 +561,6 @@ def emit_results(config: ExperimentConfig,
                     "sweep_point": point,
                     "mean_sum_rate": res.mean_sum_rate,
                     "percentiles": res.percentiles,
-                    "cdf": {"values": list(res.cdf_values),
-                            "probs": list(res.cdf_probs)},
                     "num_drops": len(res.drops),
                 }
                 for point, res in results

@@ -7,7 +7,7 @@ import math
 import re
 import tempfile
 from array import array
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +63,57 @@ def _tiny_config(**kwargs) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+def _lists_or_tuples(elements):
+    """Non-empty lists of at most two elements, some of them as tuples."""
+    values = st.lists(elements, min_size=1, max_size=2)
+    return values | values.map(tuple)
+
+
+_position = st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0))
+# Sweep axes of every kind of value: CPU positions as tuples and as lists,
+# int, float, float or None, and str.
+_sweeps = st.fixed_dictionaries({}, optional={
+    "scenario.cpu_positions": _lists_or_tuples(
+        _lists_or_tuples(_position | _position.map(list))),
+    "clustering.legacy_cluster_size": _lists_or_tuples(st.integers(1, 3)),
+    "powers.pilot_power": _lists_or_tuples(st.floats(0.01, 1.0)),
+    "powers.ap_power_budget": _lists_or_tuples(st.none() | st.floats(0.01, 1.0)),
+    "transmission_mode": _lists_or_tuples(
+        st.sampled_from(["coherent", "mixed", "non_coherent"])),
+}).filter(bool)
+
+
 class TestConfigSerialization:
     def test_round_trip(self):
         config = _tiny_config(sweep={"clustering.n_ap": (2, 4)}, base_seed=7)
         assert config_from_dict(config_to_dict(config)) == config
+
+    def test_every_field_is_a_section_the_sweep_or_type_checked(self):
+        # _from_mapping passes a field of any other type unchecked, and
+        # apply_sweep_point cannot sweep it.
+        for cls in (ExperimentConfig, *harness._SECTIONS.values()):
+            for f in fields(cls):
+                assert (f.type in harness._SECTIONS
+                        or f.type in harness._TYPE_CHECKS
+                        or (cls, f.name) == (ExperimentConfig, "sweep")), (
+                    f"{cls.__name__}.{f.name}: {f.type}")
+
+    @settings(max_examples=30, deadline=None)
+    @given(sweep=_sweeps)
+    def test_sweep_round_trip_writes_the_same_rows(self, sweep):
+        # A config built in Python equals its own results.json record, and
+        # both write the same results.csv, sweep cells included.
+        config = ExperimentConfig(
+            scenario=ScenarioConfig(num_aps=4, num_users=2, num_antennas=1),
+            powers=PowerConfig(power_budget_mode="rescale"),
+            clustering=ClusteringParams(legacy_cluster_size=2),
+            frame=FrameConfig(tau_c=20, tau_p=2), num_drops=1, sweep=sweep)
+        again = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
+        assert again == config
+        with tempfile.TemporaryDirectory() as out:
+            built, parsed = (emit_results(c, run_experiment(c), Path(out) / name)[0]
+                             for name, c in (("built", config), ("parsed", again)))
+            assert built.read_bytes() == parsed.read_bytes()
 
     def test_unknown_root_key_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -167,9 +214,7 @@ class TestSweep:
                          "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "results.json").read_text())
         base = config_from_dict(doc["config"])
-        # Dicts, not configs: the sweep values read from JSON are lists.
-        assert config_to_dict(base) == config_to_dict(
-            replace(load_config(path), num_drops=3))
+        assert base == replace(load_config(path), num_drops=3)
         with open(tmp_path / "results.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         users = [c for c in rows[0] if c.startswith("user_rate_")]
@@ -199,9 +244,14 @@ class TestSweep:
                            "names to non-empty value lists"):
             ExperimentConfig(num_drops=1, sweep=sweep)
 
-    def test_sweep_axes_are_stored_as_tuples(self):
-        config = _tiny_config(sweep={"clustering.n_ap": [2, 4]})
-        assert config.sweep == {"clustering.n_ap": (2, 4)}
+    def test_sweep_axes_are_stored_as_json_lists(self):
+        # The form that config_from_dict reads from JSON, however built.
+        config = _tiny_config(sweep={
+            "clustering.n_ap": (2, 4),
+            "scenario.cpu_positions": (((250.0, 0.0), (-250.0, 0.0)),)})
+        assert config.sweep == {
+            "clustering.n_ap": [2, 4],
+            "scenario.cpu_positions": [[[250.0, 0.0], [-250.0, 0.0]]]}
 
     def test_grid_size(self):
         config = _tiny_config(num_drops=1, sweep={
@@ -223,9 +273,6 @@ class TestSweep:
         assert [len(res.drops) for _, res in results] == [1, 1, 3, 3, 200, 200]
         for _, res in results:
             sums = np.array([d.sum_rate for d in res.drops])
-            assert res.cdf_values == tuple(float(v) for v in np.sort(sums))
-            assert res.cdf_probs == tuple(
-                float(p) for p in np.arange(1, sums.size + 1) / sums.size)
             assert res.mean_sum_rate == float(np.mean(sums))
             quantiles = (5, 25, 50, 75, 95)
             assert res.percentiles == {f"p{q}": float(v) for q, v in zip(
@@ -444,17 +491,6 @@ class TestRunDrop:
 
 
 class TestRunSingle:
-    def test_single_drop_cdf_is_step(self):
-        res = run_single(_tiny_config(num_drops=1))
-        assert res.cdf_values == (res.drops[0].sum_rate,)
-        assert res.cdf_probs == (1.0,)
-
-    def test_cdf_monotone_ends_at_one(self):
-        res = run_single(_tiny_config(num_drops=6))
-        assert np.all(np.diff(res.cdf_values) >= 0)
-        assert np.all(np.diff(res.cdf_probs) > 0)
-        assert res.cdf_probs[-1] == 1.0
-
     def test_parallel_matches_serial(self):
         config = _tiny_config(num_drops=6)
         assert run_single(config, jobs=1) == run_single(config, jobs=2)
@@ -561,8 +597,7 @@ class TestEmitResults:
                  math.nan, math.inf]
         drop = DropResult(drop_index=0, seed=7, user_rate=array("d", rates),
                           sum_rate=1 / 3)
-        result = ExperimentResult(drops=(drop,), cdf_values=(1 / 3,),
-                                  cdf_probs=(1.0,), mean_sum_rate=1 / 3,
+        result = ExperimentResult(drops=(drop,), mean_sum_rate=1 / 3,
                                   percentiles={})
         csv_path, _ = emit_results(ExperimentConfig(), [({}, result)], tmp_path)
         row = csv_path.read_text(encoding="utf-8").splitlines()[1]
@@ -573,13 +608,14 @@ class TestEmitResults:
         results = run_experiment(config)
         _, json_path = emit_results(config, results, tmp_path)
         doc = json.loads(json_path.read_text())
-        entry = doc["results"][0]
+        entry, = doc["results"]
         res = results[0][1]
+        # Per-drop numbers are in the CSV only.
+        assert set(entry) == {"sweep_point", "mean_sum_rate", "percentiles",
+                              "num_drops"}
         assert entry["mean_sum_rate"] == res.mean_sum_rate
         assert entry["percentiles"] == res.percentiles
-        assert entry["cdf"]["values"] == list(res.cdf_values)
-        probs = entry["cdf"]["probs"]
-        assert probs == sorted(probs)
+        assert entry["num_drops"] == 3
 
 
 class TestJsonText:

@@ -1,5 +1,8 @@
+import inspect
 import re
+import sys
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -771,7 +774,37 @@ class TestComplexNormals:
             -0.33976720793345816 + 1.5809804486016152j], rtol=1e-14, atol=0)
 
 
+def _reached_names(fn) -> set[str]:
+    """The names of fn's module that fn reaches: those that the code of fn,
+    of its nested code objects and of every function of the module that it
+    reaches in turn names (co_names, attributes included)."""
+    module = sys.modules[fn.__module__]
+    reached, todo = set(), [fn.__code__]
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in set(code.co_names) - reached:
+            if hasattr(module, name):
+                reached.add(name)
+                value = getattr(module, name)
+                if (inspect.isfunction(value)
+                        and value.__module__ == module.__name__):
+                    todo.append(value.__code__)
+    return reached
+
+
 class TestOracle:
+    def test_shares_only_the_mr_scales_with_the_closed_form(self):
+        # The oracle checks the closed form, so it shares none of the
+        # closed form's code but the MR scales and the SIC partial sums.
+        closed_form = {"compute_terms", "_link_terms", "_shared_link_sets",
+                       "user_rates", "link_scales", "_sic_partial_sums"}
+        assert (_reached_names(mc_oracle) & closed_form
+                == {"link_scales", "_sic_partial_sums"})
+        # The walk does reach the helpers of a function that calls them.
+        assert {"_link_terms", "_shared_link_sets"} <= _reached_names(
+            compute_terms)
+
     def test_single_link_scalar_agreement(self, rng):
         # N = 1, one AP, one user: closed forms are hand-computable and the
         # oracle must land on them within a few standard errors.
