@@ -7,6 +7,7 @@ uniform linear array follows the Gaussian local-scattering closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,15 +20,10 @@ from .scenario import Deployment, wrap_displacement_planes, wrap_distance_matrix
 BOLTZMANN = 1.381e-23   # J/K
 NOISE_TEMPERATURE = 290.0  # K
 
-# complex_normals turns raw words into normals in pieces of at most
-# ORACLE_PIECE words, which bounds its temporaries at 128 KB each; the piece
-# length does not change the normals. Their phases lie on the exact grid of
-# the 2048 roots of unity, indexed by the low 11 bits of a word, held in
-# double and in single precision.
-ORACLE_PIECE = 2 ** 14
-_PHASE_BITS = 11
-_PHASES = np.exp(2j * np.pi * np.arange(2 ** _PHASE_BITS) / 2 ** _PHASE_BITS)
-_PHASES_SINGLE = _PHASES.astype(np.complex64)
+# complex_normals reads raw words in pieces of at most ORACLE_PIECE words,
+# four normals each, which bounds its index temporary at 128 KB; the piece
+# length does not change the normals.
+ORACLE_PIECE = 2 ** 12
 
 
 def cost_hata_fixed_term_db(freq_mhz: float = 1900.0,
@@ -57,6 +53,9 @@ class PathLossParams:
     def __post_init__(self):
         if not 0 < self.d0 < self.d1:
             raise ConfigurationError("path loss requires 0 < d0 < d1")
+        if self.d0 / self.d1 == 0.0:     # its log, the mid slope's span, is -inf
+            raise ConfigurationError(
+                f"path loss d0 / d1 = {self.d0} / {self.d1} underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -231,51 +230,83 @@ def correlation_sqrt(R: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
+def _radius_levels() -> np.ndarray:
+    """The 256 levels x_0 < ... < x_255 of |g|^2 / 2 for complex_normals,
+    equiprobable, whose first four moments are those of Exp(1), j!.
+
+    They start from the conditional means m_i of Exp(1) on its 256
+    equal-probability strata [a_i, a_{i+1}), a_i = -ln(1 - i/256):
+    m_i = a_i + 1 - d_i / (e^{d_i} - 1) with d_i = a_{i+1} - a_i, and
+    a_255 + 1 for the last, unbounded stratum. These fall short of the
+    higher moments, so they are tilted, x_i = m_i exp(sum_{j<4} lambda_j
+    (m_i / m_255)^j), with lambda solved by Newton's method on
+    (1/256) sum_i x_i^j = j! for j = 1..4. From lambda = 0 it converges in
+    five steps; the sixth moves lambda by rounding only.
+    """
+    a = -np.log1p(-np.arange(256) / 256.0)
+    d = np.diff(a)
+    m = np.append(a[:-1] + 1.0 - d / np.expm1(d), a[-1] + 1.0)
+    basis = (m / m[-1])[:, None] ** np.arange(4)          # (256, 4)
+    j = np.arange(1, 5)
+    factorials = np.array([1.0, 2.0, 6.0, 24.0])
+    tilt = np.zeros(4)
+    for _ in range(6):
+        x = m * np.exp(basis @ tilt)
+        powers = x[:, None] ** j                            # (256, 4)
+        jacobian = (j * powers).T @ basis / 256.0
+        tilt -= np.linalg.solve(jacobian, powers.mean(axis=0) - factorials)
+    return m * np.exp(basis @ tilt)
+
+
+@functools.cache
+def _normal_table(dtype: np.dtype) -> np.ndarray:
+    """The read-only 65 536 complex normals of complex_normals in dtype:
+    entry 256 i + p is sqrt(2 x_i) e^{2 pi j p / 256}, x = _radius_levels(),
+    formed in complex128 and rounded once to dtype. It is built on first
+    use, never at import."""
+    radii = np.sqrt(2.0 * _radius_levels())
+    phases = np.exp(2j * np.pi * np.arange(256) / 256.0)
+    table = np.empty((256, 256), dtype)
+    np.multiply(radii[:, None], phases, out=table, casting="same_kind")
+    table = table.reshape(-1)
+    table.flags.writeable = False
+    return table
+
+
 def complex_normals(bit_generator: np.random.BitGenerator,
                     out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous complex array out, in C order, with complex
-    normals of unit-variance real and imaginary parts, one per raw 64-bit
+    normals of unit-variance real and imaginary parts, four per raw 64-bit
     word w of bit_generator, and return it.
 
-    Box-Muller with the phase on an exact grid: g = r T[w & 2047], with the
-    radius r = sqrt(-2 ln(1 - (w >> 11) 2^-53)) from the word's top 53 bits
-    and T = _PHASES. For a phase uniform on 2048 points, E[g^p conj(g)^q] is
-    the CN(0, 2) moment whenever |p - q| < 2048, so every mean and variance
-    that the oracle estimates, polynomials of degree at most 8 in the
-    normals, is that of Gaussian draws. The words are read in pieces of at
-    most ORACLE_PIECE, in order, so the piece length changes nothing.
+    Normal 4n + l is T[(w_n >> 16 l) & 0xFFFF], lane l of word n, from a
+    table T of 65 536 entries (_normal_table): the lane's high byte i picks
+    one of 256 equiprobable radii sqrt(2 x_i) and its low byte p the phase
+    e^{2 pi j p / 256}. The lanes are defined arithmetically, so the stream
+    does not depend on byte order; a fill reads ceil(out.size / 4) words
+    and leaves the unused lanes of the last one. For a phase uniform on 256
+    points, E[g^p conj(g)^q] vanishes for 0 < |p - q| < 256, and the levels
+    give E|g|^{2p} = 2^p p! for p <= 4 (_radius_levels). So every moment
+    of degree at most 8 is the CN(0, 2) one to rounding, and every mean and
+    variance that the oracle estimates, of a, |a|^2 and |a|^4, is that of
+    Gaussian draws. The words are read in pieces of at most ORACLE_PIECE,
+    in order, so the piece length changes nothing.
 
-    The normals take the precision of out. A complex64 out reads the same
-    words, and each of its normals is the complex128 normal of that word
-    to within 2 float32 ulps: 1 - (w >> 11) 2^-53, its log and the square
-    root stay in double precision, so small radii keep their accuracy, and
-    r, rounded once to single precision, multiplies the single-precision T.
-    The phases then lie on the grid to float32 rounding, and the moment
-    argument holds to that rounding.
+    The normals take the precision of out: a complex64 out gets the
+    complex128 normals of the same words, each rounded once.
     """
     flat = out.reshape(-1)
-    single = out.dtype == np.complex64
-    size = min(ORACLE_PIECE, flat.size)
-    phase, radius = np.empty(size, np.intp), np.empty(size)
-    rounded = np.empty(size, np.float32) if single else radius
-    phases = _PHASES_SINGLE if single else _PHASES
-    for lo in range(0, flat.size, ORACLE_PIECE):
-        words = bit_generator.random_raw(min(ORACLE_PIECE, flat.size - lo))
-        n = words.size
-        np.bitwise_and(words, 2 ** _PHASE_BITS - 1, out=phase[:n])
-        # 1 - (w >> 11) 2^-53 is exact and in (0, 1], so its log is finite.
-        # The shifted words are below 2^53, so as int64 they convert to
-        # floats exactly; x86-64 converts a signed 64-bit integer in one
-        # instruction, an unsigned one (without AVX-512) in several.
-        np.right_shift(words, _PHASE_BITS, out=words)
-        r = np.multiply(words.view(np.int64), 2.0 ** -53, out=radius[:n])
-        np.subtract(1.0, r, out=r)
-        np.log(r, out=r)
-        r *= -2.0
-        # A complex64 out's radius is rounded to single precision here, once.
-        r = np.sqrt(r, out=rounded[:n])
-        piece = np.take(phases, phase[:n], out=flat[lo:lo + n], mode="clip")
-        np.multiply(piece, r, out=piece)
+    table = _normal_table(out.dtype)
+    index = np.empty(4 * min(ORACLE_PIECE, -(-flat.size // 4)), np.intp)
+    for lo in range(0, flat.size, 4 * ORACLE_PIECE):
+        words = bit_generator.random_raw(min(ORACLE_PIECE,
+                                             -(-(flat.size - lo) // 4)))
+        # As little-endian 64-bit words, a no-op on little-endian machines,
+        # their 16-bit lanes run from the lowest bits up.
+        lanes = words.astype("<u8", copy=False).view("<u2")
+        np.copyto(index[:lanes.size], lanes)
+        n = min(lanes.size, flat.size - lo)
+        np.take(table, index[:n], out=flat[lo:lo + n], mode="clip")
     return out
 
 

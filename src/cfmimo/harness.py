@@ -47,12 +47,12 @@ from .channel import (ChannelStatistics, LargeScaleModelConfig, PathLossParams,
                       channel_stats, path_loss_db)
 from .clustering import (TRANSMISSION_MODES, ClusteringParams,
                          build_serving_structure)
-from .errors import CfMimoError, ConfigurationError
+from .errors import CfMimoError, ConfigurationError, NumericalError
 from .pilots import (EstimationTerms, PilotAssignment, PowerConfig,
                      assign_pilots, estimation_terms)
 from .scenario import Deployment, ScenarioConfig, generate_deployment
-from .spectral_efficiency import (FrameConfig, compute_terms, map_in_runs,
-                                  mc_oracle, user_rates)
+from .spectral_efficiency import (FrameConfig, compare, compute_terms,
+                                  map_in_runs, mc_oracle, user_rates)
 
 # compute_terms holds a (links, users) array for the co-pilot amplitudes of
 # a stack, and a point of M APs and K users has at most M*K links. Stacks
@@ -313,15 +313,20 @@ def point_label(point: dict) -> str:
 
 @contextmanager
 def _naming(point: dict, drop_index: int):
-    """Prefix the message of any CfMimoError raised inside with the drop
-    and, inside a sweep, the sweep point."""
+    """Run the body with floating-point overflow, invalid operations and
+    division by zero raised, and prefix the message of any CfMimoError
+    raised inside with the drop and, inside a sweep, the sweep point; such a
+    floating-point error becomes a NumericalError."""
     where = f"drop {drop_index}"
     if point:
         where = f"sweep point {point_label(point)}, {where}"
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     except CfMimoError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
+    except FloatingPointError as exc:
+        raise NumericalError(f"{where}: floating-point {exc}") from exc
 
 
 def _upstream_key(config: ExperimentConfig) -> tuple:
@@ -410,10 +415,13 @@ def _run_drop_grid(grid: list[tuple[dict, ExperimentConfig]],
             up = _upstream(config, drop_index)
         configs = [grid[i][1] for i in entries]
         try:
-            for stack in _stacks(configs, up.stats.num_aps * up.stats.num_users ** 2):
-                results = _run_stack([configs[j] for j in stack], up, drop_index)
-                for j, result in zip(stack, results):
-                    out[entries[j]] = result
+            with _naming(point, drop_index):
+                for stack in _stacks(configs,
+                                     up.stats.num_aps * up.stats.num_users ** 2):
+                    results = _run_stack([configs[j] for j in stack], up,
+                                         drop_index)
+                    for j, result in zip(stack, results):
+                        out[entries[j]] = result
         except CfMimoError:
             for i in entries:
                 point, config = grid[i]
@@ -498,19 +506,54 @@ def run_oracle_check(config: ExperimentConfig, drop_index: int = 0,
     runs. The oracle's blocks run over at most jobs worker processes; the
     result does not depend on jobs.
     """
+    return _oracle_check(config, drop_index, jobs, 1)
+
+
+def confirmed_oracle_check(config: ExperimentConfig, drop_index: int = 0,
+                           jobs: int = 1):
+    """run_oracle_check's drop under the confirmation rule; returns the rows
+    of compare() for its terms, each term's deviation from a second oracle
+    (NaN where the first put the term within its tolerance), and the
+    deviation by which each term is judged: the smaller of the two.
+
+    Hundreds of terms are tested at 3 standard errors, so some fall outside
+    by chance. A term outside its tolerance fails only if an independent
+    oracle with four times the samples, drawn from
+    SeedSequence(base_seed, spawn_key=(drop_index, 2)), puts it outside its
+    tolerance too: its judged deviation is then above 1. The second oracle
+    runs only when some term needs it.
+    """
+    terms, oracle, noise = run_oracle_check(config, drop_index, jobs)
+    sinr_flat = user_rates(terms, config.frame, noise).sinr_flat
+    rows = compare(terms, sinr_flat, oracle)
+    passed, deviation = rows[6], rows[7]
+    second = np.full(deviation.shape, np.nan)
+    if not passed.all():
+        more = OracleConfig(num_samples=4 * config.oracle.num_samples)
+        _, again, _ = _oracle_check(replace(config, oracle=more), drop_index,
+                                    jobs, 2)
+        second[~passed] = compare(terms, sinr_flat, again)[7][~passed]
+    return rows, second, np.fmin(deviation, second)
+
+
+def _oracle_check(config: ExperimentConfig, drop_index: int, jobs: int,
+                  stream: int):
+    """run_oracle_check with the oracle drawn from SeedSequence(base_seed,
+    spawn_key=(drop_index, stream))."""
     if jobs < 1:    # checked here so that the message names no drop
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     with _naming({}, drop_index):
         up = _upstream(config, drop_index)
         serving, terms = _downstream([config], up)
         user_rates(terms, config.frame, up.stats.noise_power)
-        # This is the seed sequence of _drop_streams' shadowing stream, so
-        # oracle_rng would repeat its draws. That is safe because mc_oracle
-        # draws only from the generators that it spawns from oracle_rng,
-        # never from oracle_rng itself; a new key would change the oracle's
-        # samples.
+        # These are the seed sequences of _drop_streams' shadowing (stream
+        # 1) and pilot (stream 2) generators, so the oracle's rng would
+        # repeat their draws. That is safe because mc_oracle draws only
+        # from the generators that it spawns from its rng, never from the
+        # rng itself; a new key would change the oracle's samples.
         oracle_rng = np.random.default_rng(
-            np.random.SeedSequence(config.base_seed, spawn_key=(drop_index, 1)))
+            np.random.SeedSequence(config.base_seed,
+                                   spawn_key=(drop_index, stream)))
         oracle = mc_oracle(serving, up.stats, up.assignment, config.powers,
                            config.frame, config.oracle.num_samples, oracle_rng,
                            terms=terms, jobs=jobs)

@@ -40,8 +40,8 @@ from .views import TupleView, set_flat, views_given
 # the library default keeps whole blocks, and memory stays bounded at any
 # scale. The rule counts 16-byte normals in either precision of the
 # kernel, so that the stream does not depend on the precision; normals in
-# single precision take half those bytes. Each complex normal takes one
-# raw 64-bit word of that generator (channel.complex_normals). A block is
+# single precision take half those bytes. Each raw 64-bit word of that
+# generator gives four complex normals (channel.complex_normals). A block is
 # transformed in chunks of as many samples as keep all of a chunk's
 # temporaries, counted in the bytes of the kernel's precision as if they
 # lived at once, within ORACLE_CHUNK_BYTES (about a core's L2 cache), and
@@ -57,7 +57,7 @@ ORACLE_CHUNK_BYTES = 2 ** 20
 # double precision elsewhere; the moment sums, and all that follows them,
 # are double. A value stays normal (float32's exponents run from -126 to
 # 127) when its RMS magnitude lies within 2^(+-ORACLE_SINGLE_EXPONENT): a
-# normal's nonzero radius, at least 2^-26, or a sum of up to 2^20 terms
+# normal's radius, from about 0.061 to 3.74, or a sum of up to 2^20 terms
 # still keeps it in range. See _kernel_dtype.
 ORACLE_SINGLE_EXPONENT = 100
 
@@ -569,14 +569,17 @@ def _block_moments(plan: _OraclePlan, run):
         g = complex_normals(bits, np.empty((N, S, K, n), cx))
         z = complex_normals(bits, np.empty((N, P, n), cx))
         sums = [np.zeros((G, K), dtype=complex), *np.zeros((2, G, K))]
-        for lo in range(0, n, plan.step):
-            chunk = slice(lo, lo + plan.step)
-            a = _chunk_amplitudes(plan, g[..., chunk], z[..., chunk])
-            sq = np.square(a.view(real), dtype=float)
-            p = sq[..., 0::2] + sq[..., 1::2]
-            sums[0] += a.sum(axis=-1, dtype=complex)
-            sums[1] += p.sum(axis=-1)
-            sums[2] += np.square(p, out=p).sum(axis=-1)
+        # Floating-point errors raise, as in the drop that the caller names
+        # (harness._naming), in a worker process too.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for lo in range(0, n, plan.step):
+                chunk = slice(lo, lo + plan.step)
+                a = _chunk_amplitudes(plan, g[..., chunk], z[..., chunk])
+                sq = np.square(a.view(real), dtype=float)
+                p = sq[..., 0::2] + sq[..., 1::2]
+                sums[0] += a.sum(axis=-1, dtype=complex)
+                sums[1] += p.sum(axis=-1)
+                sums[2] += np.square(p, out=p).sum(axis=-1)
         yield sums
 
 
@@ -645,21 +648,21 @@ def mc_oracle(serving: ServingStructure, stats: ChannelStatistics,
     max(1, ORACLE_BLOCK_BYTES // (16 N (S K + P)))) samples, the last one
     partial, block b from the b-th generator of rng.spawn(ceil(num_samples
     / B)); B is ORACLE_BLOCK at every shape up to the library default. A
-    block of n samples takes N S K n raw 64-bit words of its bit generator
-    for the channel normals, in C order of (N, S, K, n), then N P n for the
-    pilot noise, in C order of (N, P, n), one complex normal per word
-    (Box-Muller with a radius from the word's top 53 bits and a phase on
-    the 2048-point grid of its low 11, see channel.complex_normals). Each
-    block is transformed in chunks, with its samples on the last axis of
-    every array (see ORACLE_CHUNK_BYTES).
+    block of n samples takes the N S K n channel normals from its bit
+    generator's raw 64-bit words, in C order of (N, S, K, n), then the
+    N P n pilot-noise normals, in C order of (N, P, n), four normals per
+    word (a table entry per 16-bit lane whose moments up to degree 8 are
+    the Gaussian ones, see channel.complex_normals). Each block is
+    transformed in chunks, with its samples on the last axis of every
+    array (see ORACLE_CHUNK_BYTES).
 
     The normals and the chunk kernel are single precision (complex64)
     wherever float32 holds every value the kernel forms, else double
     (_kernel_dtype, from the drop's beta, noise and powers). Each single
-    normal is its word's double normal to 2 float32 ulps, so the
-    phase-grid moment argument holds to float32 rounding, and |a|^2, |a|^4
-    and all three moment sums are double; the estimates move by about
-    1e-7 relative, far below their standard errors.
+    normal is its lane's double normal rounded once, so the table's moment
+    argument holds to float32 rounding, and |a|^2, |a|^4 and all three
+    moment sums are double; the estimates move by about 1e-7 relative, far
+    below their standard errors.
 
     The blocks run through map_in_runs over at most jobs worker processes,
     and their sums are added in block order, so the result does not depend

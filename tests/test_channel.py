@@ -51,6 +51,9 @@ class TestPathLoss:
     def test_invalid_breakpoints(self):
         with pytest.raises(ConfigurationError):
             PathLossParams(d0=50.0, d1=10.0)
+        # log10(d0 / d1) would be -inf.
+        with pytest.raises(ConfigurationError, match="underflows to 0"):
+            PathLossParams(d0=1e-300, d1=1e300)
 
     def test_fixed_term_value(self):
         # 1900 MHz, 15 m AP, 1.65 m UE urban fixed attenuation term.

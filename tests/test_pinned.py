@@ -68,16 +68,16 @@ VALIDATE_D_FLAT = [
 ]
 
 ORACLE_D = [
-    1.0582290869397735e-10, 7.880537636144684e-12, 3.584507841143499e-13,
-    3.091273962954336e-14, 5.227681218023747e-10, 2.607251285929343e-13,
+    1.1474679231858974e-10, 7.553836102578144e-12, 3.5423701086667776e-13,
+    2.6388371965006027e-14, 4.888650702089644e-10, 2.5295371557127695e-13,
 ]
 
 ORACLE_E = [
-    9.54661859109017e-11, 6.112184575927436e-13, 7.298758675796878e-10,
+    1.0170524248539073e-10, 5.953412364363595e-13, 6.764542557551249e-10,
 ]
 
 ORACLE_F = [
-    1.1370344633012204e-10, 3.9856879062172293e-13, 5.230376640943173e-10,
+    1.2230062842116788e-10, 3.903563208202934e-13, 4.891271892002706e-10,
 ]
 
 

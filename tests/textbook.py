@@ -10,9 +10,11 @@ vectorised over the samples only. Of cfmimo it reads only the configs and
 the drop's ChannelStatistics, PilotAssignment and serving links.
 
 The helpers below it (correlate_channel, pilot_observations,
-simulate_pilot_phase, mmse_estimate, users_on_pilot) keep the code and the
-random streams they had in the library, so that acceptance criterion 4 and
-the oracle's chunk-kernel test draw the same numbers as before.
+simulate_pilot_phase, mmse_estimate, users_on_pilot) keep the code they had
+in the library. Acceptance criterion 4 and the oracle's chunk-kernel test
+draw their normals with channel.complex_normals, the oracle's sampler: four
+complex normals per raw 64-bit word, from a table whose moments up to
+degree 8 are those of CN(0, 2).
 """
 
 from __future__ import annotations
